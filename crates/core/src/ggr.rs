@@ -15,9 +15,12 @@
 //!
 //! The BFS frontier itself is managed by the shared [`Worklist`] subsystem:
 //! the default [`WorklistMode::DenseStamp`] reproduces the paper's full-grid
-//! level-synchronous scan exactly, while the compacted and atomic-queue
+//! level-synchronous scan exactly, while the compacted and queue
 //! representations launch only over the frontier rows
-//! ([`global_relabel_with`]).
+//! ([`global_relabel_with`]).  Those three seed the unmatched rows with one
+//! device-side gather and then build every next level by device-side
+//! append, so a relabeling costs work in proportion to the rows it reaches,
+//! not `levels × m`.
 
 use crate::device::{DeviceState, MU_UNMATCHED};
 use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
@@ -260,6 +263,35 @@ mod tests {
         assert!(
             queue_threads < dense_threads,
             "queue frontier should launch fewer BFS threads ({queue_threads} vs {dense_threads})"
+        );
+    }
+
+    #[test]
+    fn compacted_frontier_rebuilds_no_level_from_a_domain_scan() {
+        // After the seed gather, every level of a compacted BFS is appended
+        // like the per-item queue's: the same refill and scan launches (the
+        // seed's alone) and the same G-GR-KRNL thread total.
+        let g = gen::road_network(20, 20, 0.1, 5).unwrap();
+        let matching = cheap_matching(&g);
+        let runs: Vec<_> = [WorklistMode::Compacted, WorklistMode::AtomicQueue]
+            .into_iter()
+            .map(|mode| {
+                let gpu = VirtualGpu::sequential();
+                let state = DeviceState::upload(&g, &matching);
+                let out = global_relabel_with(&gpu, &g, &state, mode);
+                (out.levels, gpu.stats())
+            })
+            .collect();
+        let (levels, compacted) = &runs[0];
+        let queue = &runs[1].1;
+        assert!(*levels > 3, "need a deep BFS for this test, got {levels}");
+        assert!(compacted.launches_of("G-GR-WL-REFILL") <= 2, "seed gather only");
+        for kernel in ["G-GR-WL-REFILL", "scan_block", "scan_uniform_add"] {
+            assert_eq!(compacted.launches_of(kernel), queue.launches_of(kernel), "{kernel}");
+        }
+        assert_eq!(
+            compacted.kernels["G-GR-KRNL"].total_threads,
+            queue.kernels["G-GR-KRNL"].total_threads
         );
     }
 

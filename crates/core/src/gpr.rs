@@ -23,7 +23,9 @@
 //! atomic fetch-add — the worklist-centric design of the GPU BFS
 //! literature — and [`WorklistMode::BlockedQueue`] amortizes that fetch-add
 //! over cache-line-sized slot blocks; both skip the per-iteration
-//! `G-PR-INITKRNL` scan entirely.)
+//! `G-PR-INITKRNL` scan entirely, and both guard the append with an atomic
+//! swap on the column's stamp, so no column is pushed from two threads in
+//! one round.)
 //!
 //! The active-column machinery itself — the two-array `A_c`/`A_p` scheme,
 //! the `iA` stamps, and the `G-PR-SHRKRNL` compaction — lives in the shared

@@ -41,6 +41,7 @@ proptest! {
         let r = gpr::run(&gpu, &g, &init, GprConfig::paper_default());
         prop_assert_eq!(r.matching.cardinality(), opt);
         prop_assert!(is_maximum(&g, &r.matching));
+        prop_assert_eq!(r.matching.validate_against(&g), Ok(()));
     }
 
     #[test]
@@ -49,6 +50,7 @@ proptest! {
         let opt = maximum_matching_cardinality(&g);
         let r = gpr::run(&gpu, &g, &Matching::empty_for(&g), GprConfig::paper_default());
         prop_assert_eq!(r.matching.cardinality(), opt);
+        prop_assert_eq!(r.matching.validate_against(&g), Ok(()));
     }
 
     #[test]
@@ -60,6 +62,7 @@ proptest! {
             let r = ghk::run(&gpu, &g, &init, variant);
             prop_assert_eq!(r.matching.cardinality(), opt, "{}", variant.label());
             prop_assert!(is_maximum(&g, &r.matching));
+            prop_assert_eq!(r.matching.validate_against(&g), Ok(()), "{}", variant.label());
         }
     }
 
@@ -78,6 +81,11 @@ proptest! {
                 let base = GprConfig::with_variant(variant).with_worklist(mode);
                 let launch = gpr::run(&gpu, &g, &init, base);
                 let resident = gpr::run(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
+                for r in [&launch, &resident] {
+                    prop_assert_eq!(
+                        r.matching.validate_against(&g), Ok(()), "{} + {}", variant.label(), mode
+                    );
+                }
                 prop_assert_eq!(
                     launch.matching.cardinality(),
                     resident.matching.cardinality(),
@@ -98,6 +106,11 @@ proptest! {
                     &gpu, &g, &init, variant, mode, ExecMode::Persistent,
                     &mut gpm_core::GhkWorkspace::new(), &gpm_gpu::StopCheck::never(),
                 );
+                for r in [&launch, &resident] {
+                    prop_assert_eq!(
+                        r.matching.validate_against(&g), Ok(()), "{} + {}", variant.label(), mode
+                    );
+                }
                 prop_assert_eq!(
                     launch.matching.cardinality(),
                     resident.matching.cardinality(),
@@ -197,6 +210,7 @@ proptest! {
         for strategy in [GrStrategy::Fixed(k), GrStrategy::Adaptive(f64::from(k) / 5.0)] {
             let r = gpr::run(&gpu, &g, &init, GprConfig::with_strategy(strategy));
             prop_assert_eq!(r.matching.cardinality(), opt, "{}", strategy.label());
+            prop_assert_eq!(r.matching.validate_against(&g), Ok(()), "{}", strategy.label());
         }
     }
 }

@@ -336,19 +336,25 @@ fn exec_mode_labels_parse_and_reject_junk() {
     assert!("G-PR-Shr@resident+blocked".parse::<Algorithm>().is_err());
 }
 
-/// The cross-representation acceptance test: every worklist mode, under both
-/// the sequential and the pooled executor, produces the oracle cardinality
-/// on every instance family of the mini suite.
-#[test]
-fn all_worklist_modes_match_the_oracle_over_the_mini_suite() {
-    let instances: Vec<_> = mini_suite()
+/// Every family of the mini suite at Tiny scale, with its maximum
+/// matching cardinality.
+fn tiny_mini_suite() -> Vec<(&'static str, BipartiteCsr, usize)> {
+    mini_suite()
         .iter()
         .map(|spec| {
             let g = spec.generate(Scale::Tiny).expect("generate mini instance");
             let opt = maximum_matching_cardinality(&g);
             (spec.name, g, opt)
         })
-        .collect();
+        .collect()
+}
+
+/// The cross-representation acceptance test: every worklist mode, under both
+/// the sequential and the pooled executor, produces a valid matching of the
+/// oracle cardinality on every instance family of the mini suite.
+#[test]
+fn all_worklist_modes_match_the_oracle_over_the_mini_suite() {
+    let instances = tiny_mini_suite();
     for policy in [DevicePolicy::Sequential, DevicePolicy::Parallel(3)] {
         let mut solver =
             Solver::builder().device_policy(policy).build().expect("valid solver config");
@@ -360,6 +366,11 @@ fn all_worklist_modes_match_the_oracle_over_the_mini_suite() {
                 ] {
                     let report = solver.solve(g, alg).unwrap();
                     assert_eq!(report.cardinality, *opt, "{alg} on {name} under {policy:?}");
+                    assert_eq!(
+                        report.matching.validate_against(g),
+                        Ok(()),
+                        "{alg} on {name} under {policy:?}"
+                    );
                 }
             }
         }
@@ -368,20 +379,14 @@ fn all_worklist_modes_match_the_oracle_over_the_mini_suite() {
 
 /// The persistent-execution acceptance test: on every instance family of
 /// the mini suite, every GPU engine × worklist mode solved `@resident`
-/// agrees with its launch-per-round twin — same cardinality under both the
-/// sequential and the pooled executor, and (sequential executor, where the
-/// modelled counters are deterministic) the same number of device rounds,
-/// with the whole solve riding on a small constant number of launches.
+/// agrees with its launch-per-round twin — valid matchings of the same
+/// cardinality under both the sequential and the pooled executor, and
+/// (sequential executor, where the modelled counters are deterministic) the
+/// same number of device rounds, with the whole solve riding on a small
+/// constant number of launches.
 #[test]
 fn persistent_exec_matches_launch_per_round_over_the_mini_suite() {
-    let instances: Vec<_> = mini_suite()
-        .iter()
-        .map(|spec| {
-            let g = spec.generate(Scale::Tiny).expect("generate mini instance");
-            let opt = maximum_matching_cardinality(&g);
-            (spec.name, g, opt)
-        })
-        .collect();
+    let instances = tiny_mini_suite();
     for policy in [DevicePolicy::Sequential, DevicePolicy::Parallel(3)] {
         let mut solver =
             Solver::builder().device_policy(policy).build().expect("valid solver config");
@@ -393,6 +398,13 @@ fn persistent_exec_matches_launch_per_round_over_the_mini_suite() {
                 ] {
                     let launch = solver.solve(g, base).unwrap();
                     let resident = solver.solve(g, base.with_exec(ExecMode::Persistent)).unwrap();
+                    for (report, exec) in [(&launch, "launch-per-round"), (&resident, "resident")] {
+                        assert_eq!(
+                            report.matching.validate_against(g),
+                            Ok(()),
+                            "{base} {exec} on {name} under {policy:?}"
+                        );
+                    }
                     assert_eq!(
                         launch.cardinality, resident.cardinality,
                         "{base} on {name} under {policy:?}"
@@ -425,6 +437,35 @@ fn persistent_exec_matches_launch_per_round_over_the_mini_suite() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Regression: on the pooled executor the queue representations could
+/// append one column twice in a G-PR round when two threads displaced it at
+/// once.  The next round then pushed it from two threads, each claiming a
+/// row, and the downloaded matching came out larger than the maximum and
+/// invalid.  Resident rounds always run on the pool, so they hit the race
+/// most often; a handful of passes over the Tiny mini suite caught it.
+#[test]
+fn pooled_resident_queue_solves_return_valid_matchings() {
+    let instances = tiny_mini_suite();
+    let mut solver = Solver::builder()
+        .device_policy(DevicePolicy::Parallel(3))
+        .build()
+        .expect("valid solver config");
+    for pass in 0..6 {
+        for mode in [WorklistMode::AtomicQueue, WorklistMode::BlockedQueue] {
+            let alg = Algorithm::gpr_default().with_worklist(mode).with_exec(ExecMode::Persistent);
+            for (name, g, opt) in &instances {
+                let report = solver.solve(g, alg).unwrap();
+                assert_eq!(
+                    report.matching.validate_against(g),
+                    Ok(()),
+                    "{alg} on {name}, pass {pass}"
+                );
+                assert_eq!(report.cardinality, *opt, "{alg} on {name}, pass {pass}");
             }
         }
     }

@@ -306,7 +306,10 @@ mod tests {
         const THREADS: usize = 4;
         const EPOCHS: u64 = 100;
         let b = Arc::new(GlobalBarrier::new(THREADS));
-        let tally = Arc::new(DeviceBuffer::<u64>::new(1, 0));
+        // One tally per epoch parity: threads released from crossing `e`
+        // may already add for `e + 1` while its leader checks, but none can
+        // add for `e + 2` before that leader arrives at the next crossing.
+        let tally = Arc::new(DeviceBuffer::<u64>::new(2, 0));
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let b = Arc::clone(&b);
@@ -314,13 +317,14 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut led = 0u64;
                     for e in 0..EPOCHS {
-                        tally.fetch_add(0, 1);
+                        let parity = (e % 2) as usize;
+                        tally.fetch_add(parity, 1);
                         match b.arrive_and_wait() {
                             BarrierRole::Leader => {
                                 led += 1;
                                 // The leader crosses with an acquire fence,
                                 // so it must observe every arrival's add.
-                                assert_eq!(tally.get(0), (e + 1) * THREADS as u64);
+                                assert_eq!(tally.get(parity), (e / 2 + 1) * THREADS as u64);
                             }
                             BarrierRole::Follower => {}
                             BarrierRole::Poisoned => panic!("unexpected poison"),
@@ -334,7 +338,7 @@ mod tests {
         // Exactly one leader per crossing, and every crossing completed.
         assert_eq!(total_leads, EPOCHS);
         assert_eq!(b.epoch(), EPOCHS);
-        assert_eq!(tally.get(0), EPOCHS * THREADS as u64);
+        assert_eq!(tally.get(0) + tally.get(1), EPOCHS * THREADS as u64);
     }
 
     #[test]

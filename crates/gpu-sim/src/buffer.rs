@@ -13,7 +13,8 @@
 //! and therefore model the device memory semantics faithfully without UB.
 //! The matching kernels never use read-modify-write operations, preserving
 //! the paper's "atomic-free" claim (relaxed loads/stores are not the CUDA
-//! `atomicAdd`-style operations the paper avoids).
+//! `atomicAdd`-style operations the paper avoids); the two RMWs below serve
+//! the worklist's append queues only.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -167,8 +168,7 @@ impl DeviceBuffer<u64> {
     /// ordering (no fence, no cross-thread ordering guarantee beyond the
     /// indivisibility of the read-modify-write itself).
     ///
-    /// This is the one read-modify-write operation the crate exposes.  The
-    /// paper's matching kernels never use it (their races are benign by
+    /// The paper's matching kernels never use it (their races are benign by
     /// construction); it exists for the worklist subsystem's
     /// [`AtomicQueue`](crate::worklist::WorklistMode::AtomicQueue) and
     /// [`BlockedQueue`](crate::worklist::WorklistMode::BlockedQueue)
@@ -183,6 +183,18 @@ impl DeviceBuffer<u64> {
     #[inline]
     pub fn fetch_add(&self, i: usize, delta: u64) -> u64 {
         self.cells[i].fetch_add(delta, Ordering::Relaxed)
+    }
+
+    /// Atomically replaces word `i` with `v` and returns the previous value
+    /// — CUDA's `atomicExch` on a 64-bit word, relaxed ordering.  Of several
+    /// threads swapping the same value into one word, exactly one observes
+    /// the old value: the queue worklists use this to append an item once
+    /// per round however many threads push it.  Like
+    /// [`DeviceBuffer::fetch_add`], a kernel reports it to the cost model
+    /// through its thread's atomic counters.
+    #[inline]
+    pub fn swap(&self, i: usize, v: u64) -> u64 {
+        self.cells[i].swap(v, Ordering::Relaxed)
     }
 
     /// A stable identifier of word `i` for contention accounting
@@ -314,6 +326,32 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(tail.get(0), 8 * 500);
+    }
+
+    #[test]
+    fn concurrent_swaps_let_exactly_one_thread_see_the_old_value() {
+        // The exactly-once append guard: per word, one winner among all the
+        // threads swapping the same new value in.
+        let stamps = std::sync::Arc::new(DeviceBuffer::<u64>::new(64, 0));
+        let winners = std::sync::Arc::new(DeviceBuffer::<u64>::new(64, 0));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let stamps = std::sync::Arc::clone(&stamps);
+                let winners = std::sync::Arc::clone(&winners);
+                std::thread::spawn(move || {
+                    for i in 0..64 {
+                        if stamps.swap(i, 7) != 7 {
+                            winners.fetch_add(i, 1);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(winners.to_vec(), vec![1; 64]);
+        assert_eq!(stamps.to_vec(), vec![7; 64]);
     }
 
     #[test]

@@ -283,6 +283,18 @@ impl ThreadCtx {
         self.atomic_words.set(words);
     }
 
+    /// Reports one atomic read-modify-write on a word of a per-item array,
+    /// such as a worklist's per-vertex stamps.  It costs throughput like
+    /// [`ThreadCtx::add_atomic`] but stays out of the per-word histogram: a
+    /// launch touches one such word per item, each seeing only the few RMWs
+    /// of the threads racing on that item, so none rivals the shared word
+    /// beside it — and tracking them all would make the launch's fold
+    /// quadratic in its item count.
+    #[inline]
+    pub(crate) fn add_item_atomic(&self) {
+        self.atomics.set(self.atomics.get() + 1);
+    }
+
     /// Atomics reported so far by this thread.
     #[inline]
     pub fn atomics(&self) -> u64 {
@@ -327,12 +339,17 @@ pub(crate) struct LaunchTotals {
 }
 
 impl LaunchTotals {
-    /// Folds one finished thread's counters in.
+    /// Folds one finished thread's counters in.  Most threads report no
+    /// atomics, and theirs is the hot path: it skips the word slots.
     pub(crate) fn absorb_thread(&mut self, ctx: &ThreadCtx) {
         let work = ctx.work();
         self.work += work;
         self.max_thread_work = self.max_thread_work.max(work);
-        self.atomics += ctx.atomics.get();
+        let atomics = ctx.atomics.get();
+        if atomics == 0 {
+            return;
+        }
+        self.atomics += atomics;
         for (word, count) in ctx.atomic_words.get() {
             if count > 0 {
                 self.add_word(word, count);

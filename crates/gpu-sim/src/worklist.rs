@@ -14,11 +14,14 @@
 //!   every round.  Zero bookkeeping between rounds, full-width launches.
 //!   This is the representation behind `G-PR-NoShr` and the paper's dense
 //!   level-synchronous BFS kernels.
-//! * [`WorklistMode::Compacted`] — the same stamps, but the list is rebuilt
-//!   by the paper's `G-PR-SHRKRNL` pattern (a count pass, a device
+//! * [`WorklistMode::Compacted`] — `G-PR-Shr`'s representation.  The slot
+//!   list is rebuilt on request by the paper's `G-PR-SHRKRNL` pattern (a
+//!   count pass, a device
 //!   [exclusive prefix sum](crate::primitives::exclusive_prefix_sum), and a
 //!   scatter into private regions), so later launches cover only live
-//!   entries.  This is `G-PR-Shr`'s representation, generalized.
+//!   entries.  BFS frontiers advance by the per-item device-side append of
+//!   [`WorklistMode::AtomicQueue`], so a level costs work and launches in
+//!   proportion to its frontier, never a domain scan.
 //! * [`WorklistMode::AtomicQueue`] — vertices for the next round are
 //!   **appended device-side** with an atomic fetch-add
 //!   ([`DeviceQueue`]), the worklist-centric design of the GPU BFS
@@ -67,13 +70,19 @@
 //! # AtomicQueue memory model
 //!
 //! A queue push is `fetch_add(tail)` + relaxed store of the item, with a
-//! same-epoch stamp check in front to drop most duplicates.  Three races are
-//! possible and all are handled:
+//! same-epoch stamp check in front to drop duplicates.  Compacted frontiers
+//! append through the same per-item queue, so all of this applies to them.
+//! Three races are possible and all are handled:
 //!
-//! 1. *Duplicate appends* — two threads can pass the stamp check
-//!    simultaneously; the item is processed twice next round, which every
-//!    engine built on this module tolerates (the same benign-race argument
-//!    the paper makes for its kernels).
+//! 1. *Duplicate appends* — several threads push the same item in one
+//!    round.  The slot protocol's check is an atomic stamp swap, so exactly
+//!    one of them appends: a push-relabel round must never process one
+//!    column on two threads at once, since each could claim a different row
+//!    for it and `FIXMATCHING` repairs only the column side.  The frontier
+//!    protocol keeps a plain load-then-store check; two threads can both
+//!    pass it and the vertex is expanded twice next level, which a
+//!    level-synchronous BFS tolerates — both expansions write the same
+//!    labels (the benign-race argument the paper makes for its kernels).
 //! 2. *Unordered claim/store* — a claimed slot's store has no ordering
 //!    guarantee within the launch.  The queue is therefore only read
 //!    **after** the launch barrier: under the pooled executor the
@@ -133,7 +142,8 @@ pub enum WorklistMode {
     /// `iA`-array scheme; no compaction ever runs).
     DenseStamp,
     /// Slots compacted with the count / prefix-sum / scatter pattern of
-    /// `G-PR-SHRKRNL` when the engine asks for it.
+    /// `G-PR-SHRKRNL` when the engine asks for it; BFS frontiers advance by
+    /// per-item append.
     Compacted,
     /// Device-side atomic-append queue: each round launches over exactly
     /// the items pushed by the previous round, with no scan in between.
@@ -270,12 +280,18 @@ impl ActiveView<'_> {
         self.stamp.get(v) == self.epoch
     }
 
-    /// Queue-mode append for the next round, deduplicated by stamp.
+    /// Queue-mode append for the next round, exactly once per item: of the
+    /// threads that push `v` this round, only the one whose stamp swap sees
+    /// the old stamp appends it (race 1).  The plain load in front skips the
+    /// RMW for items already scheduled.
     #[inline]
     fn queue_push(&self, ctx: &ThreadCtx, v: usize) {
         let next = self.epoch + 1;
-        if self.stamp.get(v) != next {
-            self.stamp.set(v, next);
+        if self.stamp.get(v) == next {
+            return;
+        }
+        ctx.add_item_atomic();
+        if self.stamp.swap(v, next) != next {
             self.queue.as_ref().expect("queue present in queue modes").push(ctx, v as u64);
         }
     }
@@ -283,11 +299,11 @@ impl ActiveView<'_> {
 
 /// In-kernel view handed to frontier-protocol threads.
 pub struct FrontierView<'a> {
-    mode: WorklistMode,
     stamp: &'a DeviceBuffer<u64>,
     epoch: u64,
     nonempty: &'a DeviceBuffer<u64>,
-    /// Present only in the queue representations.
+    /// The next level's append queue; absent only in
+    /// [`WorklistMode::DenseStamp`], whose frontier is the stamps alone.
     queue: Option<DeviceQueue<'a>>,
 }
 
@@ -297,15 +313,15 @@ impl FrontierView<'_> {
     #[inline]
     pub fn push(&self, ctx: &ThreadCtx, v: usize) {
         let next = self.epoch + 1;
-        match self.mode {
-            WorklistMode::DenseStamp | WorklistMode::Compacted => {
+        match &self.queue {
+            None => {
                 self.stamp.set(v, next);
                 self.nonempty.set(0, 1);
             }
-            WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+            Some(queue) => {
                 if self.stamp.get(v) != next {
                     self.stamp.set(v, next);
-                    self.queue.as_ref().expect("queue present in queue modes").push(ctx, v as u64);
+                    queue.push(ctx, v as u64);
                 }
             }
         }
@@ -325,7 +341,7 @@ impl DomainMarker<'_> {
     }
 }
 
-/// A device worklist over the vertex domain `0..domain`, in one of three
+/// A device worklist over the vertex domain `0..domain`, in one of four
 /// [`WorklistMode`] representations.  All device storage (slot arrays,
 /// stamps, queue tail, flags) is drawn from the owning device's
 /// [`ScratchArena`](crate::scratch::ScratchArena), so a warm solver session
@@ -539,29 +555,6 @@ impl<'gpu> Worklist<'gpu> {
         self.round_open = false;
     }
 
-    /// Device-side seeding for slot-protocol drivers: like
-    /// [`Worklist::seed_by_predicate`], but the slot list is materialized in
-    /// **every** mode — [`WorklistMode::DenseStamp`] included — because
-    /// [`Worklist::begin_round`] / [`Worklist::for_each_active`] iterate the
-    /// slot list rather than scanning the domain.  The gather is charged to
-    /// the worklist's `refill` kernel, so a warm-started caller whose
-    /// predicate selects only a handful of disturbed items (e.g. an
-    /// incremental re-solve seeding the columns a graph delta touched) pays
-    /// the domain scan once and then works on a list proportional to the
-    /// seed, not to the domain.
-    pub fn seed_slots_by_predicate(&mut self, predicate: impl Fn(usize) -> bool + Sync) {
-        self.epoch += 2;
-        self.tail.set(0, 0);
-        self.nonempty.set(0, 0);
-        self.overflow.set(0, 0);
-        self.len = self.gather_into_current(&predicate, true);
-        self.fresh_seed = true;
-        self.compacted = false;
-        self.refilled = false;
-        self.fused_refill_done = false;
-        self.round_open = false;
-    }
-
     // ------------------------------------------------------------------
     // Slot protocol (push-relabel shape)
     // ------------------------------------------------------------------
@@ -763,8 +756,9 @@ impl<'gpu> Worklist<'gpu> {
     /// Launches `f` over the current frontier.  In
     /// [`WorklistMode::DenseStamp`] the launch covers the whole domain and
     /// the stamp array decides membership (the paper's dense BFS kernels);
-    /// the other modes launch over the materialized frontier list.  `f`
-    /// pushes next-level vertices through the [`FrontierView`].
+    /// the other modes launch over the frontier list appended during the
+    /// previous level.  `f` pushes next-level vertices through the
+    /// [`FrontierView`].
     pub fn for_each_frontier(
         &self,
         name: &'static str,
@@ -773,11 +767,10 @@ impl<'gpu> Worklist<'gpu> {
         let stamp = self.stamp_buf();
         let epoch = self.epoch;
         let view = FrontierView {
-            mode: self.mode,
             stamp,
             epoch,
             nonempty: &self.nonempty,
-            queue: self.mode.is_queue().then(|| self.queue_view()),
+            queue: (self.mode != WorklistMode::DenseStamp).then(|| self.queue_view()),
         };
         match self.mode {
             WorklistMode::DenseStamp => {
@@ -807,40 +800,26 @@ impl<'gpu> Worklist<'gpu> {
     }
 
     /// Moves the frontier to the next level, returning `true` iff it is
-    /// non-empty.  [`WorklistMode::Compacted`] materializes the new frontier
-    /// from the stamps here; [`WorklistMode::AtomicQueue`] swaps in the
-    /// appended queue (rebuilding from stamps after an overflow).
+    /// non-empty.  [`WorklistMode::DenseStamp`] reads its activity flag;
+    /// every other mode swaps in the list appended during the level
+    /// (rebuilding from stamps only after an overflow).
     pub fn advance_frontier(&mut self) -> bool {
         self.fresh_seed = false;
         self.fused_refill_done = false;
         self.epoch += 1;
-        match self.mode {
-            WorklistMode::DenseStamp => {
-                let any = self.nonempty.get(0) != 0;
-                self.nonempty.set(0, 0);
-                any
-            }
-            WorklistMode::Compacted => {
-                let any = self.nonempty.get(0) != 0;
-                self.nonempty.set(0, 0);
-                if any {
-                    self.compact_from_stamps();
-                } else {
-                    self.len = 0;
-                }
-                self.len > 0
-            }
-            WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
-                self.take_appended_queue();
-                self.len > 0
-            }
+        if self.mode == WorklistMode::DenseStamp {
+            let any = self.nonempty.get(0) != 0;
+            self.nonempty.set(0, 0);
+            return any;
         }
+        self.take_appended_queue();
+        self.len > 0
     }
 
     /// Swaps in the queue appended by the previous round (shared by both
-    /// protocols): reads and resets the tail, and rebuilds the list from the
-    /// current epoch's stamps when appends were dropped on overflow.  The
-    /// caller has already advanced the epoch.
+    /// protocols, and by compacted frontiers): reads and resets the tail, and
+    /// rebuilds the list from the current epoch's stamps when appends were
+    /// dropped on overflow.  The caller has already advanced the epoch.
     fn take_appended_queue(&mut self) {
         if self.mode == WorklistMode::BlockedQueue {
             self.take_blocked_queue();
@@ -1055,8 +1034,8 @@ impl<'gpu> Worklist<'gpu> {
         self.len = total;
     }
 
-    /// Rebuilds the current list from the stamp array (`stamp == epoch`),
-    /// used by the compacted frontier and by queue-overflow recovery.
+    /// Rebuilds the current list from the stamp array (`stamp == epoch`):
+    /// queue-overflow recovery.
     fn compact_from_stamps(&mut self) {
         let epoch = self.epoch;
         let stamp = self.stamp_buf();
@@ -1612,6 +1591,50 @@ mod tests {
     }
 
     #[test]
+    fn compacted_frontier_appends_levels_like_the_queue() {
+        // After its device-side seed, a compacted BFS builds every level by
+        // append: no refill or prefix-sum launch, and the same launch widths
+        // as the per-item queue.
+        let n = 300;
+        let threads: Vec<u64> = [WorklistMode::Compacted, WorklistMode::AtomicQueue]
+            .into_iter()
+            .map(|mode| {
+                let gpu = VirtualGpu::sequential();
+                let reached = DeviceBuffer::<u64>::new(n, 0);
+                let mut wl = Worklist::new(&gpu, mode, n, NAMES);
+                wl.seed_by_predicate(|v| v % 50 == 0);
+                let seeded = gpu.stats();
+                let mut levels = 0;
+                loop {
+                    wl.for_each_frontier("wl_bfs", |ctx, v, frontier| {
+                        reached.set(v, 1);
+                        if v + 1 < n && (v + 1) % 50 != 0 {
+                            frontier.push(ctx, v + 1);
+                        }
+                    });
+                    levels += 1;
+                    if !wl.advance_frontier() {
+                        break;
+                    }
+                }
+                assert_eq!(levels, 50, "{mode}");
+                assert_eq!(reached.to_vec(), vec![1; n], "{mode}");
+                let stats = gpu.stats();
+                for kernel in ["wl_refill", "scan_block", "scan_uniform_add"] {
+                    assert_eq!(
+                        stats.launches_of(kernel),
+                        seeded.launches_of(kernel),
+                        "{mode}: {kernel} launched after the seed"
+                    );
+                }
+                stats.kernels["wl_bfs"].total_threads
+            })
+            .collect();
+        assert_eq!(threads[0], threads[1]);
+        assert_eq!(threads[0], n as u64, "one thread per visit");
+    }
+
+    #[test]
     fn reseeding_never_collides_with_stale_stamps() {
         for mode in WorklistMode::all() {
             let gpu = VirtualGpu::sequential();
@@ -1678,37 +1701,6 @@ mod tests {
                 assert_eq!(count, u64::from(v % 7 == 0), "{mode}: vertex {v}");
             }
             // The gather was charged to the device model, not done host-side.
-            assert!(gpu.stats().launches_of("wl_refill") >= 1, "{mode}");
-        }
-    }
-
-    #[test]
-    fn seed_slots_by_predicate_materializes_the_list_in_every_mode() {
-        for mode in WorklistMode::all() {
-            let gpu = VirtualGpu::sequential();
-            let n = 200;
-            let live = DeviceBuffer::<u64>::new(n, 0);
-            for v in (0..n).step_by(5) {
-                live.set(v, 1);
-            }
-            let mut wl = Worklist::new(&gpu, mode, n, NAMES);
-            wl.seed_slots_by_predicate(|v| live.get(v) != 0);
-            // Unlike the frontier-style seeding, the slot list has a real
-            // host-visible length in every mode (DenseStamp included), so
-            // slot-protocol drivers can size their launches and detect
-            // emptiness.
-            assert_eq!(wl.len(), n.div_ceil(5), "{mode}");
-            let visited = DeviceBuffer::<u64>::new(n, 0);
-            let any = wl.begin_round(|v| live.get(v) != 0, false);
-            assert!(any, "{mode}");
-            wl.for_each_active("wl_push", |_ctx, v, _view| {
-                visited.set(v, visited.get(v) + 1);
-                SlotAction::Finish
-            });
-            let host = visited.to_vec();
-            for (v, &count) in host.iter().enumerate() {
-                assert_eq!(count, u64::from(v % 5 == 0), "{mode}: vertex {v} visited {count}x");
-            }
             assert!(gpu.stats().launches_of("wl_refill") >= 1, "{mode}");
         }
     }

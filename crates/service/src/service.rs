@@ -538,18 +538,37 @@ mod tests {
         submit_blocker(service, blocker_graph(29))
     }
 
-    /// A blocker's graph, by RMAT seed.  Multi-shard tests need *distinct*
-    /// blocker graphs: two blockers on the same graph share a fingerprint,
-    /// and affinity would route the second onto the first's shard instead
-    /// of spreading one per shard.  They also generate both graphs *before*
-    /// submitting either — generation is slow enough that the first blocker
-    /// could otherwise finish before the second is submitted.
+    /// A blocker's graph, by RMAT seed.
     fn blocker_graph(seed: u64) -> gpm_graph::BipartiteCsr {
         gen::rmat(gen::RmatParams::graph500(15, 16), seed).unwrap()
     }
 
-    fn submit_blocker(service: &Service, g: gpm_graph::BipartiteCsr) -> crate::JobHandle {
+    fn submit_blocker(service: &Service, g: impl Into<GraphSource>) -> crate::JobHandle {
         service.submit(JobSpec::new(g, Algorithm::HopcroftKarp).with_init(InitHeuristic::Empty))
+    }
+
+    /// One blocker per shard of a two-shard service, in shard order, both
+    /// submitted before either can finish.  Generating a blocker graph or
+    /// hashing it for an inline submit takes about as long as solving one,
+    /// so the first blocker could otherwise finish and free its shard
+    /// before the second is placed, which then queues behind it.  So all
+    /// that work happens up front: graphs are uploaded, as many seeds as it
+    /// takes for each shard to be home to one, and the blockers submitted
+    /// by fingerprint, an O(1) admission onto each graph's home.
+    fn submit_blockers_on_both_shards(service: &Service) -> (crate::JobHandle, crate::JobHandle) {
+        let mut homes = [None, None];
+        for seed in 28.. {
+            let fp = service.put_graph(blocker_graph(seed));
+            let home = service.registry().home_shard(fp).expect("no shard is draining");
+            homes[home].get_or_insert(fp);
+            if let [Some(fp0), Some(fp1)] = homes {
+                return (
+                    submit_blocker(service, GraphSource::Cached(fp0)),
+                    submit_blocker(service, GraphSource::Cached(fp1)),
+                );
+            }
+        }
+        unreachable!("the seed range is unbounded")
     }
 
     #[test]
@@ -918,9 +937,7 @@ mod tests {
     fn hot_shard_full_spills_to_empty_shard_and_hint_names_the_least_loaded() {
         let service = Service::builder().shards(2).workers(1).max_queue_depth(1).build();
         // Occupy both workers so queued jobs stay queued.
-        let (bg0, bg1) = (blocker_graph(29), blocker_graph(31));
-        let b0 = submit_blocker(&service, bg0);
-        let b1 = submit_blocker(&service, bg1);
+        let (b0, b1) = submit_blockers_on_both_shards(&service);
         assert!(
             wait_until(Duration::from_secs(20), || {
                 service.shard_stats().iter().all(|s| s.running == 1)
@@ -965,9 +982,7 @@ mod tests {
     #[test]
     fn drained_shard_requeues_queued_jobs_and_finishes_in_flight() {
         let service = Service::builder().shards(2).workers(1).build();
-        let (bg0, bg1) = (blocker_graph(29), blocker_graph(31));
-        let b0 = submit_blocker(&service, bg0);
-        let b1 = submit_blocker(&service, bg1);
+        let (b0, b1) = submit_blockers_on_both_shards(&service);
         assert!(
             wait_until(Duration::from_secs(20), || {
                 service.shard_stats().iter().all(|s| s.running == 1)
