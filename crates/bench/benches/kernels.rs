@@ -1,11 +1,13 @@
 //! Criterion microbenches of the virtual-GPU building blocks: kernel launch
-//! overhead, device prefix sum, and the global-relabeling BFS kernels.
+//! overhead, device prefix sum, the global-relabeling BFS kernels, and a
+//! whole G-HKDW solve, whose Duff–Wiberg path kernel dominates its host time.
 //!
 //! Run with `cargo bench -p gpm-bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm_core::device::DeviceState;
 use gpm_core::ggr::global_relabel;
+use gpm_core::ghk::{self, GhkVariant, GhkWorkspace};
 use gpm_gpu::{primitives, DeviceBuffer, VirtualGpu};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{by_name, Scale};
@@ -48,5 +50,28 @@ fn bench_global_relabel(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_launch_overhead, bench_prefix_sum, bench_global_relabel);
+fn bench_ghkdw_solve(c: &mut Criterion) {
+    // The sequential device runs every path-kernel thread on this thread, so
+    // the sample is the host cost of the kernels themselves, not the pool's.
+    let gpu = VirtualGpu::sequential();
+    let spec = by_name("kron_g500-logn20").expect("known instance");
+    let graph = spec.generate(Scale::Small).expect("generation");
+    let matching = cheap_matching(&graph);
+    let mut workspace = GhkWorkspace::new();
+    c.bench_function("ghkdw_kron_small_sequential", |b| {
+        b.iter(|| {
+            ghk::run_with(&gpu, &graph, &matching, GhkVariant::Hkdw, &mut workspace)
+                .matching
+                .cardinality()
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_launch_overhead,
+    bench_prefix_sum,
+    bench_global_relabel,
+    bench_ghkdw_solve
+);
 criterion_main!(benches);

@@ -12,8 +12,8 @@
 //!   labelling columns with their layer (like `G-GR-KRNL` but rooted at the
 //!   unmatched *columns*);
 //! * `G-HK-DFS-KRNL` — one thread per unmatched column builds a tentative
-//!   level-respecting augmenting path into its private slice of a path
-//!   buffer (no races: each thread writes only its own region);
+//!   level-respecting augmenting path into its private slot of a path
+//!   buffer (no races: each thread writes only its own slot);
 //! * a commit pass applies the tentative paths, skipping any path that
 //!   conflicts with one already committed in this phase (those columns are
 //!   simply retried in the next phase).  The commit is executed on the host
@@ -22,11 +22,38 @@
 //!   length, so modelled device time accounts for it.
 //! * G-HKDW adds an extra sweep (`G-HKDW-DW-KRNL`) that builds unrestricted
 //!   augmenting paths from the remaining unmatched *rows* before the next
-//!   BFS, mirroring HKDW's extra DFS set.
+//!   BFS, mirroring HKDW's extra DFS set.  Its paths go through the same
+//!   commit, uncharged, as in the original codes.
 //!
 //! The deviation (host-side commit) is documented in DESIGN.md; the paper's
 //! own G-HK/G-HKDW resolve conflicts with re-traversals whose cost is of the
 //! same order.
+//!
+//! # Per-thread scratch
+//!
+//! Both path kernels run a private DFS per virtual thread.  Its working
+//! memory — the DFS stack and, for the Duff–Wiberg sweep, the set of
+//! columns this thread has visited — lives in a `thread_local!` scratch of
+//! the OS thread executing the virtual thread, so a thread allocates
+//! nothing and tests a column's visited mark in O(1).  The marks are
+//! epoch-stamped: each virtual thread starts an empty set by advancing the
+//! epoch, and the stamps are cleared only when the `u32` epoch wraps.  An OS
+//! thread keeps 4 bytes per column of the largest graph it has swept, plus
+//! stacks as deep as its longest path, for as long as it lives.
+//!
+//! A virtual thread runs start to finish on one OS thread under every
+//! backend and execution mode, so "visited by this thread" keeps its
+//! meaning.  The marks are deliberately *not* a shared device buffer: on a
+//! pooled device another thread could overwrite a mark, the sweep would
+//! re-enter a column already on its stack, and the committed path would
+//! match that column twice.
+//!
+//! The phase's host-side memory is recycled through [`GhkWorkspace`]: the
+//! path slots, the DFS dead-end flags, the kernels' root lists and the
+//! commit's row/column marks.  Each thread terminates its own slot with a
+//! `-1` word, and the host decodes the slots in place up to that word, so
+//! stale words from earlier phases are never read and the slots need no
+//! reset.
 
 use crate::device::{DeviceState, MU_UNMATCHED};
 use crate::roundloop::{drive_rounds, resident_scope, subtract_device_stats, RoundOutcome};
@@ -34,7 +61,8 @@ use gpm_gpu::{
     DeviceBuffer, DeviceStats, ExecMode, StopCheck, VirtualGpu, Worklist, WorklistKernels,
     WorklistMode,
 };
-use gpm_graph::{BipartiteCsr, Matching, VertexId};
+use gpm_graph::{BipartiteCsr, Matching};
+use std::cell::RefCell;
 
 const INF: u32 = u32::MAX;
 
@@ -105,13 +133,20 @@ pub struct GhkResult {
     pub stats: GhkRunStats,
 }
 
-/// Reusable G-HK/G-HKDW working memory: the device matching/label state and
-/// the per-phase BFS level array.  Warm solver sessions reuse it across
-/// solves on same-shaped graphs.
+/// Reusable G-HK/G-HKDW working memory: the device matching/label state,
+/// the per-phase BFS level array and DFS dead-end flags, and the path
+/// kernels' slots, roots and commit marks.  Warm solver sessions reuse it
+/// across solves; the path memory is reused across every phase of a solve.
 #[derive(Debug, Default)]
 pub struct GhkWorkspace {
     state: Option<DeviceState>,
     dist_col: Option<DeviceBuffer<u32>>,
+    dead: Option<DeviceBuffer<bool>>,
+    /// Tentative-path slots, grown to the largest `threads × stride` seen.
+    paths: Option<DeviceBuffer<i64>>,
+    /// Roots of the current path kernel, one per thread.
+    roots: Vec<usize>,
+    commit: Commit,
 }
 
 impl GhkWorkspace {
@@ -209,7 +244,14 @@ pub fn run_with_exec_stop(
 ) -> GhkResult {
     let start = std::time::Instant::now();
     let base_stats = gpu.stats();
-    let GhkWorkspace { state: state_slot, dist_col: dist_slot } = workspace;
+    let GhkWorkspace {
+        state: state_slot,
+        dist_col: dist_slot,
+        dead: dead_slot,
+        paths: path_slot,
+        roots,
+        commit,
+    } = workspace;
     let state = DeviceState::upload_into(state_slot, graph, initial);
     let mut stats = GhkRunStats { variant: variant.label(), ..Default::default() };
 
@@ -230,9 +272,9 @@ pub fn run_with_exec_stop(
             let level = if state.mu_col.get(v) == MU_UNMATCHED { 0 } else { INF };
             dist_col.set(v, level);
         });
-        let free_cols: Vec<i64> =
-            (0..n).filter(|&v| state.mu_col.get(v) == MU_UNMATCHED).map(|v| v as i64).collect();
-        frontier.seed(free_cols.iter().map(|&v| v as usize));
+        roots.clear();
+        roots.extend((0..n).filter(|&v| state.mu_col.get(v) == MU_UNMATCHED));
+        frontier.seed(roots.iter().copied());
         found_free_row.set(0, false);
         let mut level = 0u32;
         // The inner level loop shares the driver (and under a persistent
@@ -269,10 +311,12 @@ pub fn run_with_exec_stop(
 
         // ---- DFS kernel: tentative level-respecting paths ----
         let max_path = (level as usize + 2).max(2);
-        let paths = build_paths_kernel(gpu, graph, state, dist_col, &free_cols, max_path);
+        let dead = DeviceBuffer::recycle(dead_slot, n, false);
+        let (paths, stride) =
+            build_paths_kernel(gpu, graph, state, dist_col, dead, roots, max_path, path_slot);
 
         // ---- Commit pass ----
-        let (applied, conflicts, committed_work) = commit_paths(state, &paths, m, n);
+        let (applied, conflicts, committed_work) = commit.apply(state, paths, roots.len(), stride);
         gpu.launch("G-HK-COMMIT", applied.max(1), |ctx| {
             // The commit's cost is proportional to the total committed path
             // length; charge it to the thread representing each applied path.
@@ -286,7 +330,7 @@ pub fn run_with_exec_stop(
         // ---- Optional Duff–Wiberg extra sweep from unmatched rows ----
         let mut progress = applied as u64;
         if variant == GhkVariant::Hkdw {
-            let extra = dw_sweep(gpu, graph, state);
+            let extra = dw_sweep(gpu, graph, state, roots, path_slot, commit);
             stats.augmentations += extra;
             progress += extra;
         }
@@ -315,237 +359,277 @@ pub fn run_with_exec_stop(
     GhkResult { matching, stats }
 }
 
-/// Runs the DFS kernel: one thread per free column builds a tentative
-/// level-respecting augmenting path into its private region of `paths`.
-/// A path is stored as a sequence of `(row, col)` pairs, terminated by `-1`.
-fn build_paths_kernel(
+/// One level of a path kernel's DFS: the vertex, the index of its next
+/// neighbour to try, and the neighbour it last stepped through (`-1` until
+/// it steps).
+#[derive(Clone, Copy)]
+struct Frame {
+    vertex: usize,
+    next: usize,
+    via: i64,
+}
+
+impl Frame {
+    fn new(vertex: usize) -> Self {
+        Self { vertex, next: 0, via: -1 }
+    }
+}
+
+/// Epoch-stamped membership over `0..len`: [`EpochMarks::begin`] empties
+/// the set in O(1) by advancing the epoch, and clears the stamps only when
+/// the epoch wraps.
+#[derive(Debug, Default)]
+struct EpochMarks {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl EpochMarks {
+    /// Starts an empty set over at least `len` items.
+    fn begin(&mut self, len: usize) {
+        if self.stamps.len() < len {
+            self.stamps.resize(len, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.stamps[i] == self.epoch
+    }
+
+    /// Adds `i`; returns `false` if it was already in the set.
+    fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.stamps[i] != self.epoch;
+        self.stamps[i] = self.epoch;
+        fresh
+    }
+}
+
+/// What one OS thread's path-kernel threads work in (see the module docs).
+#[derive(Default)]
+struct PathScratch {
+    frames: Vec<Frame>,
+    /// Columns the current Duff–Wiberg thread has visited.
+    visited: EpochMarks,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<PathScratch> = RefCell::new(PathScratch::default());
+}
+
+/// Path slots of at least `len` words from `slot`, replacing it with a
+/// `len`-word buffer when it is too small.  No reset: see [`write_slot`].
+fn path_slots(slot: &mut Option<DeviceBuffer<i64>>, len: usize) -> &DeviceBuffer<i64> {
+    if slot.as_ref().is_none_or(|paths| paths.len() < len) {
+        *slot = Some(DeviceBuffer::new(len, -1));
+    }
+    slot.as_ref().expect("slot populated above")
+}
+
+/// Writes one thread's slot at `base`: `pair(frame)` for each frame as a
+/// `(row, col)` word pair, then the `-1` word the host decode stops at.
+fn write_slot(
+    paths: &DeviceBuffer<i64>,
+    base: usize,
+    frames: &[Frame],
+    pair: impl Fn(&Frame) -> (i64, i64),
+) {
+    for (j, frame) in frames.iter().enumerate() {
+        let (u, c) = pair(frame);
+        paths.set(base + 2 * j, u);
+        paths.set(base + 2 * j + 1, c);
+    }
+    paths.set(base + 2 * frames.len(), -1);
+}
+
+/// Runs the DFS kernel: one thread per free column in `roots` builds a
+/// tentative level-respecting augmenting path into its slot of the returned
+/// path buffer, whose slots are the returned stride apart.
+#[allow(clippy::too_many_arguments)]
+fn build_paths_kernel<'a>(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
     state: &DeviceState,
     dist_col: &DeviceBuffer<u32>,
-    free_cols: &[i64],
+    dead: &DeviceBuffer<bool>,
+    roots: &[usize],
     max_path: usize,
-) -> Vec<Vec<(VertexId, VertexId)>> {
-    let k = free_cols.len();
+    path_slot: &'a mut Option<DeviceBuffer<i64>>,
+) -> (&'a DeviceBuffer<i64>, usize) {
     let stride = 2 * max_path + 2;
-    let path_buf = DeviceBuffer::<i64>::new(k * stride, -1);
-    let free_cols_dev = DeviceBuffer::from_slice(free_cols);
-    // Dead-end marker shared by all threads.  Whether a column can reach a
-    // free row through level-increasing edges depends only on (ψ levels, µ),
-    // which are constant during this kernel, so the flag is thread-agnostic
-    // and the racy (unordered, same-value) writes are benign — the same
-    // argument the paper makes for its own kernels.  Without it a DFS on a
-    // grid-like layered graph revisits columns exponentially often.
-    let dead = DeviceBuffer::<bool>::new(graph.num_cols(), false);
-
-    gpu.launch("G-HK-DFS-KRNL", k, |ctx| {
+    let paths = path_slots(path_slot, roots.len() * stride);
+    // `dead` is the dead-end marker shared by all threads.  Whether a column
+    // can reach a free row through level-increasing edges depends only on
+    // (ψ levels, µ), which are constant during this kernel, so the flag is
+    // thread-agnostic and the racy (unordered, same-value) writes are benign
+    // — the same argument the paper makes for its own kernels.  Without it a
+    // DFS on a grid-like layered graph revisits columns exponentially often.
+    gpu.launch("G-HK-DFS-KRNL", roots.len(), |ctx| {
         let i = ctx.global_id;
-        let root = free_cols_dev.get(i);
-        if root < 0 {
-            return;
-        }
-        // Iterative level-respecting DFS over (column, next-neighbor-index)
-        // frames.  Levels strictly increase along the stack, so no cycle
-        // check is needed.
-        let mut stack: Vec<(usize, usize)> = vec![(root as usize, 0)];
-        let mut chosen_rows: Vec<i64> = vec![-1];
-        let mut out: Vec<(i64, i64)> = Vec::new();
-        while let Some(&(c, idx)) = stack.last() {
-            let nbrs = graph.col_neighbors(c as u32);
-            if idx >= nbrs.len() {
+        SCRATCH.with_borrow_mut(|PathScratch { frames, .. }| {
+            // Iterative level-respecting DFS over column frames.  Levels
+            // strictly increase along the stack, so no cycle check is needed.
+            frames.clear();
+            frames.push(Frame::new(roots[i]));
+            let mut found = false;
+            'search: while let Some(top) = frames.len().checked_sub(1) {
+                let Frame { vertex: c, next, .. } = frames[top];
+                let child_level = dist_col.get(c).saturating_add(1);
+                for (j, &u) in graph.col_neighbors(c as u32).iter().enumerate().skip(next) {
+                    ctx.add_work(1);
+                    let mate = state.mu_row.get(u as usize);
+                    let free = mate == MU_UNMATCHED;
+                    let w = mate as usize;
+                    if free || (!dead.get(w) && dist_col.get(w) == child_level) {
+                        frames[top].next = j + 1;
+                        frames[top].via = u as i64;
+                        if free {
+                            found = true;
+                            break 'search;
+                        }
+                        frames.push(Frame::new(w));
+                        continue 'search;
+                    }
+                }
                 dead.set(c, true);
-                stack.pop();
-                chosen_rows.pop();
-                continue;
+                frames.pop();
             }
-            stack.last_mut().expect("non-empty stack").1 += 1;
-            let u = nbrs[idx] as usize;
-            ctx.add_work(1);
-            let mate = state.mu_row.get(u);
-            if mate == MU_UNMATCHED {
-                // Found a free row: record the full path.
-                let depth = stack.len() - 1;
-                chosen_rows[depth] = u as i64;
-                for (d, &(col, _)) in stack.iter().enumerate() {
-                    out.push((chosen_rows[d], col as i64));
-                }
-                break;
-            }
-            let w = mate as usize;
-            let level_c = dist_col.get(c);
-            if !dead.get(w) && dist_col.get(w) == level_c.saturating_add(1) {
-                let depth = stack.len() - 1;
-                chosen_rows[depth] = u as i64;
-                stack.push((w, 0));
-                chosen_rows.push(-1);
-            }
-        }
-        // Write the tentative path to the private region.
-        let base = i * stride;
-        for (j, &(u, c)) in out.iter().enumerate() {
-            path_buf.set(base + 2 * j, u);
-            path_buf.set(base + 2 * j + 1, c);
-        }
+            let path = if found { &frames[..] } else { &[] };
+            write_slot(paths, i * stride, path, |f| (f.via, f.vertex as i64));
+        });
     });
-
-    // Host-side decode of the private regions.
-    let raw = path_buf.to_vec();
-    (0..k)
-        .map(|i| {
-            let base = i * stride;
-            let mut path = Vec::new();
-            let mut j = 0;
-            while 2 * j + 1 < stride {
-                let u = raw[base + 2 * j];
-                let c = raw[base + 2 * j + 1];
-                if u < 0 || c < 0 {
-                    break;
-                }
-                path.push((u as VertexId, c as VertexId));
-                j += 1;
-            }
-            path
-        })
-        .collect()
+    (paths, stride)
 }
 
-/// Applies non-conflicting tentative paths to the device matching.  Returns
-/// (paths applied, paths discarded, total committed pairs).
-///
-/// The tentative paths were built against the matching as it stood at the
-/// start of the phase; the only writers since then are earlier iterations of
-/// this very loop, so tracking the rows/columns they touched is sufficient to
-/// detect every conflict.
-fn commit_paths(
-    state: &DeviceState,
-    paths: &[Vec<(VertexId, VertexId)>],
-    num_rows: usize,
-    num_cols: usize,
-) -> (usize, usize, u64) {
-    let mut used_row = vec![false; num_rows];
-    let mut used_col = vec![false; num_cols];
-    let mut applied = 0usize;
-    let mut conflicts = 0usize;
-    let mut committed_pairs = 0u64;
-    for path in paths {
-        if path.is_empty() {
-            continue;
+/// Host state of the commit pass: the rows and columns matched so far in
+/// this commit, and the path being decoded.
+#[derive(Debug, Default)]
+struct Commit {
+    rows: EpochMarks,
+    cols: EpochMarks,
+    path: Vec<(usize, usize)>,
+}
+
+impl Commit {
+    /// Applies the non-conflicting tentative paths in the first `threads`
+    /// slots of `paths` (`stride` words apart) to the device matching, in
+    /// thread order.  Returns (paths applied, paths discarded, total
+    /// committed pairs).
+    ///
+    /// The tentative paths were built against the matching as it stood when
+    /// their kernel ran; the only writers since then are earlier iterations
+    /// of this very loop, so tracking the rows/columns they touched is
+    /// sufficient to detect every conflict.
+    fn apply(
+        &mut self,
+        state: &DeviceState,
+        paths: &DeviceBuffer<i64>,
+        threads: usize,
+        stride: usize,
+    ) -> (usize, usize, u64) {
+        let Commit { rows, cols, path } = self;
+        rows.begin(state.num_rows());
+        cols.begin(state.num_cols());
+        let mut applied = 0usize;
+        let mut conflicts = 0usize;
+        let mut committed_pairs = 0u64;
+        for i in 0..threads {
+            let base = i * stride;
+            path.clear();
+            path.extend((0..).map_while(|j| {
+                let u = paths.get(base + 2 * j);
+                (u >= 0).then(|| (u as usize, paths.get(base + 2 * j + 1) as usize))
+            }));
+            #[cfg(test)]
+            tests::record_tentative(path);
+            if path.is_empty() {
+                continue;
+            }
+            if path.iter().any(|&(u, c)| rows.contains(u) || cols.contains(c)) {
+                conflicts += 1;
+                continue;
+            }
+            for &(u, c) in path.iter() {
+                state.mu_row.set(u, c as i64);
+                state.mu_col.set(c, u as i64);
+                rows.insert(u);
+                cols.insert(c);
+            }
+            committed_pairs += path.len() as u64;
+            applied += 1;
         }
-        let clash = path.iter().any(|&(u, c)| used_row[u as usize] || used_col[c as usize]);
-        if clash {
-            conflicts += 1;
-            continue;
-        }
-        for &(u, c) in path {
-            state.mu_row.set(u as usize, c as i64);
-            state.mu_col.set(c as usize, u as i64);
-            used_row[u as usize] = true;
-            used_col[c as usize] = true;
-            committed_pairs += 1;
-        }
-        applied += 1;
+        (applied, conflicts, committed_pairs)
     }
-    (applied, conflicts, committed_pairs)
 }
 
 /// The Duff–Wiberg extra sweep: one thread per unmatched row builds an
 /// unrestricted alternating path toward a free column; paths are committed
-/// host-side like the HK phase.  Returns the number of augmentations.
-fn dw_sweep(gpu: &VirtualGpu, graph: &BipartiteCsr, state: &DeviceState) -> u64 {
-    let m = graph.num_rows();
-    let free_rows: Vec<i64> =
-        (0..m).filter(|&u| state.mu_row.get(u) == MU_UNMATCHED).map(|u| u as i64).collect();
-    if free_rows.is_empty() {
+/// like the HK phase's, but uncharged and with conflicts uncounted.
+/// Returns the number of augmentations.
+fn dw_sweep(
+    gpu: &VirtualGpu,
+    graph: &BipartiteCsr,
+    state: &DeviceState,
+    roots: &mut Vec<usize>,
+    path_slot: &mut Option<DeviceBuffer<i64>>,
+    commit: &mut Commit,
+) -> u64 {
+    let num_cols = graph.num_cols();
+    roots.clear();
+    roots.extend((0..graph.num_rows()).filter(|&u| state.mu_row.get(u) == MU_UNMATCHED));
+    if roots.is_empty() {
         return 0;
     }
-    let k = free_rows.len();
-    let free_rows_dev = DeviceBuffer::from_slice(&free_rows);
-    // Collect tentative paths (row, col) pairs per thread, bounded depth to
-    // keep the sweep cheap — longer paths are left for the next BFS phase.
+    // Tentative paths are depth-bounded to keep the sweep cheap — longer
+    // paths are left for the next BFS phase.
     const MAX_DEPTH: usize = 64;
     let stride = 2 * MAX_DEPTH + 2;
-    let path_buf = DeviceBuffer::<i64>::new(k * stride, -1);
+    let paths = path_slots(path_slot, roots.len() * stride);
+    let roots = &roots[..];
 
-    gpu.launch("G-HKDW-DW-KRNL", k, |ctx| {
+    gpu.launch("G-HKDW-DW-KRNL", roots.len(), |ctx| {
         let i = ctx.global_id;
-        let root = free_rows_dev.get(i) as usize;
-        // Iterative alternating DFS row → column → matched row …, depth-bounded.
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        let mut chosen_cols: Vec<i64> = vec![-1];
-        let mut out: Vec<(i64, i64)> = Vec::new();
-        let mut visited_cols: Vec<usize> = Vec::new();
-        while let Some(&(r, idx)) = stack.last() {
-            if stack.len() > MAX_DEPTH {
-                break;
-            }
-            let nbrs = graph.row_neighbors(r as u32);
-            if idx >= nbrs.len() {
-                stack.pop();
-                chosen_cols.pop();
-                continue;
-            }
-            stack.last_mut().expect("non-empty stack").1 += 1;
-            let c = nbrs[idx] as usize;
-            ctx.add_work(1);
-            if visited_cols.contains(&c) {
-                continue;
-            }
-            visited_cols.push(c);
-            let mate = state.mu_col.get(c);
-            if mate == MU_UNMATCHED {
-                let depth = stack.len() - 1;
-                chosen_cols[depth] = c as i64;
-                for (d, &(row, _)) in stack.iter().enumerate() {
-                    out.push((row as i64, chosen_cols[d]));
+        SCRATCH.with_borrow_mut(|PathScratch { frames, visited }| {
+            // Iterative alternating DFS row → column → matched row …,
+            // depth-bounded, entering each column at most once.
+            visited.begin(num_cols);
+            frames.clear();
+            frames.push(Frame::new(roots[i]));
+            let mut found = false;
+            'search: while frames.len() <= MAX_DEPTH {
+                let Some(top) = frames.len().checked_sub(1) else { break };
+                let Frame { vertex: r, next, .. } = frames[top];
+                for (j, &c) in graph.row_neighbors(r as u32).iter().enumerate().skip(next) {
+                    let c = c as usize;
+                    ctx.add_work(1);
+                    if !visited.insert(c) {
+                        continue;
+                    }
+                    let mate = state.mu_col.get(c);
+                    let free = mate == MU_UNMATCHED;
+                    if free || (mate >= 0 && state.mu_row.get(mate as usize) == c as i64) {
+                        frames[top].next = j + 1;
+                        frames[top].via = c as i64;
+                        if free {
+                            found = true;
+                            break 'search;
+                        }
+                        frames.push(Frame::new(mate as usize));
+                        continue 'search;
+                    }
                 }
-                break;
+                frames.pop();
             }
-            if mate >= 0 && state.mu_row.get(mate as usize) == c as i64 {
-                let depth = stack.len() - 1;
-                chosen_cols[depth] = c as i64;
-                stack.push((mate as usize, 0));
-                chosen_cols.push(-1);
-            }
-        }
-        let base = i * stride;
-        for (j, &(u, c)) in out.iter().enumerate() {
-            path_buf.set(base + 2 * j, u);
-            path_buf.set(base + 2 * j + 1, c);
-        }
+            let path = if found { &frames[..] } else { &[] };
+            write_slot(paths, i * stride, path, |f| (f.vertex as i64, f.via));
+        });
     });
 
-    let raw = path_buf.to_vec();
-    let mut used_row = vec![false; graph.num_rows()];
-    let mut used_col = vec![false; graph.num_cols()];
-    let mut applied = 0u64;
-    for i in 0..k {
-        let base = i * stride;
-        let mut path = Vec::new();
-        let mut j = 0;
-        while 2 * j + 1 < stride {
-            let u = raw[base + 2 * j];
-            let c = raw[base + 2 * j + 1];
-            if u < 0 || c < 0 {
-                break;
-            }
-            path.push((u as usize, c as usize));
-            j += 1;
-        }
-        if path.is_empty() {
-            continue;
-        }
-        if path.iter().any(|&(u, c)| used_row[u] || used_col[c]) {
-            continue;
-        }
-        for &(u, c) in &path {
-            state.mu_row.set(u, c as i64);
-            state.mu_col.set(c, u as i64);
-            used_row[u] = true;
-            used_col[c] = true;
-        }
-        applied += 1;
-    }
-    applied
+    commit.apply(state, paths, roots.len(), stride).0 as u64
 }
 
 /// Host-side single augmentation fallback used only if every tentative path
@@ -598,9 +682,176 @@ fn host_augment_one(graph: &BipartiteCsr, state: &DeviceState) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_gpu::{Backend, ExecutorConfig, GpuConfig};
     use gpm_graph::heuristics::cheap_matching;
     use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
     use gpm_graph::{gen, Matching};
+    use gpm_testutil::arb_bipartite_with;
+    use proptest::prelude::*;
+
+    type Path = Vec<(usize, usize)>;
+
+    thread_local! {
+        /// Every tentative path the commits on this thread decode while a
+        /// [`recording`] is open, empty ones included.
+        static TENTATIVE: RefCell<Option<Vec<Path>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn record_tentative(path: &[(usize, usize)]) {
+        TENTATIVE.with_borrow_mut(|log| {
+            if let Some(log) = log {
+                log.push(path.to_vec());
+            }
+        });
+    }
+
+    /// Runs `f`, returning its result and the tentative paths it committed.
+    fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Path>) {
+        TENTATIVE.with_borrow_mut(|log| *log = Some(Vec::new()));
+        let result = f();
+        (result, TENTATIVE.with_borrow_mut(Option::take).expect("recording open"))
+    }
+
+    /// Everything a sequential-device run must reproduce exactly: the
+    /// matching, the phase counters, and each kernel's launches, threads,
+    /// work, atomics and modelled time.
+    fn outcome(r: &GhkResult) -> impl PartialEq + std::fmt::Debug {
+        let kernels: Vec<_> = r
+            .stats
+            .device
+            .kernels
+            .iter()
+            .map(|(name, k)| {
+                let counts = [k.launches, k.resident_rounds, k.total_threads, k.total_work];
+                (name.clone(), counts, k.total_atomics, k.modelled_time_ns.to_bits())
+            })
+            .collect();
+        let s = &r.stats;
+        (r.matching.clone(), [s.phases, s.augmentations, s.conflicts, s.atomics], kernels)
+    }
+
+    /// A valid matching of `g` grown greedily from the edges `picks` select.
+    fn arb_matching(g: &BipartiteCsr, picks: &[usize]) -> Matching {
+        let edges: Vec<_> = g.edges().collect();
+        let mut matching = Matching::empty_for(g);
+        for &pick in picks.iter().filter(|_| !edges.is_empty()) {
+            let (r, c) = edges[pick % edges.len()];
+            if !matching.is_row_matched(r) && !matching.is_col_matched(c) {
+                matching.match_pair(r, c);
+            }
+        }
+        matching
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn tentative_paths_are_simple_and_matchings_valid(
+            g in arb_bipartite_with(30, 30, 150),
+            picks in proptest::collection::vec(0usize..1000, 0..40),
+        ) {
+            let init = arb_matching(&g, &picks);
+            let opt = maximum_matching_cardinality(&g);
+            // Threshold 1 sends every launch to the 3-worker pool.
+            let pooled = VirtualGpu::new(
+                GpuConfig::tesla_c2050(Backend::Parallel { workers: 3 }).with_executor(
+                    ExecutorConfig::default().with_parallel_threshold(1).with_chunk_size(2),
+                ),
+            );
+            for gpu in [&VirtualGpu::sequential(), &pooled] {
+                for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
+                    for exec in ExecMode::all() {
+                        let tag = format!("{} {exec} {:?}", variant.label(), gpu.config().backend);
+                        let (r, paths) = recording(|| {
+                            run_with_exec_stop(
+                                gpu,
+                                &g,
+                                &init,
+                                variant,
+                                variant.default_worklist(),
+                                exec,
+                                &mut GhkWorkspace::new(),
+                                &StopCheck::never(),
+                            )
+                        });
+                        for path in &paths {
+                            let mut rows: Vec<usize> = path.iter().map(|&(u, _)| u).collect();
+                            let mut cols: Vec<usize> = path.iter().map(|&(_, c)| c).collect();
+                            rows.sort_unstable();
+                            rows.dedup();
+                            cols.sort_unstable();
+                            cols.dedup();
+                            prop_assert!(
+                                rows.len() == path.len() && cols.len() == path.len(),
+                                "{tag}: tentative path {path:?} repeats a vertex"
+                            );
+                            for &(u, c) in path {
+                                prop_assert!(g.has_edge(u as u32, c as u32), "{tag}: {path:?}");
+                            }
+                        }
+                        prop_assert_eq!(r.matching.validate_against(&g), Ok(()), "{}", tag);
+                        prop_assert_eq!(r.matching.cardinality(), opt, "{}", tag);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_and_workspace_match_fresh_threads() {
+        let large = gen::rmat(gen::RmatParams::graph500(10, 8), 3).unwrap();
+        let small = gen::uniform_random(60, 50, 300, 8).unwrap();
+        let gpu = VirtualGpu::sequential();
+        for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
+            let mut ws = GhkWorkspace::new();
+            for g in [&large, &small, &large] {
+                let init = cheap_matching(g);
+                let (reused, reused_paths) =
+                    recording(|| run_with(&gpu, g, &init, variant, &mut ws));
+                let (fresh, fresh_paths) = std::thread::scope(|s| {
+                    s.spawn(|| recording(|| run(&VirtualGpu::sequential(), g, &init, variant)))
+                        .join()
+                        .unwrap()
+                });
+                let tag = format!("{} on {}x{}", variant.label(), g.num_rows(), g.num_cols());
+                assert_eq!(outcome(&reused), outcome(&fresh), "{tag}");
+                assert_eq!(reused_paths, fresh_paths, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn visit_epoch_wrap_keeps_paths_identical() {
+        let g = gen::uniform_random(120, 110, 600, 5).unwrap();
+        let init = Matching::empty_for(&g);
+        // Solves on a fresh OS thread; with `wrap_from`, the epoch starts
+        // there and every column carries a stale stamp equal to the first
+        // epoch after the wrap, which the wrap must clear.
+        let solve = |wrap_from: Option<u32>| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    if let Some(epoch) = wrap_from {
+                        SCRATCH.with_borrow_mut(|s| {
+                            s.visited.stamps = vec![1; g.num_cols()];
+                            s.visited.epoch = epoch;
+                        });
+                    }
+                    let gpu = VirtualGpu::sequential();
+                    let (r, paths) = recording(|| run(&gpu, &g, &init, GhkVariant::Hkdw));
+                    (outcome(&r), paths, SCRATCH.with_borrow(|s| s.visited.epoch))
+                })
+                .join()
+                .unwrap()
+            })
+        };
+        let (plain, plain_paths, _) = solve(None);
+        let (wrapped, wrapped_paths, end_epoch) = solve(Some(u32::MAX - 2));
+        assert!(end_epoch < u32::MAX - 2, "the epoch must wrap during the solve");
+        assert!(plain_paths.iter().any(|p| !p.is_empty()));
+        assert_eq!(wrapped_paths, plain_paths);
+        assert_eq!(wrapped, plain);
+    }
 
     fn check(g: &BipartiteCsr, gpu: &VirtualGpu) {
         let opt = maximum_matching_cardinality(g);

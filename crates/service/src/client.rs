@@ -18,9 +18,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a running `gpm-service` server.
+    /// Connects to a running `gpm-service` server.  Nagle's algorithm is
+    /// off: each request is one complete write, so there is nothing to
+    /// coalesce, and holding it back would wait on the server's delayed ACK.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Self { writer, reader })
     }
@@ -29,10 +32,10 @@ impl Client {
     /// Protocol-level failures (`"ok":false`) become `io::Error`s carrying
     /// the server's message.
     pub fn request(&mut self, fields: Vec<(String, Value)>) -> std::io::Result<Value> {
-        let line = serde_json::to_string(&Value::Map(fields)).expect("JSON emission cannot fail");
+        let mut line =
+            serde_json::to_string(&Value::Map(fields)).expect("JSON emission cannot fail");
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(std::io::Error::new(

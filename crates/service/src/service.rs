@@ -311,9 +311,12 @@ impl Service {
             .iter()
             .find_map(|s| s.cache.lock().peek(parent))
             .ok_or(crate::ServiceError::UnknownGraph { fingerprint: parent })?;
-        let (child, lineage) = graph
-            .apply_delta_lineage(delta)
+        let child = graph
+            .apply_delta(delta)
             .map_err(|e| crate::ServiceError::BadDelta { reason: e.to_string() })?;
+        // The cache is keyed by fingerprint, so `parent` already is the
+        // parent's: hash only the child.
+        let lineage = gpm_graph::DeltaLineage { parent, child: child.fingerprint() };
         // Record lineage BEFORE computing the home: the child homes with its
         // chain's root, keeping warm-start state and routing shard-local.
         self.registry.record_lineage(parent, lineage.child);

@@ -7,7 +7,9 @@ use gpm_graph::gen;
 use gpm_graph::verify::maximum_matching_cardinality;
 use gpm_service::{serve, Client, Service};
 use serde::Value;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 /// Compile-time `Send` guarantees for everything the service moves across
 /// threads: a future non-`Send` field must fail this build.
@@ -135,4 +137,39 @@ fn full_protocol_round_trip_over_localhost() {
     // Shutdown stops the accept loop; serve() returns and the thread joins.
     client.shutdown().expect("shutdown");
     server.join().expect("server thread");
+}
+
+#[test]
+fn client_round_trips_skip_the_delayed_ack() {
+    // A responder that answers each request line in one write, so any stall
+    // left in a round trip is the client's own write pattern: a request
+    // split over two writes waits on the responder's delayed ACK (about
+    // 40 ms on Linux) unless it leaves in one segment.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let addr = listener.local_addr().unwrap();
+    let responder = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut writer = stream.try_clone().unwrap();
+        for line in BufReader::new(stream).lines() {
+            if line.is_err() || writer.write_all(b"{\"ok\":true}\n").is_err() {
+                break;
+            }
+        }
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let mut round_trip = || {
+        let start = Instant::now();
+        client.request(vec![("op".to_string(), Value::Str("stats".to_string()))]).unwrap();
+        start.elapsed()
+    };
+    // Warm-up: Linux acknowledges the first segments of a connection at once.
+    for _ in 0..5 {
+        round_trip();
+    }
+    let mut samples: Vec<Duration> = (0..20).map(|_| round_trip()).collect();
+    drop(client);
+    responder.join().unwrap();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(median < Duration::from_millis(20), "median round trip {median:?}: {samples:?}");
 }
