@@ -2,17 +2,14 @@
 //!
 //! The paper's algorithms are launch-bound — one kernel per BFS level or
 //! push-relabel sweep — so the host cost of *starting* a launch matters as
-//! much as the kernel work.  This bench pits three strategies against each
+//! much as the kernel work.  This bench pits two strategies against each
 //! other on a tiny and a large grid:
 //!
-//! * `sequential`   — everything inline on the calling thread (no threads);
-//! * `scoped-spawn` — the seed's behaviour: spawn + join scoped host threads
-//!   on every launch (`ExecutorConfig::per_launch_spawn`);
-//! * `pooled`       — the persistent worker pool with dynamic chunking.
+//! * `sequential` — everything inline on the calling thread (no threads);
+//! * `pooled`     — the persistent worker pool with dynamic chunking.
 //!
-//! The second group replays the comparison end-to-end: one G-PR solve on a
-//! fixed instance, pooled executor vs the per-launch-spawn seed baseline,
-//! identical in every other respect.
+//! The second group times one G-PR solve on a fixed instance with the
+//! pooled executor.
 //!
 //! Run with `cargo bench -p gpm-bench --bench launch_overhead`.
 
@@ -26,22 +23,19 @@ fn workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).clamp(2, 4)
 }
 
-/// A parallel device with the given strategy, with the inline threshold
-/// dropped so every launch actually exercises the strategy under test.
-fn device(per_launch_spawn: bool, parallel_threshold: usize) -> VirtualGpu {
-    VirtualGpu::new(GpuConfig::tesla_c2050(Backend::Parallel { workers: workers() }).with_executor(
-        ExecutorConfig { parallel_threshold, per_launch_spawn, ..Default::default() },
-    ))
+/// A pooled parallel device with the inline threshold dropped so every
+/// launch above it actually exercises the pool.
+fn pooled(parallel_threshold: usize) -> VirtualGpu {
+    VirtualGpu::new(
+        GpuConfig::tesla_c2050(Backend::Parallel { workers: workers() })
+            .with_executor(ExecutorConfig { parallel_threshold, ..Default::default() }),
+    )
 }
 
 fn bench_launch_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("launch_overhead");
     for grid in [256usize, 65_536] {
-        let strategies = [
-            ("sequential", VirtualGpu::sequential()),
-            ("scoped-spawn", device(true, 1)),
-            ("pooled", device(false, 1)),
-        ];
+        let strategies = [("sequential", VirtualGpu::sequential()), ("pooled", pooled(1))];
         for (label, gpu) in strategies {
             let out = DeviceBuffer::<u32>::new(grid, 0);
             group.bench_with_input(BenchmarkId::new(label, grid), &grid, |b, _| {
@@ -51,21 +45,18 @@ fn bench_launch_overhead(c: &mut Criterion) {
     }
     group.finish();
 
-    // End-to-end datapoint: one G-PR solve, pooled executor vs the seed's
-    // per-launch scoped spawn, with a threshold low enough that the solve's
-    // many mid-sized kernels go parallel on both.
+    // End-to-end datapoint: one G-PR solve, with a threshold low enough
+    // that the solve's many mid-sized kernels go parallel.
     let graph = gen::rmat(gen::RmatParams::web_like(10, 4), 3).expect("instance");
     let initial = cheap_matching(&graph);
     let mut group = c.benchmark_group("gpr_end_to_end");
     group.sample_size(10);
-    for (label, per_launch_spawn) in [("pooled", false), ("scoped-spawn-seed", true)] {
-        let gpu = device(per_launch_spawn, 256);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                gpr::run(&gpu, &graph, &initial, GprConfig::paper_default()).matching.cardinality()
-            })
-        });
-    }
+    let gpu = pooled(256);
+    group.bench_function("pooled", |b| {
+        b.iter(|| {
+            gpr::run(&gpu, &graph, &initial, GprConfig::paper_default()).matching.cardinality()
+        })
+    });
     group.finish();
 }
 

@@ -65,8 +65,9 @@ pub struct ResolveReport {
     /// the engines seed their worklists from.  Tests assert this is
     /// proportional to the delta, not to the graph.
     pub seeded_frontier: usize,
-    /// Device kernel launches the re-solve needed (0 for CPU algorithms) —
-    /// the round-granular work measure.
+    /// Device rounds the re-solve needed: kernel launches plus
+    /// device-resident rounds (0 for CPU algorithms) — the round-granular
+    /// work measure under either execution mode.
     pub rounds: u64,
 }
 
@@ -174,7 +175,10 @@ impl Solver {
         let warm_cardinality = initial.cardinality();
         let seeded_frontier = initial.unmatched_cols(false).len();
         let report = self.solve_with_initial_ctx(child, &initial, algorithm, ctx)?;
-        let rounds = report.device_stats.as_ref().map_or(0, |s| s.total_launches());
+        let rounds = report
+            .device_stats
+            .as_ref()
+            .map_or(0, |s| s.total_launches() + s.total_resident_rounds());
         Ok(ResolveReport {
             report,
             fell_back_to_cold,
@@ -256,6 +260,28 @@ mod tests {
             out.report.rounds
         );
         assert_eq!(cold.cardinality, out.report.report.cardinality);
+    }
+
+    #[test]
+    fn resident_rounds_count_as_resolve_rounds() {
+        // Both execution modes run the same round closure, so a `@resident`
+        // re-solve does its launch-per-round twin's rounds plus the one
+        // entry launch of the persistent kernel.
+        let parent = gen::planted_perfect(400, 1600, 3).unwrap();
+        let mut s = solver();
+        for algorithm in [Algorithm::gpr_default(), Algorithm::ghk(crate::ghk::GhkVariant::Hkdw)] {
+            let base = s.solve(&parent, algorithm).unwrap();
+            let mut delta = GraphDelta::new();
+            for (r, c) in base.matching.pairs().take(2) {
+                delta.remove_edge(r, c);
+            }
+            let launch = s.resolve(&parent, &base.matching, &delta, algorithm).unwrap().report;
+            let resident = algorithm.with_exec(crate::ExecMode::Persistent);
+            let resident = s.resolve(&parent, &base.matching, &delta, resident).unwrap().report;
+            let stats = resident.report.device_stats.as_ref().unwrap();
+            assert!(stats.total_resident_rounds() > 0, "{algorithm}");
+            assert_eq!(resident.rounds, launch.rounds + 1, "{algorithm}");
+        }
     }
 
     #[test]

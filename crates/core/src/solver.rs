@@ -535,7 +535,7 @@ impl SolverBuilder {
     }
 
     /// Tunes the persistent kernel executor of the session's device (inline
-    /// threshold, chunk size, legacy per-launch spawning).  Applied when the
+    /// threshold, chunk size, pool tag).  Applied when the
     /// device is created on the first GPU solve; irrelevant under
     /// [`DevicePolicy::CpuOnly`].  Validated by [`SolverBuilder::build`].
     pub fn executor_config(mut self, executor: ExecutorConfig) -> Self {

@@ -123,11 +123,6 @@ pub struct ExecutorConfig {
     /// `grid / workers` (rounded up) so every pool worker gets a share of
     /// mid-sized grids.
     pub chunk_size: usize,
-    /// Legacy execution strategy: spawn and join scoped host threads on
-    /// every launch (static equal partitions) instead of dispatching to the
-    /// persistent pool.  Kept for A/B benchmarking of the executor itself
-    /// (`benches/launch_overhead.rs`); leave `false` for real use.
-    pub per_launch_spawn: bool,
     /// Tag baked into the pool's host thread names
     /// (`gpm-gpu-t<tag>-worker-<i>`; tag 0, the default, keeps the plain
     /// `gpm-gpu-worker-<i>` names).  A deployment running several executor
@@ -139,7 +134,7 @@ pub struct ExecutorConfig {
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        Self { parallel_threshold: 2048, chunk_size: 1024, per_launch_spawn: false, pool_tag: 0 }
+        Self { parallel_threshold: 2048, chunk_size: 1024, pool_tag: 0 }
     }
 }
 
@@ -186,8 +181,8 @@ pub struct GpuConfig {
     pub backend: Backend,
     /// Analytical cost model used for modelled device time.
     pub perf: PerfModel,
-    /// Persistent-executor tuning (inline threshold, chunk size, legacy
-    /// per-launch spawning).
+    /// Persistent-executor tuning (inline threshold, chunk size, pool
+    /// tag).
     pub executor: ExecutorConfig,
 }
 
@@ -486,8 +481,7 @@ struct ResidentScope {
     /// deterministic cursor-claim accounting.
     chunk_size: usize,
     /// The pooled round-loop state; `None` runs rounds inline on the
-    /// calling thread (sequential backend, single worker, or the legacy
-    /// spawn-per-launch strategy).
+    /// calling thread (sequential backend or a single worker).
     body: Option<Arc<ResidentBody>>,
 }
 
@@ -646,9 +640,8 @@ impl VirtualGpu {
     /// a resident loop for the whole scope — the grid monopolizes the
     /// device, like a real megakernel occupying every SM, so concurrent
     /// launches from other threads on this device block until the scope
-    /// closes.  The sequential backend (and the legacy
-    /// [`ExecutorConfig::per_launch_spawn`] strategy, and single-worker
-    /// pools) runs rounds inline, preserving deterministic thread order.
+    /// closes.  The sequential backend (and single-worker pools) runs
+    /// rounds inline, preserving deterministic thread order.
     /// Either way the kernels and counters are identical to launch-per-round
     /// execution; only launch overhead becomes barrier crossings.
     ///
@@ -668,9 +661,7 @@ impl VirtualGpu {
         let participants = domain.clamp(1, self.config.perf.resident_capacity());
         let start = std::time::Instant::now();
         let session = match self.config.backend {
-            Backend::Parallel { workers }
-                if workers > 1 && !self.config.executor.per_launch_spawn =>
-            {
+            Backend::Parallel { workers } if workers > 1 => {
                 Some(self.pool(workers).begin_resident())
             }
             _ => None,
@@ -790,8 +781,6 @@ impl VirtualGpu {
             Backend::Parallel { workers } => {
                 if grid < executor.parallel_threshold || workers <= 1 {
                     run_range(0, grid, grid, kernel)
-                } else if executor.per_launch_spawn {
-                    run_scoped(grid, workers, kernel)
                 } else {
                     pooled_workers = workers;
                     self.pool(workers).run(grid, executor.chunk_size, kernel)
@@ -881,45 +870,6 @@ where
     totals
 }
 
-/// The legacy execution strategy: spawn `workers` scoped threads over static
-/// equal partitions and join them, once per launch.  Kept behind
-/// [`ExecutorConfig::per_launch_spawn`] as the benchmark baseline the
-/// persistent pool is measured against.
-fn run_scoped(grid: usize, workers: usize, kernel: &(dyn Fn(&ThreadCtx) + Sync)) -> LaunchTotals {
-    let chunk = grid.div_ceil(workers);
-    let mut results: Vec<LaunchTotals> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(grid);
-            if start >= end {
-                break;
-            }
-            handles.push(scope.spawn(move || run_range(start, end, grid, kernel)));
-        }
-        // Join everything before re-raising so the first panic's payload
-        // reaches the caller intact — the same contract as the pooled path.
-        let mut panic_payload = None;
-        for h in handles {
-            match h.join() {
-                Ok(result) => results.push(result),
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    let mut totals = LaunchTotals::default();
-    for result in &results {
-        totals.merge(result);
-    }
-    totals
-}
-
 impl std::fmt::Debug for VirtualGpu {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VirtualGpu")
@@ -987,19 +937,7 @@ mod tests {
     fn work_accounting_agrees_across_execution_strategies() {
         let grid = 50_000;
         let kernel = |ctx: &ThreadCtx| ctx.add_work((ctx.global_id % 97) as u64);
-        let strategies = [
-            VirtualGpu::sequential(),
-            pooled(4, 8, 128),
-            VirtualGpu::new(
-                GpuConfig::tesla_c2050(Backend::Parallel { workers: 4 }).with_executor(
-                    ExecutorConfig {
-                        parallel_threshold: 8,
-                        per_launch_spawn: true,
-                        ..Default::default()
-                    },
-                ),
-            ),
-        ];
+        let strategies = [VirtualGpu::sequential(), pooled(4, 8, 128)];
         let records: Vec<LaunchRecord> =
             strategies.iter().map(|gpu| gpu.launch("acct", grid, kernel)).collect();
         for rec in &records {
@@ -1139,25 +1077,6 @@ mod tests {
             Backend::Parallel { workers } => assert!(workers >= 1),
             _ => panic!("expected parallel backend"),
         }
-    }
-
-    #[test]
-    fn per_launch_spawn_flag_matches_pooled_results() {
-        let grid = 20_000;
-        let spawned = VirtualGpu::new(
-            GpuConfig::tesla_c2050(Backend::Parallel { workers: 3 }).with_executor(
-                ExecutorConfig {
-                    parallel_threshold: 8,
-                    per_launch_spawn: true,
-                    ..Default::default()
-                },
-            ),
-        );
-        let out = DeviceBuffer::<u32>::new(grid, 0);
-        spawned.launch("legacy", grid, |ctx| out.set(ctx.global_id, 1));
-        assert_eq!(out.to_vec().iter().map(|&v| v as usize).sum::<usize>(), grid);
-        // The legacy strategy never creates the persistent pool.
-        assert_eq!(spawned.worker_threads_spawned(), 0);
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //!    grid chunks from a shared atomic cursor, so divergent kernels load-
 //!    balance dynamically and the per-launch host cost is a pointer handoff,
 //!    not a `thread::spawn`/`join` round trip.  (The sequential backend runs
-//!    every thread inline in id order, for deterministic interleavings; the
-//!    old spawn-per-launch strategy survives behind
-//!    [`ExecutorConfig::per_launch_spawn`] as a benchmark baseline.)  A
+//!    every thread inline in id order, for deterministic interleavings.)  A
 //!    kernel panic fails its launch but leaves the pool intact; dropping the
 //!    device joins every worker.
 //! 2. **Lock- and atomic-free kernel semantics.** Device memory is exposed as
@@ -56,7 +54,7 @@
 //! blocks.  See that module's docs for the round protocols and the queue
 //! memory model under the pooled executor.
 //!
-//! Executor tuning (inline threshold, chunk size, the legacy spawn flag)
+//! Executor tuning (inline threshold, chunk size, pool tag)
 //! lives in [`ExecutorConfig`] and is plumbed upward through `gpm-core`'s
 //! `Solver::builder()` and `gpm-service`'s `Service::builder()`.
 //!

@@ -71,26 +71,6 @@ fn kernel_panic_fails_the_launch_but_the_next_launch_succeeds() {
 }
 
 #[test]
-fn legacy_spawn_path_preserves_panic_payloads_too() {
-    let gpu =
-        VirtualGpu::new(GpuConfig::tesla_c2050(Backend::Parallel { workers: 2 }).with_executor(
-            ExecutorConfig { parallel_threshold: 2, per_launch_spawn: true, ..Default::default() },
-        ));
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        gpu.launch("legacy_boom", 1_000, |ctx| {
-            if ctx.global_id == 99 {
-                panic!("legacy fault");
-            }
-        });
-    }))
-    .expect_err("the launch must propagate the kernel panic");
-    assert_eq!(payload.downcast_ref::<&str>(), Some(&"legacy fault"));
-    // The device stays usable afterwards.
-    let rec = gpu.launch("legacy_after", 64, |ctx| ctx.add_work(1));
-    assert_eq!(rec.work, 64);
-}
-
-#[test]
 fn launch_statistics_flow_through_the_pooled_path() {
     let gpu = pooled(2, 2, 16);
     gpu.launch("pooled_stats", 4_096, |ctx| ctx.add_work(2));

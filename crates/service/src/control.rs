@@ -156,10 +156,12 @@ impl Service {
         })
     }
 
-    /// Moves every cached graph to its home shard
-    /// (`active[fingerprint mod |active|]` over the non-draining shards),
-    /// so affinity placement converges to an even spread of the cached
-    /// fingerprint space after shards were drained or caches grew lopsided.
+    /// Moves every cached graph, with its warm-start state, to its home
+    /// shard (`active[root mod |active|]` over the non-draining shards,
+    /// where `root` is the graph's patch-chain root — its own fingerprint
+    /// unless `patch_graph` made it), so affinity placement converges to an
+    /// even spread of the cached fingerprint space after shards were
+    /// drained or caches grew lopsided.
     ///
     /// Each move inserts at the destination *before* removing from the
     /// origin, so a concurrent job resolving that fingerprint always finds
@@ -176,25 +178,19 @@ impl Service {
             // the guard alive across the body, deadlocking on the re-locks.
             let fingerprints = shard.cache.lock().fingerprints();
             for fingerprint in fingerprints {
+                let Some(entry) = shard.cache.lock().peek(fingerprint) else {
+                    continue; // moved or evicted under us
+                };
                 // Home on the patch chain's root, not the fingerprint
                 // itself: a whole lineage chain re-homes together so
                 // warm-start state stays shard-local.
-                let root = registry.lineage_root(fingerprint);
-                let home = active[(root % active.len() as u64) as usize];
+                let home = active[(entry.root % active.len() as u64) as usize];
                 if home == shard.id {
                     continue;
                 }
-                let Some(graph) = shard.cache.lock().peek(fingerprint) else {
-                    continue; // moved or evicted under us
-                };
-                registry.shards[home].cache.lock().insert_keyed(fingerprint, graph);
+                // The entry moves whole: graph, matching and lineage.
+                registry.shards[home].cache.lock().insert_entry(fingerprint, entry);
                 shard.cache.lock().remove(fingerprint);
-                // Warm-start state travels with the graph: the matching and
-                // delta are useless on a shard jobs are no longer routed to.
-                let (matching, delta) = shard.warm.lock().take(fingerprint);
-                if matching.is_some() || delta.is_some() {
-                    registry.shards[home].warm.lock().absorb(fingerprint, matching, delta);
-                }
                 moved += 1;
             }
         }

@@ -39,7 +39,10 @@
 //! * [`cache::GraphCache`] — content-addressed by
 //!   [`gpm_graph::BipartiteCsr::fingerprint`], LRU-evicted, hit/miss
 //!   counted: repeated solves on the same instance skip re-upload, and the
-//!   per-shard hit rate doubles as a placement-quality metric.
+//!   per-shard hit rate doubles as a placement-quality metric.  One entry
+//!   per graph holds the graph, the matching its last solve produced, and
+//!   the parent and delta `patch_graph` made it from; the LRU evicts all
+//!   three together.
 //! * [`stats::ServiceStats`] — per-algorithm job counts, queue depth, and
 //!   latency aggregates, kept in per-shard atomics and folded on demand,
 //!   serialized as JSON.
@@ -47,11 +50,12 @@
 //!   [`gpm_graph::GraphDelta`] to a cached parent server-side, caches the
 //!   child under its own fingerprint on the **lineage's home shard**
 //!   (placement keys descendants by their root fingerprint, so patch
-//!   chains stay with their warm state, and drain/rebalance re-home
-//!   chains together).  A later solve of the child warm-starts from the
-//!   parent's last matching via [`gpm_core::Solver::resolve_prepared_ctx`]
-//!   when both the delta and that matching are on the shard; the
-//!   `patched` / `resolved` stats counters report how often.
+//!   chains stay with their warm state, and rebalance re-homes chains
+//!   together, whole cache entries at a time).  A later solve of the child
+//!   warm-starts from the parent's last matching via
+//!   [`gpm_core::Solver::resolve_prepared_ctx`] while the parent's entry
+//!   is cached on the child's shard; the `patched` / `resolved` stats
+//!   counters report how often.
 //! * [`server`]/[`client`] — a JSON-lines protocol over
 //!   `std::net::TcpListener` (see [`proto`] for the grammar, including the
 //!   `patch_graph` op and the `shards`/`drain`/`rebalance` control ops)

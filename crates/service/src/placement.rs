@@ -127,47 +127,54 @@ pub(crate) struct ShardRegistry {
     /// so the admission fast path can skip the per-shard draining scan in
     /// the common all-active case.
     draining_count: AtomicUsize,
-    /// Delta lineage: child fingerprint → the fingerprint of its chain's
-    /// *root* (the originally uploaded graph).  Home-shard placement keys on
-    /// the root, so a whole patch chain shares one home and `rebalance` /
-    /// `drain` move it together — the warm-start state a child needs (its
-    /// parent's matching) is always on its own shard.
+    /// Routing hints for patched graphs: child fingerprint → the
+    /// fingerprint of its chain's *root* (the originally uploaded graph).
+    /// Home-shard placement keys on the root, so a whole patch chain shares
+    /// one home — the warm-start state a child needs (its parent's matching)
+    /// is on its own shard.  The root itself lives in the child's cache
+    /// entry, which `patch_graph` and `rebalance` read; this index only
+    /// steers the admission fast path, and a missing hint falls through to
+    /// affinity placement, which still finds the shard holding the graph.
+    /// So it starts over when it reaches `lineage_cap` hints instead of
+    /// growing with the patch stream.
     lineage: parking_lot::Mutex<HashMap<u64, u64>>,
     /// Entry count of `lineage`, kept in step so the admission fast path
     /// can skip the lock entirely while no graph was ever patched.
     lineage_len: AtomicUsize,
+    lineage_cap: usize,
 }
 
+/// Routing hints kept per graph the shard caches can hold in aggregate.
+pub(crate) const LINEAGE_HINTS_PER_CACHED_GRAPH: usize = 4;
+
 impl ShardRegistry {
-    pub(crate) fn new(shards: Vec<Arc<DeviceShard>>) -> Self {
+    pub(crate) fn new(shards: Vec<Arc<DeviceShard>>, cache_capacity: usize) -> Self {
+        let lineage_cap = LINEAGE_HINTS_PER_CACHED_GRAPH * shards.len() * cache_capacity;
         Self {
             shards,
             shutdown: AtomicBool::new(false),
             draining_count: AtomicUsize::new(0),
             lineage: parking_lot::Mutex::new(HashMap::new()),
             lineage_len: AtomicUsize::new(0),
+            lineage_cap,
         }
     }
 
-    /// The root fingerprint of `fingerprint`'s patch chain — itself when it
-    /// was never produced by `patch_graph`.  Lock-free while no lineage was
-    /// ever recorded (the common, patch-free workload).
-    pub(crate) fn lineage_root(&self, fingerprint: u64) -> u64 {
-        if self.lineage_len.load(Ordering::Relaxed) == 0 {
-            return fingerprint;
-        }
-        self.lineage.lock().get(&fingerprint).copied().unwrap_or(fingerprint)
-    }
-
-    /// Records that `child` was patched out of `parent`, collapsing the
-    /// chain: `child` maps straight to `parent`'s root, so lookups stay one
-    /// hop no matter how long the chain grows.
-    pub(crate) fn record_lineage(&self, parent: u64, child: u64) {
+    /// Records that `child` belongs to the patch chain rooted at `root`,
+    /// dropping every older hint first when the index is full.
+    pub(crate) fn record_lineage(&self, child: u64, root: u64) {
         let mut lineage = self.lineage.lock();
-        let root = lineage.get(&parent).copied().unwrap_or(parent);
-        if lineage.insert(child, root).is_none() {
-            self.lineage_len.fetch_add(1, Ordering::Relaxed);
+        if lineage.len() >= self.lineage_cap {
+            lineage.clear();
         }
+        lineage.insert(child, root);
+        self.lineage_len.store(lineage.len(), Ordering::Relaxed);
+    }
+
+    /// How many routing hints the lineage index holds.
+    #[cfg(test)]
+    pub(crate) fn lineage_hints(&self) -> usize {
+        self.lineage_len.load(Ordering::Relaxed)
     }
 
     /// Flips one shard to draining, keeping the drained-shard count in
@@ -350,13 +357,26 @@ impl ShardRegistry {
     }
 
     /// The home shard of a fingerprint among the currently active shards:
-    /// `active[root mod |active|]`, where `root` is the fingerprint's patch
-    /// chain root ([`ShardRegistry::lineage_root`]) — so every graph in a
-    /// chain homes with its ancestor and warm-start state stays local.
-    /// This is the invariant `rebalance` restores and `put_graph`
-    /// establishes.  Allocation-free: it sits on the admission fast path.
+    /// the [`ShardRegistry::root_home`] of its patch chain's root as the
+    /// routing hints know it — the fingerprint itself when it was never
+    /// produced by `patch_graph` or its hint was dropped.  Allocation-free,
+    /// and lock-free while no graph was ever patched: it sits on the
+    /// admission fast path.
     pub(crate) fn home_shard(&self, fingerprint: u64) -> Option<usize> {
-        let root = self.lineage_root(fingerprint);
+        let root = if self.lineage_len.load(Ordering::Relaxed) == 0 {
+            fingerprint
+        } else {
+            self.lineage.lock().get(&fingerprint).copied().unwrap_or(fingerprint)
+        };
+        self.root_home(root)
+    }
+
+    /// The home shard of the patch chain rooted at `root`:
+    /// `active[root mod |active|]` — so every graph in a chain homes with
+    /// its ancestor and warm-start state stays local.  This is the
+    /// invariant `rebalance` restores and `put_graph` and `patch_graph`
+    /// establish.  `None` when every shard is draining.
+    pub(crate) fn root_home(&self, root: u64) -> Option<usize> {
         // Common case: nothing draining, the home is a plain modulo.
         if self.draining_count.load(Ordering::Relaxed) == 0 {
             return Some((root % self.shards.len() as u64) as usize);

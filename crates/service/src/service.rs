@@ -134,7 +134,7 @@ impl ServiceBuilder {
         let shards: Vec<Arc<DeviceShard>> = (0..self.shards)
             .map(|id| Arc::new(DeviceShard::new(id, self.cache_capacity, self.max_queue_depth)))
             .collect();
-        let registry = Arc::new(ShardRegistry::new(shards));
+        let registry = Arc::new(ShardRegistry::new(shards, self.cache_capacity));
         let mut workers = Vec::with_capacity(self.shards * self.workers);
         for shard_id in 0..self.shards {
             for index in 0..self.workers {
@@ -286,12 +286,12 @@ impl Service {
     /// the lineage record; jobs may then solve against either fingerprint.
     ///
     /// The child is cached on the **chain's home shard** (the home of the
-    /// chain's root fingerprint), together with the delta itself, so a
-    /// subsequent solve of the child on that shard warm-starts from the
-    /// parent's last matching ([`gpm_core::Solver::resolve`] semantics:
-    /// repair, then finish; counted in [`ServiceStats::resolved`]).
-    /// `rebalance` and `drain` keep whole chains together for the same
-    /// reason.
+    /// chain's root fingerprint), its cache entry recording the parent and
+    /// the delta itself, so a subsequent solve of the child on that shard
+    /// warm-starts from the parent's last matching while the parent's entry
+    /// is cached ([`gpm_core::Solver::resolve`] semantics: repair, then
+    /// finish; counted in [`ServiceStats::resolved`]).  `rebalance` keeps
+    /// whole chains together for the same reason.
     ///
     /// # Errors
     ///
@@ -305,25 +305,31 @@ impl Service {
         parent: u64,
         delta: &gpm_graph::GraphDelta,
     ) -> Result<gpm_graph::DeltaLineage, crate::ServiceError> {
-        let graph = self
+        let entry = self
             .registry
             .shards
             .iter()
             .find_map(|s| s.cache.lock().peek(parent))
             .ok_or(crate::ServiceError::UnknownGraph { fingerprint: parent })?;
-        let child = graph
+        let child = entry
+            .graph
             .apply_delta(delta)
             .map_err(|e| crate::ServiceError::BadDelta { reason: e.to_string() })?;
         // The cache is keyed by fingerprint, so `parent` already is the
         // parent's: hash only the child.
         let lineage = gpm_graph::DeltaLineage { parent, child: child.fingerprint() };
-        // Record lineage BEFORE computing the home: the child homes with its
-        // chain's root, keeping warm-start state and routing shard-local.
-        self.registry.record_lineage(parent, lineage.child);
-        let home = self.registry.home_shard(lineage.child).unwrap_or(0);
+        // The child homes with its chain's root, read from the parent's
+        // entry, keeping warm-start state and routing shard-local.
+        self.registry.record_lineage(lineage.child, entry.root);
+        let home = self.registry.root_home(entry.root).unwrap_or(0);
         let shard = &self.registry.shards[home];
-        shard.cache.lock().insert_keyed(lineage.child, Arc::new(child));
-        shard.warm.lock().store_delta(lineage.child, parent, Arc::new(delta.clone()));
+        shard.cache.lock().insert_patched(
+            lineage.child,
+            Arc::new(child),
+            parent,
+            entry.root,
+            Arc::new(delta.clone()),
+        );
         shard.counters.patched.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(lineage)
     }
@@ -412,7 +418,7 @@ impl std::fmt::Debug for Service {
 mod tests {
     use super::*;
     use crate::error::ServiceError;
-    use crate::job::GraphSource;
+    use crate::job::{GraphSource, JobOutcome};
     use crate::shard::panic_message;
     use gpm_core::{Algorithm, InitHeuristic, SolveError};
     use gpm_graph::gen;
@@ -779,6 +785,11 @@ mod tests {
 
     // ---- dynamic graphs ---------------------------------------------------
 
+    /// Solves a cached graph by fingerprint.
+    fn solve_cached(service: &Service, fingerprint: u64, algorithm: Algorithm) -> JobOutcome {
+        service.submit(JobSpec::new(GraphSource::Cached(fingerprint), algorithm)).wait().unwrap()
+    }
+
     #[test]
     fn patch_graph_caches_the_child_and_warm_starts_its_solve() {
         let service = Service::builder().workers(1).build();
@@ -874,8 +885,12 @@ mod tests {
         }
         // Rebalance finds nothing to move: the chain is already home.
         assert_eq!(service.rebalance().moved, 0);
-        // Drain the home shard: the whole chain re-homes together, and the
-        // newest child still solves (warm state travels via rebalance).
+        // Solve the tail so its matching is cached for its next child.
+        let tail = *fingerprints.last().unwrap();
+        let outcome = solve_cached(&service, tail, Algorithm::HopcroftKarp);
+        assert_eq!(outcome.shard, root_home);
+        assert_eq!(outcome.report.cardinality, maximum_matching_cardinality(&current));
+        // Drain the home shard: the whole chain re-homes together.
         service.drain_shard(root_home).unwrap();
         let new_home = service.registry().home_shard(parent).unwrap();
         assert_ne!(new_home, root_home);
@@ -883,14 +898,89 @@ mod tests {
         for &fp in &fingerprints {
             assert_eq!(service.registry().home_shard(fp), Some(new_home));
         }
-        let tail = *fingerprints.last().unwrap();
-        let outcome = service
-            .submit(JobSpec::new(GraphSource::Cached(tail), Algorithm::HopcroftKarp))
-            .wait()
-            .unwrap();
+        // The tail's matching moved with it: its next child warm-starts on
+        // the new home.
+        let mut delta = gpm_graph::GraphDelta::new();
+        let (r, c) = current.edges().next().unwrap();
+        delta.remove_edge(r, c);
+        let child = service.patch_graph(tail, &delta).unwrap().child;
+        current = current.apply_delta(&delta).unwrap();
+        let outcome = solve_cached(&service, child, Algorithm::HopcroftKarp);
         assert_eq!(outcome.shard, new_home);
         assert_eq!(outcome.report.cardinality, maximum_matching_cardinality(&current));
-        assert_eq!(service.stats().patched, 4);
+        let stats = service.stats();
+        assert_eq!(stats.patched, 5);
+        assert_eq!(stats.resolved, 1, "the rebalanced chain's next child must warm-start");
+    }
+
+    #[test]
+    fn interleaved_patch_chains_warm_start_every_child_at_cache_capacity() {
+        // Eight chains in a 16-graph cache: each chain's live head plus the
+        // parent it superseded.  Between two visits to a chain the other
+        // seven insert one child each, so under one LRU every head survives
+        // to be its next child's warm start.
+        let service = Service::builder().workers(1).cache_capacity(16).build();
+        let solve = |fp| solve_cached(&service, fp, Algorithm::gpr_default());
+        let mut chains: Vec<(u64, BipartiteCsr)> = (0..8)
+            .map(|seed| {
+                let graph = gen::uniform_random(30, 30, 150, 60 + seed).unwrap();
+                let root = service.put_graph(graph.clone());
+                solve(root);
+                (root, graph)
+            })
+            .collect();
+        for step in 0..20 {
+            for (head, graph) in &mut chains {
+                let mut delta = gpm_graph::GraphDelta::new();
+                let (r, c) = graph.edges().nth(step).unwrap();
+                delta.remove_edge(r, c);
+                *head = service.patch_graph(*head, &delta).unwrap().child;
+                *graph = graph.apply_delta(&delta).unwrap();
+                let outcome = solve(*head);
+                assert_eq!(outcome.report.cardinality, maximum_matching_cardinality(graph));
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.patched, 160);
+        assert_eq!(stats.resolved, 160, "every child must warm-start from its parent");
+    }
+
+    #[test]
+    fn lineage_hints_stay_bounded_down_a_long_patch_chain() {
+        let service = Service::builder().shards(2).workers(1).cache_capacity(4).build();
+        let cap = crate::placement::LINEAGE_HINTS_PER_CACHED_GRAPH * 2 * 4;
+        // A perfect diagonal plus edges (bit, 15) toggled in Gray-code
+        // order: every patch yields a graph no earlier patch produced.
+        let diagonal: Vec<(u32, u32)> = (0..16).map(|i| (i, i)).collect();
+        let root = service.put_graph(BipartiteCsr::from_edges(16, 16, &diagonal).unwrap());
+        let home = service.registry().home_shard(root).unwrap();
+        let mut present = [false; 14];
+        let mut head = root;
+        let mut patch = |step: usize| {
+            let bit = step.trailing_zeros() as usize;
+            let mut delta = gpm_graph::GraphDelta::new();
+            if present[bit] {
+                delta.remove_edge(bit as u32, 15);
+            } else {
+                delta.insert_edge(bit as u32, 15);
+            }
+            present[bit] = !present[bit];
+            head = service.patch_graph(head, &delta).unwrap().child;
+            assert!(service.registry().lineage_hints() <= cap, "step {step}");
+            head
+        };
+        let mut penultimate = root;
+        for step in 1..10_000 {
+            penultimate = patch(step);
+        }
+        let solve = |fp| solve_cached(&service, fp, Algorithm::gpr_default());
+        // The 9,999th child starts cold (its parent was never solved); the
+        // 10,000th warm-starts from it.
+        assert_eq!(solve(penultimate).report.cardinality, 16);
+        let last = solve(patch(10_000));
+        assert_eq!(last.shard, home, "the chain's last child left the chain's shard");
+        assert_eq!(last.report.cardinality, 16);
+        assert_eq!(service.stats().resolved, 1, "the last child must warm-start");
     }
 
     // ---- sharded behaviour ------------------------------------------------

@@ -14,15 +14,22 @@
 //! built with the shard's [`ExecutorConfig`], whose `pool_tag` is the shard
 //! id, so the kernel threads of shard 3 show up as `gpm-gpu-t3-worker-*` in
 //! a thread dump instead of blending into one global pool.
+//!
+//! The cache holds one entry per graph: the graph, the matching its last
+//! solve produced, and the parent and delta `patch_graph` made it from.  A
+//! worker solving a patched child reads the child and its parent's matching
+//! under one cache lock and warm-starts from that matching; afterwards it
+//! stores its own result in the child's entry.  The cache's one LRU evicts
+//! a graph together with its warm state, and `rebalance` moves whole
+//! entries between shards.
 
 use crate::cache::GraphCache;
 use crate::error::ServiceError;
 use crate::job::{GraphSource, JobOutcome, JobSlot, JobSpec};
 use crate::stats::{AlgorithmStats, LatencyAgg, ServiceStats};
 use gpm_core::{DevicePolicy, ExecutorConfig, SolveCtx, Solver};
-use gpm_graph::{GraphDelta, Matching};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -78,96 +85,6 @@ impl AtomicLatencyAgg {
             total_seconds: self.total_nanos.load(AtomicOrdering::Relaxed) as f64 / 1e9,
             min_seconds: self.min_nanos.load(AtomicOrdering::Relaxed) as f64 / 1e9,
             max_seconds: self.max_nanos.load(AtomicOrdering::Relaxed) as f64 / 1e9,
-        }
-    }
-}
-
-/// Per-shard warm-start state for incremental re-solves: the last matching
-/// computed for each cached graph, and the delta that produced each patched
-/// graph from its parent.
-///
-/// When a job solves a fingerprint that `patch_graph` created and the
-/// parent's matching is on file, the worker repairs that matching through
-/// the delta (`Solver::resolve_prepared_ctx`) instead of building a fresh
-/// initial matching — sub-linear work for small deltas.  The store is
-/// bounded by the shard's cache capacity: entries for graphs the cache can
-/// no longer hold are of no use, and an unbounded matching store would be a
-/// slow leak on a long-lived service.
-#[derive(Debug)]
-pub(crate) struct WarmStore {
-    capacity: usize,
-    /// fingerprint → the matching its last successful solve produced.
-    matchings: HashMap<u64, Matching>,
-    /// child fingerprint → (parent fingerprint, the delta that produced it).
-    deltas: HashMap<u64, (u64, Arc<GraphDelta>)>,
-}
-
-impl WarmStore {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self { capacity, matchings: HashMap::new(), deltas: HashMap::new() }
-    }
-
-    /// Records the matching a solve of `fingerprint` produced, evicting an
-    /// arbitrary entry when full (warm state is a best-effort accelerator,
-    /// not a correctness structure — losing an entry only costs a cold
-    /// start).
-    pub(crate) fn store_matching(&mut self, fingerprint: u64, matching: Matching) {
-        if self.capacity == 0 {
-            return;
-        }
-        if !self.matchings.contains_key(&fingerprint) && self.matchings.len() >= self.capacity {
-            if let Some(&victim) = self.matchings.keys().next() {
-                self.matchings.remove(&victim);
-            }
-        }
-        self.matchings.insert(fingerprint, matching);
-    }
-
-    /// Records that `child` was produced by applying `delta` to `parent`.
-    pub(crate) fn store_delta(&mut self, child: u64, parent: u64, delta: Arc<GraphDelta>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if !self.deltas.contains_key(&child) && self.deltas.len() >= self.capacity {
-            if let Some(&victim) = self.deltas.keys().next() {
-                self.deltas.remove(&victim);
-            }
-        }
-        self.deltas.insert(child, (parent, delta));
-    }
-
-    /// The warm-start material for a solve of `fingerprint`, when this shard
-    /// has both the delta that produced it and its parent's matching.  One
-    /// lineage step only: a grandchild whose parent was never solved starts
-    /// cold.
-    pub(crate) fn warm_start(&self, fingerprint: u64) -> Option<(Arc<GraphDelta>, Matching)> {
-        let (parent, delta) = self.deltas.get(&fingerprint)?;
-        let previous = self.matchings.get(parent)?;
-        Some((Arc::clone(delta), previous.clone()))
-    }
-
-    /// Extracts `fingerprint`'s warm entries so a rebalance can move them
-    /// with the graph to its home shard.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn take(
-        &mut self,
-        fingerprint: u64,
-    ) -> (Option<Matching>, Option<(u64, Arc<GraphDelta>)>) {
-        (self.matchings.remove(&fingerprint), self.deltas.remove(&fingerprint))
-    }
-
-    /// Installs entries extracted by [`WarmStore::take`] on this shard.
-    pub(crate) fn absorb(
-        &mut self,
-        fingerprint: u64,
-        matching: Option<Matching>,
-        delta: Option<(u64, Arc<GraphDelta>)>,
-    ) {
-        if let Some(matching) = matching {
-            self.store_matching(fingerprint, matching);
-        }
-        if let Some((parent, delta)) = delta {
-            self.store_delta(fingerprint, parent, delta);
         }
     }
 }
@@ -236,8 +153,6 @@ pub(crate) struct DeviceShard {
     pub(crate) running: AtomicUsize,
     /// Set by the control plane: placement skips this shard.
     pub(crate) draining: AtomicBool,
-    /// Warm-start state for incremental re-solves (matchings + deltas).
-    pub(crate) warm: parking_lot::Mutex<WarmStore>,
     pub(crate) counters: ShardCounters,
     /// Touched only at job completion and on `stats()` — never on the
     /// admission path.
@@ -275,7 +190,6 @@ impl DeviceShard {
             depth: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            warm: parking_lot::Mutex::new(WarmStore::new(cache_capacity)),
             counters: ShardCounters { queue_wait: AtomicLatencyAgg::new(), ..Default::default() },
             per_algorithm: parking_lot::Mutex::new(BTreeMap::new()),
         }
@@ -457,7 +371,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// fallback exists for jobs in flight across a drain or rebalance: the
 /// graph moved shards after the job was placed, and failing it with
 /// `UnknownGraph` would turn a control-plane action into client-visible
-/// errors.
+/// errors.  Such a job starts cold.
 fn run_job(
     shard: &DeviceShard,
     siblings: &[Arc<DeviceShard>],
@@ -468,24 +382,30 @@ fn run_job(
     started: Instant,
 ) -> Result<JobOutcome, ServiceError> {
     let spec = &job.spec;
-    let (graph, cache_hit, fingerprint) = match &spec.graph {
+    // The graph and its warm start (the delta that made it and its parent's
+    // matching) are read under one cache lock.
+    let (graph, cache_hit, fingerprint, warm) = match &spec.graph {
         GraphSource::Inline(graph) => {
             // Register inline uploads in this shard's cache so follow-up
             // jobs can go by key — and will be routed here by affinity.
             // Single-shard admission skips the O(E) hash; compute it here.
             let fingerprint = job.fingerprint.unwrap_or_else(|| graph.fingerprint());
-            shard.cache.lock().insert_keyed(fingerprint, Arc::clone(graph));
-            (Arc::clone(graph), false, fingerprint)
+            let mut cache = shard.cache.lock();
+            let graph = cache.insert_keyed(fingerprint, Arc::clone(graph));
+            (graph, false, fingerprint, cache.warm_start(fingerprint))
         }
         GraphSource::Cached(fingerprint) => {
-            let local = shard.cache.lock().get(*fingerprint);
+            let local = {
+                let mut cache = shard.cache.lock();
+                cache.get(*fingerprint).map(|graph| (graph, cache.warm_start(*fingerprint)))
+            };
             match local {
-                Some(graph) => (graph, true, *fingerprint),
+                Some((graph, warm)) => (graph, true, *fingerprint, warm),
                 None => match peek_siblings(shard, siblings, *fingerprint) {
                     // A remote fetch still completes the job, but was
                     // counted a local miss: misplaced work stays visible in
                     // the per-shard hit rate.
-                    Some(graph) => (graph, true, *fingerprint),
+                    Some(graph) => (graph, true, *fingerprint, None),
                     None => return Err(ServiceError::UnknownGraph { fingerprint: *fingerprint }),
                 },
             }
@@ -496,11 +416,10 @@ fn run_job(
     spec.algorithm.validate().map_err(ServiceError::Solve)?;
     let ctx = SolveCtx { cancel: Some(spec.cancel.clone()), deadline: job.deadline };
     // Warm path: this graph came from `patch_graph` and its parent's
-    // matching is on file — repair that matching through the delta instead
+    // matching is cached — repair that matching through the delta instead
     // of building the job's initial matching (the warm start supersedes
     // `spec.init`; `resolve_prepared_ctx` still falls back to the solver's
     // cold heuristic when the delta churned too much of the graph).
-    let warm = shard.warm.lock().warm_start(fingerprint);
     let report = match warm {
         Some((delta, previous)) => {
             let resolved = solver
@@ -517,8 +436,10 @@ fn run_job(
         }
     };
     // Whatever path ran, the result is the freshest matching for this
-    // fingerprint: future children of this graph warm-start from it.
-    shard.warm.lock().store_matching(fingerprint, report.matching.clone());
+    // graph: its future children warm-start from it.  Copy it before
+    // taking the lock.
+    let matching = report.matching.clone();
+    shard.cache.lock().store_matching(fingerprint, &graph, matching);
     Ok(JobOutcome {
         report,
         shard: shard.id,
@@ -536,7 +457,11 @@ fn peek_siblings(
     siblings: &[Arc<DeviceShard>],
     fingerprint: u64,
 ) -> Option<Arc<gpm_graph::BipartiteCsr>> {
-    siblings.iter().filter(|s| s.id != shard.id).find_map(|s| s.cache.lock().peek(fingerprint))
+    siblings
+        .iter()
+        .filter(|s| s.id != shard.id)
+        .find_map(|s| s.cache.lock().peek(fingerprint))
+        .map(|entry| entry.graph)
 }
 
 fn record(
