@@ -19,7 +19,10 @@
 //!   every shard full are rejected with an `overloaded` error instead of
 //!   queuing (default: unbounded).
 //!
-//! The process exits after a client sends `{"op":"shutdown"}`.
+//! Request lines may be up to 64 MiB long
+//! (`gpm_service::server::MAX_REQUEST_LINE_BYTES`); a longer line is
+//! answered with an error and its connection closed.  The process exits
+//! after a client sends `{"op":"shutdown"}`.
 
 use gpm_core::DevicePolicy;
 use gpm_service::{serve, Service};

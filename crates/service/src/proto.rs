@@ -42,10 +42,20 @@
 //!
 //! Responses always carry `"ok"`: `{"ok":true,…}` or
 //! `{"ok":false,"error":"…"}` (plus `job_id` on solve errors).
+//!
+//! A request line holds at most
+//! [`MAX_REQUEST_LINE_BYTES`](crate::server::MAX_REQUEST_LINE_BYTES)
+//! (64 MiB) before its newline; the server refuses a longer one and closes
+//! its connection.  [`parse_request`] reads a line in one pass with the
+//! vendored [`serde_json::Reader`]: the `edges`, `insert` and `remove` pair
+//! arrays go straight into edge lists, without a [`Value`] per number, and
+//! the other fields become a small [`Value`] map.  A pair array that is
+//! valid JSON but not pairs is reported only by an op that reads it.
 
 use gpm_core::{Algorithm, InitHeuristic};
 use gpm_graph::{BipartiteCsr, GraphDelta, VertexId};
 use serde::Value;
+use serde_json::Reader;
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,13 +134,14 @@ pub fn fingerprint_from_hex(s: &str) -> Result<u64, String> {
 /// Parses one request line.  Errors are human-readable strings ready to be
 /// wrapped in an error response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
+    let Fields { value, edges, insert, remove } =
+        read_fields(line).map_err(|e| format!("bad JSON: {e}"))?;
     let op = value
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| "missing string field 'op'".to_string())?;
     match op {
-        "put_graph" => Ok(Request::PutGraph(parse_graph(&value)?)),
+        "put_graph" => Ok(Request::PutGraph(parse_graph(&value, edges)?)),
         "solve" => {
             let algorithm_label = value
                 .get("algorithm")
@@ -144,7 +155,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             let graph = match value.get("fingerprint").and_then(Value::as_str) {
                 Some(hex) => RequestGraph::Fingerprint(fingerprint_from_hex(hex)?),
-                None => RequestGraph::Inline(parse_graph(&value)?),
+                None => RequestGraph::Inline(parse_graph(&value, edges)?),
             };
             let include_matching =
                 value.get("include_matching").and_then(Value::as_bool).unwrap_or(false);
@@ -192,7 +203,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .ok_or_else(|| "patch_graph: missing string field 'parent'".to_string())?;
             Ok(Request::PatchGraph {
                 parent: fingerprint_from_hex(parent)?,
-                delta: parse_delta(&value)?,
+                delta: parse_delta(&value, insert, remove)?,
             })
         }
         "stats" => Ok(Request::Stats),
@@ -213,8 +224,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Extracts `rows`/`cols`/`edges` fields into a validated graph.
-fn parse_graph(value: &Value) -> Result<BipartiteCsr, String> {
+/// Extracts `rows`/`cols` and the `edges` read by [`read_fields`] into a
+/// validated graph.
+fn parse_graph(value: &Value, edges: Option<Pairs>) -> Result<BipartiteCsr, String> {
     let dim = |field: &str| -> Result<usize, String> {
         value
             .get(field)
@@ -224,52 +236,44 @@ fn parse_graph(value: &Value) -> Result<BipartiteCsr, String> {
     };
     let rows = dim("rows")?;
     let cols = dim("cols")?;
-    let edges_value = value
-        .get("edges")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| "missing array field 'edges'".to_string())?;
-    let mut edges = Vec::with_capacity(edges_value.len());
-    for (i, pair) in edges_value.iter().enumerate() {
-        let pair = pair.as_seq().filter(|p| p.len() == 2).ok_or_else(|| {
+    let edges = edges.unwrap_or(Err(PairsError::NotArray)).map_err(|defect| match defect {
+        PairsError::NotArray => "missing array field 'edges'".to_string(),
+        PairsError::NotPair(i) => {
             format!("edges[{i}]: expected a [row, col] pair of non-negative integers")
-        })?;
-        let endpoint = |v: &Value, which: &str| -> Result<VertexId, String> {
-            v.as_u64()
-                .and_then(|n| VertexId::try_from(n).ok())
-                .ok_or_else(|| format!("edges[{i}]: bad {which} endpoint"))
-        };
-        edges.push((endpoint(&pair[0], "row")?, endpoint(&pair[1], "column")?));
-    }
+        }
+        PairsError::BadRow(i) => format!("edges[{i}]: bad row endpoint"),
+        PairsError::BadColumn(i) => format!("edges[{i}]: bad column endpoint"),
+    })?;
     BipartiteCsr::from_edges(rows, cols, &edges).map_err(|e| format!("bad graph: {e}"))
 }
 
 /// Extracts the (all-optional) delta fields of a `patch_graph` request:
-/// `insert`/`remove` (arrays of `[row, col]` pairs), `add_rows`/`add_cols`
-/// (non-negative integers), `clear_rows`/`clear_cols` (arrays of vertex
-/// ids).
-fn parse_delta(value: &Value) -> Result<GraphDelta, String> {
+/// `insert`/`remove` (arrays of `[row, col]` pairs, read by
+/// [`read_fields`]), `add_rows`/`add_cols` (non-negative integers),
+/// `clear_rows`/`clear_cols` (arrays of vertex ids).
+fn parse_delta(
+    value: &Value,
+    insert: Option<Pairs>,
+    remove: Option<Pairs>,
+) -> Result<GraphDelta, String> {
     let id = |v: &Value, what: &str| -> Result<VertexId, String> {
         v.as_u64()
             .and_then(|n| VertexId::try_from(n).ok())
             .ok_or_else(|| format!("{what}: expected a non-negative vertex id"))
     };
-    let pairs = |field: &str| -> Result<Vec<(VertexId, VertexId)>, String> {
-        let Some(seq) = value.get(field) else { return Ok(Vec::new()) };
-        let seq = seq
-            .as_seq()
-            .ok_or_else(|| format!("patch_graph: '{field}' must be an array of [row, col]"))?;
-        seq.iter()
-            .enumerate()
-            .map(|(i, pair)| {
-                let pair = pair.as_seq().filter(|p| p.len() == 2).ok_or_else(|| {
-                    format!("{field}[{i}]: expected a [row, col] pair of non-negative integers")
-                })?;
-                Ok((
-                    id(&pair[0], &format!("{field}[{i}] row"))?,
-                    id(&pair[1], &format!("{field}[{i}] column"))?,
-                ))
-            })
-            .collect()
+    let pairs = |field: &str, pairs: Option<Pairs>| -> Result<Vec<Pair>, String> {
+        pairs.unwrap_or(Ok(Vec::new())).map_err(|defect| match defect {
+            PairsError::NotArray => {
+                format!("patch_graph: '{field}' must be an array of [row, col]")
+            }
+            PairsError::NotPair(i) => {
+                format!("{field}[{i}]: expected a [row, col] pair of non-negative integers")
+            }
+            PairsError::BadRow(i) => format!("{field}[{i}] row: expected a non-negative vertex id"),
+            PairsError::BadColumn(i) => {
+                format!("{field}[{i}] column: expected a non-negative vertex id")
+            }
+        })
     };
     let ids = |field: &str| -> Result<Vec<VertexId>, String> {
         let Some(seq) = value.get(field) else { return Ok(Vec::new()) };
@@ -289,8 +293,8 @@ fn parse_delta(value: &Value) -> Result<GraphDelta, String> {
     };
     let mut delta = GraphDelta::new();
     delta.add_rows(count("add_rows")?).add_cols(count("add_cols")?);
-    delta.extend_inserts(pairs("insert")?);
-    delta.extend_removes(pairs("remove")?);
+    delta.extend_inserts(pairs("insert", insert)?);
+    delta.extend_removes(pairs("remove", remove)?);
     for r in ids("clear_rows")? {
         delta.clear_row(r);
     }
@@ -298,6 +302,117 @@ fn parse_delta(value: &Value) -> Result<GraphDelta, String> {
         delta.clear_col(c);
     }
     Ok(delta)
+}
+
+/// A `[row, col]` pair as a request carries it.
+type Pair = (VertexId, VertexId);
+
+/// A pair-array field as [`read_fields`] found it: its pairs, or its first
+/// defect.
+type Pairs = Result<Vec<Pair>, PairsError>;
+
+/// Why a pair-array field does not hold pairs.  The op that reads the field
+/// words the error, so an op that ignores the field never reports it.
+#[derive(Debug)]
+enum PairsError {
+    /// The field is not an array.
+    NotArray,
+    /// Element `i` is not a two-element array.
+    NotPair(usize),
+    /// Element `i`'s row is not a vertex id.
+    BadRow(usize),
+    /// Element `i`'s column is not a vertex id.
+    BadColumn(usize),
+}
+
+/// The fields of one request line, read in one pass.
+struct Fields {
+    /// Every field but the pair arrays, as a map in line order.
+    value: Value,
+    edges: Option<Pairs>,
+    insert: Option<Pairs>,
+    remove: Option<Pairs>,
+}
+
+/// Reads a request line.  The pair arrays (`edges`, `insert`, `remove`) go
+/// straight into edge lists, with no [`Value`] per element; the other
+/// fields become a map.  As with [`Value::get`], the first of duplicate
+/// keys wins.  Any JSON document is accepted; one that is not an object has
+/// no fields.
+fn read_fields(line: &str) -> Result<Fields, serde_json::Error> {
+    let mut entries = Vec::new();
+    let (mut edges, mut insert, mut remove) = (None, None, None);
+    let mut reader = Reader::new(line);
+    if reader.lookahead() == Some(b'{') {
+        reader.object(|r, key| {
+            let slot = match key.as_str() {
+                "edges" => &mut edges,
+                "insert" => &mut insert,
+                "remove" => &mut remove,
+                _ => {
+                    entries.push((key, r.value()?));
+                    return Ok(());
+                }
+            };
+            let pairs = read_pairs(r)?;
+            slot.get_or_insert(pairs);
+            Ok(())
+        })?;
+    } else {
+        reader.value()?;
+    }
+    reader.finish()?;
+    Ok(Fields { value: Value::Map(entries), edges, insert, remove })
+}
+
+/// Reads the value of a pair-array field.  A value that is valid JSON but
+/// not an array of pairs is still read to its end, so the rest of the line
+/// parses, and its first defect in element order is kept.
+fn read_pairs(r: &mut Reader<'_>) -> Result<Pairs, serde_json::Error> {
+    if r.lookahead() != Some(b'[') {
+        r.value()?;
+        return Ok(Err(PairsError::NotArray));
+    }
+    let mut pairs = Vec::new();
+    let mut defect = None;
+    let mut i = 0;
+    r.array(|r| {
+        let pair = read_pair(r, i)?;
+        if defect.is_none() {
+            match pair {
+                Ok(pair) => pairs.push(pair),
+                Err(e) => defect = Some(e),
+            }
+        }
+        i += 1;
+        Ok(())
+    })?;
+    Ok(defect.map_or(Ok(pairs), Err))
+}
+
+/// Reads element `i` of a pair array: a pair of vertex ids, or its defect.
+fn read_pair(r: &mut Reader<'_>, i: usize) -> Result<Result<Pair, PairsError>, serde_json::Error> {
+    if r.lookahead() != Some(b'[') {
+        r.value()?;
+        return Ok(Err(PairsError::NotPair(i)));
+    }
+    let mut ends = [None; 2];
+    let mut len = 0;
+    r.array(|r| {
+        let end = r.u64()?;
+        if let Some(slot) = ends.get_mut(len) {
+            *slot = end;
+        }
+        len += 1;
+        Ok(())
+    })?;
+    let id = |end: Option<u64>| end.and_then(|n| VertexId::try_from(n).ok());
+    Ok(match (len, id(ends[0]), id(ends[1])) {
+        (2, Some(row), Some(col)) => Ok((row, col)),
+        (2, None, _) => Err(PairsError::BadRow(i)),
+        (2, _, None) => Err(PairsError::BadColumn(i)),
+        _ => Err(PairsError::NotPair(i)),
+    })
 }
 
 /// Serializes a delta the way `patch_graph` requests carry it (used by the
@@ -580,6 +695,268 @@ mod tests {
         }
     }
 
+    /// Holds `parse_request` to the reference parser on one line: both
+    /// accept it or both reject it; accepted lines give equal requests, and
+    /// rejected lines that are valid JSON give the same error.
+    fn assert_parity(line: &str) -> Result<Request, String> {
+        let want = reference::parse_request(line);
+        let got = parse_request(line);
+        match (&want, &got) {
+            (Ok(want), Ok(got)) => assert_eq!(got, want, "{line}"),
+            (Err(want), Err(got)) if serde_json::from_str(line).is_ok() => {
+                assert_eq!(got, want, "{line}")
+            }
+            (Err(_), Err(_)) => {}
+            _ => panic!("{line}\n reference: {want:?}\n new: {got:?}"),
+        }
+        got
+    }
+
+    /// Tokens that stand in for a pair endpoint, a whole pair, or a whole
+    /// pair array.  `-0` and `01` are integers to the reference.
+    const MUTANTS: [&str; 11] =
+        ["-0", "01", "1.0", "1e0", "-1", "4294967296", "\"1\"", "null", "[1]", "[1,2,3]", "{}"];
+
+    /// Whitespace drawn between tokens.
+    const SPACES: [&str; 5] = ["", "", " ", "\t", " \r\n "];
+
+    /// SplitMix64, drawing the parts of a generated request line.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick(&mut self, items: &[&str]) -> String {
+            items[self.below(items.len())].to_string()
+        }
+
+        /// A pair-array value as tokens: up to five pairs with endpoints
+        /// up to `bound`, now and then a mutant in place of an endpoint, a
+        /// pair, or the whole array.
+        fn pairs(&mut self, bound: usize) -> Vec<String> {
+            if self.chance(3) {
+                return vec![self.pick(&MUTANTS)];
+            }
+            let mut tokens = vec!["[".to_string()];
+            for i in 0..self.below(6) {
+                if i > 0 {
+                    tokens.push(",".to_string());
+                }
+                if self.chance(4) {
+                    tokens.push(self.pick(&MUTANTS));
+                    continue;
+                }
+                let mut end = || match self.chance(4) {
+                    true => self.pick(&MUTANTS),
+                    false => self.below(bound + 1).to_string(),
+                };
+                let (row, col) = (end(), end());
+                tokens.extend(["[".to_string(), row, ",".to_string(), col, "]".to_string()]);
+            }
+            tokens.push("]".to_string());
+            tokens
+        }
+
+        /// A `put_graph`, inline or by-fingerprint `solve`, `patch_graph`
+        /// or `stats` line, with fields in any order, duplicate and missing
+        /// keys, whitespace between tokens, and now and then cut short.
+        fn request_line(&mut self) -> String {
+            let (rows, cols) = (1 + self.below(5), 1 + self.below(5));
+            let bound = rows.max(cols);
+            let text = |s: &str| vec![format!("\"{s}\"")];
+            let mut fields: Vec<(&str, Vec<String>)> = Vec::new();
+            match self.below(5) {
+                0 => {
+                    fields.push(("op", text("put_graph")));
+                    fields.push(("rows", vec![rows.to_string()]));
+                    fields.push(("cols", vec![cols.to_string()]));
+                    fields.push(("edges", self.pairs(bound)));
+                }
+                op @ (1 | 2) => {
+                    let label = self.pick(&["HK", "G-PR-Shr@adaptive:0.7+blocked", "G-XX"]);
+                    fields.push(("op", text("solve")));
+                    fields.push(("algorithm", text(&label)));
+                    if op == 1 {
+                        fields.push(("rows", vec![rows.to_string()]));
+                        fields.push(("cols", vec![cols.to_string()]));
+                        fields.push(("edges", self.pairs(bound)));
+                    } else {
+                        fields.push(("fingerprint", text("0xff")));
+                        if self.chance(50) {
+                            fields.push(("edges", self.pairs(bound)));
+                        }
+                    }
+                    if self.chance(30) {
+                        fields.push(("init", text(&self.pick(&["cheap", "karp-sipser", "magic"]))));
+                    }
+                    if self.chance(30) {
+                        fields.push(("include_matching", vec!["true".to_string()]));
+                    }
+                    if self.chance(30) {
+                        fields.push(("priority", vec![self.pick(&["3", "256", "-0"])]));
+                    }
+                }
+                3 => {
+                    fields.push(("op", text("patch_graph")));
+                    fields.push(("parent", text(&self.pick(&["0xabcd", "xyz"]))));
+                    for key in ["insert", "remove"] {
+                        if self.chance(60) {
+                            fields.push((key, self.pairs(bound)));
+                        }
+                    }
+                    for key in ["add_rows", "add_cols"] {
+                        if self.chance(30) {
+                            fields.push((key, vec![self.pick(&["1", "2", "-2"])]));
+                        }
+                    }
+                    for key in ["clear_rows", "clear_cols"] {
+                        if self.chance(30) {
+                            fields.push((key, vec![self.pick(&["[0]", "[1,0]", "[-1]"])]));
+                        }
+                    }
+                }
+                _ => {
+                    fields.push(("op", text("stats")));
+                    for key in ["edges", "insert", "remove"] {
+                        if self.chance(40) {
+                            fields.push((key, self.pairs(bound)));
+                        }
+                    }
+                }
+            }
+            if self.chance(25) {
+                let (key, _) = fields[self.below(fields.len())];
+                let value = match key {
+                    "edges" | "insert" | "remove" => self.pairs(bound),
+                    _ => vec![self.pick(&["0", "2", "\"HK\"", "null", "[[0,0]]"])],
+                };
+                fields.push((key, value));
+            }
+            if self.chance(10) {
+                fields.remove(self.below(fields.len()));
+            }
+            for i in (1..fields.len()).rev() {
+                fields.swap(i, self.below(i + 1));
+            }
+            let mut tokens = vec!["{".to_string()];
+            for (i, (key, value)) in fields.into_iter().enumerate() {
+                if i > 0 {
+                    tokens.push(",".to_string());
+                }
+                tokens.extend([format!("\"{key}\""), ":".to_string()]);
+                tokens.extend(value);
+            }
+            tokens.push("}".to_string());
+            let mut line = String::new();
+            for token in tokens {
+                line.push_str(&self.pick(&SPACES));
+                line.push_str(&token);
+            }
+            line.push_str(&self.pick(&SPACES));
+            if self.chance(5) {
+                line.truncate(self.below(line.len() + 1));
+            }
+            line
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn pair_arrays_parse_like_the_value_walk(seed in proptest::any::<u64>()) {
+            let _ = assert_parity(&Draw(seed).request_line());
+        }
+    }
+
+    #[test]
+    fn generated_lines_cover_acceptance_and_every_pair_error() {
+        // The generator must reach both verdicts and every pair defect of
+        // every pair field, or the parity property checks little.
+        let mut draw = Draw(7);
+        let (mut accepted, mut errors) = (0, std::collections::BTreeSet::new());
+        for _ in 0..4096 {
+            match assert_parity(&draw.request_line()) {
+                Ok(_) => accepted += 1,
+                Err(e) => {
+                    let field = ["edges", "insert", "remove"].into_iter().find(|f| e.contains(f));
+                    let kinds = ["pair of", " row", " column", "must be an array", "missing array"];
+                    if let (Some(field), Some(kind)) =
+                        (field, kinds.iter().find(|k| e.contains(*k)))
+                    {
+                        errors.insert((field, *kind));
+                    }
+                }
+            }
+        }
+        assert!(accepted > 400, "{accepted} of 4096 accepted");
+        assert_eq!(errors.len(), 12, "{errors:?}");
+    }
+
+    #[test]
+    fn pair_array_edge_cases_match_the_reference() {
+        // A stray pair array is read and dropped by ops that do not use it.
+        assert_eq!(assert_parity(r#"{"op":"stats","edges":[[0]]}"#).unwrap(), Request::Stats);
+        assert_eq!(
+            assert_parity(r#"{"op":"solve","algorithm":"HK","fingerprint":"0x1","edges":7}"#)
+                .unwrap(),
+            Request::Solve {
+                algorithm: Algorithm::HopcroftKarp,
+                init: InitHeuristic::Cheap,
+                graph: RequestGraph::Fingerprint(1),
+                include_matching: false,
+                priority: 0,
+                deadline_ms: None,
+                tag: None,
+            }
+        );
+        // `-0` and `01` are integers; the first of duplicate keys wins.
+        let Ok(Request::PutGraph(g)) = assert_parity(
+            r#"{"edges":[[-0,01]],"op":"put_graph","rows":2,"cols":2,"edges":[[9,9]]}"#,
+        ) else {
+            panic!("expected PutGraph")
+        };
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(0, 1)]);
+        // Only `-0` and `01` pass as endpoints; no mutant passes as a pair
+        // or as the array.
+        for mutant in MUTANTS {
+            let endpoint_ok = matches!(mutant, "-0" | "01");
+            for (edges, ok) in [
+                (format!("[[{mutant},0]]"), endpoint_ok),
+                (format!("[[0,{mutant}]]"), endpoint_ok),
+                (format!("[[0,0],{mutant}]"), false),
+                (mutant.to_string(), false),
+            ] {
+                for line in [
+                    format!(r#"{{"op":"put_graph","rows":2,"cols":2,"edges":{edges}}}"#),
+                    format!(r#"{{"op":"patch_graph","parent":"0x1","remove":{edges}}}"#),
+                ] {
+                    assert_eq!(assert_parity(&line).is_ok(), ok, "{line}");
+                }
+            }
+        }
+        // A later defect never hides an earlier one, and a JSON error
+        // anywhere beats a defect in a pair array.
+        let err = assert_parity(r#"{"op":"put_graph","rows":2,"cols":2,"edges":[[0,-1],[0]]}"#);
+        assert_eq!(err.unwrap_err(), "edges[0]: bad column endpoint");
+        let err = parse_request(r#"{"op":"put_graph","rows":2,"cols":2,"edges":[[0]],"x":}"#);
+        assert!(err.unwrap_err().starts_with("bad JSON"));
+        // Documents that are not objects have no `op`.
+        for line in ["[[0,1]]", "7", "null"] {
+            assert_eq!(assert_parity(line).unwrap_err(), "missing string field 'op'");
+        }
+    }
+
     #[test]
     fn responses_have_the_ok_envelope() {
         let ok = ok_response(vec![("op".to_string(), Value::Str("stats".to_string()))]);
@@ -590,5 +967,194 @@ mod tests {
         // Response lines must be single-line (JSON-lines framing).
         assert!(!ok.contains('\n'));
         assert!(!err.contains('\n'));
+    }
+}
+
+/// The tree-walking parser: the whole line into a [`Value`] tree with
+/// `serde_json::from_str`, then a walk over it.  It is the reference the
+/// parity tests hold [`parse_request`] to.
+#[cfg(test)]
+mod reference {
+    use super::{fingerprint_from_hex, Request, RequestGraph};
+    use gpm_core::{Algorithm, InitHeuristic};
+    use gpm_graph::{BipartiteCsr, GraphDelta, VertexId};
+    use serde::Value;
+
+    /// Parses one request line.  Errors are human-readable strings ready to be
+    /// wrapped in an error response.
+    pub(super) fn parse_request(line: &str) -> Result<Request, String> {
+        let value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
+        let op = value
+            .get("op")
+            .and_then(Value::as_str)
+            .ok_or_else(|| "missing string field 'op'".to_string())?;
+        match op {
+            "put_graph" => Ok(Request::PutGraph(parse_graph(&value)?)),
+            "solve" => {
+                let algorithm_label = value
+                    .get("algorithm")
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| "solve: missing string field 'algorithm'".to_string())?;
+                let algorithm: Algorithm =
+                    algorithm_label.parse().map_err(|e| format!("solve: {e}"))?;
+                let init = match value.get("init").and_then(Value::as_str) {
+                    Some(label) => label.parse().map_err(|e| format!("solve: {e}"))?,
+                    None => InitHeuristic::default(),
+                };
+                let graph = match value.get("fingerprint").and_then(Value::as_str) {
+                    Some(hex) => RequestGraph::Fingerprint(fingerprint_from_hex(hex)?),
+                    None => RequestGraph::Inline(parse_graph(&value)?),
+                };
+                let include_matching =
+                    value.get("include_matching").and_then(Value::as_bool).unwrap_or(false);
+                let priority = match value.get("priority") {
+                    None => 0,
+                    Some(v) => v
+                        .as_u64()
+                        .and_then(|n| u8::try_from(n).ok())
+                        .ok_or_else(|| "solve: 'priority' must be an integer in 0..=255".to_string())?,
+                };
+                let deadline_ms = match value.get("deadline_ms") {
+                    None => None,
+                    Some(v) => Some(v.as_u64().ok_or_else(|| {
+                        "solve: 'deadline_ms' must be a non-negative integer".to_string()
+                    })?),
+                };
+                let tag = value.get("tag").and_then(Value::as_str).map(str::to_string);
+                Ok(Request::Solve {
+                    algorithm,
+                    init,
+                    graph,
+                    include_matching,
+                    priority,
+                    deadline_ms,
+                    tag,
+                })
+            }
+            "cancel" => {
+                let job_id = match value.get("job_id") {
+                    None => None,
+                    Some(v) => Some(v.as_u64().ok_or_else(|| {
+                        "cancel: 'job_id' must be a non-negative integer".to_string()
+                    })?),
+                };
+                let tag = value.get("tag").and_then(Value::as_str).map(str::to_string);
+                if job_id.is_none() && tag.is_none() {
+                    return Err("cancel: provide 'job_id' and/or 'tag'".to_string());
+                }
+                Ok(Request::Cancel { job_id, tag })
+            }
+            "patch_graph" => {
+                let parent = value
+                    .get("parent")
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| "patch_graph: missing string field 'parent'".to_string())?;
+                Ok(Request::PatchGraph {
+                    parent: fingerprint_from_hex(parent)?,
+                    delta: parse_delta(&value)?,
+                })
+            }
+            "stats" => Ok(Request::Stats),
+            "shards" => Ok(Request::Shards),
+            "drain" => {
+                let shard = value
+                    .get("shard")
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| "drain: missing non-negative integer field 'shard'".to_string())?;
+                Ok(Request::Drain { shard: shard as usize })
+            }
+            "rebalance" => Ok(Request::Rebalance),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(format!(
+                "unknown op '{other}': expected put_graph, patch_graph, solve, cancel, stats, shards, \
+                 drain, rebalance, or shutdown"
+            )),
+        }
+    }
+
+    /// Extracts `rows`/`cols`/`edges` fields into a validated graph.
+    fn parse_graph(value: &Value) -> Result<BipartiteCsr, String> {
+        let dim = |field: &str| -> Result<usize, String> {
+            value
+                .get(field)
+                .and_then(Value::as_u64)
+                .map(|n| n as usize)
+                .ok_or_else(|| format!("missing non-negative integer field '{field}'"))
+        };
+        let rows = dim("rows")?;
+        let cols = dim("cols")?;
+        let edges_value = value
+            .get("edges")
+            .and_then(Value::as_seq)
+            .ok_or_else(|| "missing array field 'edges'".to_string())?;
+        let mut edges = Vec::with_capacity(edges_value.len());
+        for (i, pair) in edges_value.iter().enumerate() {
+            let pair = pair.as_seq().filter(|p| p.len() == 2).ok_or_else(|| {
+                format!("edges[{i}]: expected a [row, col] pair of non-negative integers")
+            })?;
+            let endpoint = |v: &Value, which: &str| -> Result<VertexId, String> {
+                v.as_u64()
+                    .and_then(|n| VertexId::try_from(n).ok())
+                    .ok_or_else(|| format!("edges[{i}]: bad {which} endpoint"))
+            };
+            edges.push((endpoint(&pair[0], "row")?, endpoint(&pair[1], "column")?));
+        }
+        BipartiteCsr::from_edges(rows, cols, &edges).map_err(|e| format!("bad graph: {e}"))
+    }
+
+    /// Extracts the (all-optional) delta fields of a `patch_graph` request:
+    /// `insert`/`remove` (arrays of `[row, col]` pairs), `add_rows`/`add_cols`
+    /// (non-negative integers), `clear_rows`/`clear_cols` (arrays of vertex
+    /// ids).
+    fn parse_delta(value: &Value) -> Result<GraphDelta, String> {
+        let id = |v: &Value, what: &str| -> Result<VertexId, String> {
+            v.as_u64()
+                .and_then(|n| VertexId::try_from(n).ok())
+                .ok_or_else(|| format!("{what}: expected a non-negative vertex id"))
+        };
+        let pairs = |field: &str| -> Result<Vec<(VertexId, VertexId)>, String> {
+            let Some(seq) = value.get(field) else { return Ok(Vec::new()) };
+            let seq = seq
+                .as_seq()
+                .ok_or_else(|| format!("patch_graph: '{field}' must be an array of [row, col]"))?;
+            seq.iter()
+                .enumerate()
+                .map(|(i, pair)| {
+                    let pair = pair.as_seq().filter(|p| p.len() == 2).ok_or_else(|| {
+                        format!("{field}[{i}]: expected a [row, col] pair of non-negative integers")
+                    })?;
+                    Ok((
+                        id(&pair[0], &format!("{field}[{i}] row"))?,
+                        id(&pair[1], &format!("{field}[{i}] column"))?,
+                    ))
+                })
+                .collect()
+        };
+        let ids = |field: &str| -> Result<Vec<VertexId>, String> {
+            let Some(seq) = value.get(field) else { return Ok(Vec::new()) };
+            let seq = seq
+                .as_seq()
+                .ok_or_else(|| format!("patch_graph: '{field}' must be an array of vertex ids"))?;
+            seq.iter().enumerate().map(|(i, v)| id(v, &format!("{field}[{i}]"))).collect()
+        };
+        let count = |field: &str| -> Result<usize, String> {
+            match value.get(field) {
+                None => Ok(0),
+                Some(v) => v.as_u64().map(|n| n as usize).ok_or_else(|| {
+                    format!("patch_graph: '{field}' must be a non-negative integer")
+                }),
+            }
+        };
+        let mut delta = GraphDelta::new();
+        delta.add_rows(count("add_rows")?).add_cols(count("add_cols")?);
+        delta.extend_inserts(pairs("insert")?);
+        delta.extend_removes(pairs("remove")?);
+        for r in ids("clear_rows")? {
+            delta.clear_row(r);
+        }
+        for c in ids("clear_cols")? {
+            delta.clear_col(c);
+        }
+        Ok(delta)
     }
 }

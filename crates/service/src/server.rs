@@ -9,6 +9,17 @@
 //! request stops the accept loop and joins every connection; a fatal accept
 //! failure exits through the same teardown, so handler threads are never
 //! leaked.
+//!
+//! A connection reads its request lines into one reused buffer that stops
+//! at [`MAX_REQUEST_LINE_BYTES`] (64 MiB): a longer line gets one
+//! `{"ok":false,"error":…}` naming the limit, and then its connection
+//! closes; a line that is not UTF-8 gets an error response and the
+//! connection keeps serving.
+//!
+//! Each response leaves in two writes, the line and then its newline, on a
+//! socket with Nagle's algorithm on, so the newline waits for the client to
+//! acknowledge the line: a client that delays its ACKs (about 40 ms on
+//! Linux) sees that floor under every round trip.
 
 use crate::job::{GraphSource, JobSpec};
 use crate::proto::{
@@ -19,7 +30,7 @@ use crate::service::Service;
 use gpm_core::{CancelToken, SolveReport};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -182,6 +193,12 @@ fn serve_inner<A: Accept>(
     }
 }
 
+/// The longest request line a connection may send, in bytes before its
+/// newline.  It sits well above the largest line an in-repo client ships
+/// (a 24 MiB inline R-MAT solve); a longer line gets one error response
+/// naming this limit, and then its connection closes.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
 fn handle_connection(
     stream: TcpStream,
     state: &ServerState,
@@ -189,16 +206,37 @@ fn handle_connection(
     local_addr: SocketAddr,
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    // One buffer per connection, reused for every line.
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
+            break;
         }
-        let (response, is_shutdown) = handle_request_line(state, &line);
+        let oversize = line.len() > MAX_REQUEST_LINE_BYTES && line.last() != Some(&b'\n');
+        let (response, is_shutdown) = if oversize {
+            let message = format!(
+                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; closing the connection"
+            );
+            (error_response(&message), false)
+        } else {
+            match std::str::from_utf8(line.strip_suffix(b"\n").unwrap_or(&line)) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_request_line(state, text),
+                Err(e) => (error_response(&format!("request line is not UTF-8: {e}")), false),
+            }
+        };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
+        if oversize {
+            // The accept loop holds a clone of this socket, so returning
+            // alone would not close it.
+            writer.shutdown(std::net::Shutdown::Both)?;
+            break;
+        }
         if is_shutdown {
             stop.store(true, Ordering::SeqCst);
             // The accept loop is blocked in `accept`; poke it awake so it

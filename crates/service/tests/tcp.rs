@@ -5,10 +5,11 @@
 use gpm_core::{Algorithm, InitHeuristic};
 use gpm_graph::gen;
 use gpm_graph::verify::maximum_matching_cardinality;
+use gpm_service::server::MAX_REQUEST_LINE_BYTES;
 use gpm_service::{serve, Client, Service};
 use serde::Value;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Compile-time `Send` guarantees for everything the service moves across
@@ -172,4 +173,82 @@ fn client_round_trips_skip_the_delayed_ack() {
     samples.sort();
     let median = samples[samples.len() / 2];
     assert!(median < Duration::from_millis(20), "median round trip {median:?}: {samples:?}");
+}
+
+/// A server on a free loopback port; join the handle after a client sends
+/// `shutdown`.
+fn spawn_server() -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let addr = listener.local_addr().unwrap();
+    let service = Service::builder().workers(1).build();
+    (addr, std::thread::spawn(move || serve(listener, service).expect("serve")))
+}
+
+/// A raw connection that sends each request in one write with Nagle off,
+/// as a well-behaved client does, and reads response lines with a timeout
+/// so a server that never answers fails the test instead of hanging it.
+fn raw_connection(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+fn read_response(reader: &mut BufReader<TcpStream>) -> Value {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a response line");
+    serde_json::from_str(line.trim_end()).unwrap_or_else(|e| panic!("{e}: {line:?}"))
+}
+
+#[test]
+fn oversize_line_is_refused_and_closed_while_other_connections_solve() {
+    let (addr, server) = spawn_server();
+    let (mut stream, mut reader) = raw_connection(addr);
+    // One byte over the limit, with no newline: the server must give up on
+    // the line instead of buffering until one arrives.
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..MAX_REQUEST_LINE_BYTES / chunk.len() {
+        stream.write_all(&chunk).unwrap();
+    }
+    stream.write_all(&chunk[..MAX_REQUEST_LINE_BYTES % chunk.len() + 1]).unwrap();
+
+    // Another connection is served meanwhile.
+    let graph = gen::planted_perfect(20, 60, 4).unwrap();
+    let mut client = Client::connect(addr).expect("connect");
+    let response =
+        client.solve_inline(&graph, Algorithm::HopcroftKarp, InitHeuristic::Cheap).unwrap();
+    assert_eq!(
+        response.get("report").unwrap().get("cardinality").and_then(Value::as_u64),
+        Some(20)
+    );
+
+    let response = read_response(&mut reader);
+    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false), "{response:?}");
+    let error = response.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains(&MAX_REQUEST_LINE_BYTES.to_string()), "{error}");
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("EOF after the error"), 0);
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+#[test]
+fn non_utf8_line_gets_an_error_and_the_connection_keeps_serving() {
+    let (addr, server) = spawn_server();
+    let (mut stream, mut reader) = raw_connection(addr);
+    stream.write_all(b"{\"op\":\"stats\",\"tag\":\"\xff\"}\n").unwrap();
+    let response = read_response(&mut reader);
+    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false), "{response:?}");
+    assert!(response.get("error").and_then(Value::as_str).unwrap().contains("UTF-8"));
+
+    stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+    let response = read_response(&mut reader);
+    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true), "{response:?}");
+    assert!(response.get("stats").is_some());
+
+    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    read_response(&mut reader);
+    server.join().unwrap();
 }
