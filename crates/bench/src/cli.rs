@@ -136,8 +136,8 @@ pub fn label_grammar() -> String {
          \u{20} worklist (GPU only):  +dense | +compacted | +queue | +blocked  \
          (default: the family's paper representation, printed suffix-free)\n\
          \u{20} exec (GPU only):  @launch (default: one kernel launch per round) | \
-         @resident (persistent megakernel round loop behind the device's \
-         software global barrier)\n",
+         @resident (same execution, priced as one persistent megakernel: \
+         an entry launch, then a global-barrier crossing per round)\n",
     );
     out.push_str("\nGPU labels (family x worklist x exec):\n");
     for algorithm in [

@@ -90,7 +90,7 @@ pub fn global_relabel_with_stop(
 /// Runs `G-GR` like [`global_relabel_with_stop`] under an explicit
 /// [`ExecMode`].  Under [`ExecMode::Persistent`] the whole BFS — the init
 /// kernels and every level — executes inside one
-/// [`gpm_gpu::VirtualGpu::resident`] scope, so each level pays a software
+/// [`gpm_gpu::VirtualGpu::resident`] scope, so each level is priced as a
 /// global-barrier crossing instead of a kernel launch.
 ///
 /// This is the entry point for a *standalone* persistent relabeling.  When
@@ -409,8 +409,8 @@ mod tests {
                 assert_eq!(state.psi_col.to_vec(), ec, "{mode}");
                 assert_eq!(out.max_level, lpr.max_level, "{mode}");
                 assert_eq!(out.levels, lpr.levels, "{mode}");
-                // Every level kernel ran as a device-resident round behind
-                // the global barrier; only the scope entry launched.
+                // Every level kernel was priced as a device-resident round;
+                // only the scope entry launched.
                 let stats = gpu.stats();
                 assert_eq!(stats.launches_of("G-GR-KRNL"), 0, "{mode}");
                 assert_eq!(stats.resident_rounds_of("G-GR-KRNL"), out.levels as u64, "{mode}");

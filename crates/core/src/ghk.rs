@@ -229,7 +229,7 @@ pub fn run_with_mode_stop(
 /// [`ExecMode`].  Under [`ExecMode::Persistent`] the whole phase loop —
 /// BFS levels, DFS kernels, commit charges, and the Duff–Wiberg sweep —
 /// executes inside one [`gpm_gpu::VirtualGpu::resident`] scope, so every
-/// per-phase kernel crosses the software global barrier instead of paying a
+/// per-phase kernel is priced as a global-barrier crossing instead of a
 /// fresh launch.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_exec_stop(

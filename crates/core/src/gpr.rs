@@ -97,12 +97,12 @@ pub struct GprConfig {
     /// the global-relabeling BFS frontier).  [`GprVariant::First`] predates
     /// active lists and ignores this knob for its main loop.
     pub worklist: WorklistMode,
-    /// How the round loop executes: one kernel launch per round (the
-    /// default), or a persistent megakernel whose rounds cross a software
-    /// global barrier ([`ExecMode::Persistent`]) — the whole main loop,
+    /// How the round loop is priced: one kernel launch per round (the
+    /// default), or a persistent megakernel whose rounds each pay a global
+    /// barrier crossing ([`ExecMode::Persistent`]) — the whole main loop,
     /// global relabelings included, then runs inside one
     /// [`gpm_gpu::VirtualGpu::resident`] scope and only `FIXMATCHING` pays a
-    /// separate launch.
+    /// separate launch.  Both modes execute identically.
     pub exec: ExecMode,
     /// Minimum active-list length for which the shrink kernel is worth its
     /// overhead (the paper uses 512; line 11 of Algorithm 7).  Must be at
@@ -494,8 +494,7 @@ fn run_active_list(
             && worklist.len() >= config.shrink_threshold;
         // The in-loop transition: close the previous round (the A_c/A_p
         // swap) and open the next in one step — under a persistent launch
-        // the leader executes this whole edge between two barrier
-        // crossings.
+        // this whole edge sits between two barrier crossings.
         let active_exists = worklist.round_transition(is_active, want_shrink);
         if worklist.compacted_last_round() {
             stats.shrinks += 1;
@@ -837,7 +836,7 @@ mod tests {
             let r = run(&gpu, &g, &init, config);
             assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
             // The whole solve is one resident launch plus FIXMATCHING; every
-            // round loop kernel crossed the global barrier instead.
+            // round loop kernel is priced as a barrier crossing instead.
             assert_eq!(r.stats.device.launches_of("G-PR-RESIDENT"), 1);
             assert_eq!(r.stats.device.launches_of("FIXMATCHING"), 1);
             assert_eq!(r.stats.device.total_launches(), 2);

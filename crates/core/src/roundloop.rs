@@ -10,14 +10,14 @@
 //!   the host and every kernel pays the full launch overhead — the classic
 //!   bulk-synchronous structure.
 //! * **Persistent** ([`ExecMode::Persistent`]): the whole loop runs inside a
-//!   [`VirtualGpu::resident`] scope, so the device's worker threads stay
-//!   resident for the entire solve and each kernel becomes a device-resident
-//!   round behind the software global barrier — the stop poll then lands
-//!   exactly where the paper's megakernel formulation would poll it: on the
-//!   leader, between two barrier crossings.
+//!   [`VirtualGpu::resident`] scope, which prices it as one megakernel: one
+//!   entry launch, then each kernel as a device-resident round that pays a
+//!   global-barrier crossing instead of launch overhead.  The stop poll
+//!   sits where a megakernel would poll it: between two rounds.
 //!
-//! Because both modes execute the *same* round closure, their results are
-//! equivalent by construction; only the modelled launch cost differs.
+//! Both modes execute the *same* round closure on the same executor, so
+//! their results are identical by construction; only the modelled launch
+//! cost differs.
 
 use gpm_gpu::{DeviceStats, ExecMode, StopCheck, VirtualGpu};
 
@@ -38,10 +38,10 @@ pub enum RoundOutcome {
 /// by the poll or by a [`RoundOutcome::Stopped`] from inside a round.
 ///
 /// When `resident` is `Some((name, domain))` the whole loop executes inside
-/// a [`VirtualGpu::resident`] scope of that name: one entry launch keeps
-/// `domain` device threads (clamped to the device's resident capacity)
-/// alive, and every kernel the rounds issue on this device runs as a
-/// barrier-separated resident round instead of a fresh launch.  Callers
+/// a [`VirtualGpu::resident`] scope of that name: one entry launch of
+/// `domain` device threads (clamped to the device's resident capacity) is
+/// charged, and every kernel the rounds issue on this device is priced as a
+/// resident round instead of a fresh launch.  Callers
 /// already inside a resident scope (e.g. a global relabeling invoked from a
 /// persistent G-PR loop) must pass `None` — their kernels inherit the
 /// ambient scope, and nesting scopes is an error.
@@ -92,7 +92,6 @@ pub(crate) fn subtract_device_stats(total: &mut DeviceStats, base: &DeviceStats)
             t.launches -= b.launches;
             t.fused_tails -= b.fused_tails;
             t.resident_rounds -= b.resident_rounds;
-            t.barriers -= b.barriers;
             t.total_threads -= b.total_threads;
             t.total_work -= b.total_work;
             t.total_atomics -= b.total_atomics;

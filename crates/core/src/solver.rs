@@ -442,8 +442,9 @@ pub enum DevicePolicy {
     CpuOnly,
     /// Deterministic sequential device (reproducible interleavings).
     Sequential,
-    /// Concurrent device with an explicit worker count (a count of 0 is
-    /// treated as 1: the device always has at least one worker).
+    /// Concurrent device with an explicit worker count: a pooled launch runs
+    /// on the launching thread plus `count − 1` pool threads (a count of 0
+    /// is treated as 1, which runs every launch inline).
     Parallel(usize),
     /// Concurrent device sized to the host's available parallelism.
     #[default]

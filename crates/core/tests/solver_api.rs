@@ -9,6 +9,7 @@ use gpm_core::{
     CancelToken, ExecMode, ExecutorConfig, GhkVariant, GprConfig, GprVariant, GrStrategy, SolveCtx,
     SolveError,
 };
+use gpm_gpu::primitives::QUEUE_BLOCK;
 use gpm_gpu::WorklistMode;
 use gpm_graph::gen;
 use gpm_graph::instances::{mini_suite, Scale};
@@ -419,7 +420,7 @@ fn persistent_exec_matches_launch_per_round_over_the_mini_suite() {
                     if policy == DevicePolicy::Sequential {
                         // Same rounds, just resident: the per-round kernel
                         // launches of the one mode reappear one-for-one as
-                        // barrier-separated resident rounds of the other.
+                        // resident rounds of the other.
                         let launch_stats = launch.device_stats.as_ref().unwrap();
                         let lpr_rounds: u64 =
                             launch_stats.kernels.values().map(|k| k.launches).sum();
@@ -442,17 +443,86 @@ fn persistent_exec_matches_launch_per_round_over_the_mini_suite() {
     }
 }
 
+/// The pricing rule of `@resident`: both execution modes run the same
+/// launches on the same executor, so a resident solve's modelled time is
+/// its launch-per-round twin's with every in-scope launch repriced — its
+/// driver round-trip (`kernel_launch_overhead_ns`) swapped for one
+/// global-barrier crossing by the scope's `p` participants — plus the one
+/// entry launch of `p` threads.  Checked per kernel and per solve, on the
+/// deterministic sequential executor, for G-PR and G-HKDW × every worklist
+/// mode over the Tiny mini suite.
+#[test]
+fn resident_price_is_the_launch_price_with_barriers_for_launches() {
+    let perf = gpm_gpu::PerfModel::tesla_c2050();
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+    let mut solver = Solver::builder()
+        .device_policy(DevicePolicy::Sequential)
+        .build()
+        .expect("valid solver config");
+    for mode in WorklistMode::all() {
+        for (name, g, _) in &tiny_mini_suite() {
+            let p = g.num_rows().max(g.num_cols()).clamp(1, perf.resident_capacity());
+            let repriced = perf.global_barrier_cost_ns(p) - perf.kernel_launch_overhead_ns;
+            let entry_ns = perf.launch_cost_ns(p, 0, 0);
+            for base in [
+                Algorithm::gpr_default().with_worklist(mode),
+                Algorithm::ghk(GhkVariant::Hkdw).with_worklist(mode),
+            ] {
+                let launch = solver.solve(g, base).unwrap();
+                let resident = solver.solve(g, base.with_exec(ExecMode::Persistent)).unwrap();
+                assert_eq!(launch.matching, resident.matching, "{base} on {name}");
+                let (lpr, res) = (launch.device_stats.unwrap(), resident.device_stats.unwrap());
+                for (kernel, l) in &lpr.kernels {
+                    let r = &res.kernels[kernel];
+                    assert_eq!(l.resident_rounds, 0, "{base} on {name}: {kernel}");
+                    let split = r.launches + r.resident_rounds;
+                    assert_eq!(l.launches, split, "{base} on {name}: {kernel}");
+                    assert_eq!(
+                        (l.fused_tails, l.total_threads, l.total_work, l.total_atomics),
+                        (r.fused_tails, r.total_threads, r.total_work, r.total_atomics),
+                        "{base} on {name}: {kernel}"
+                    );
+                    let priced = l.modelled_time_ns + r.resident_rounds as f64 * repriced;
+                    assert!(
+                        close(r.modelled_time_ns, priced),
+                        "{base} on {name}: {kernel} resident {} ns, priced {priced} ns",
+                        r.modelled_time_ns
+                    );
+                }
+                // The one row the twin lacks is the entry launch.
+                let entries: Vec<_> =
+                    res.kernels.iter().filter(|(k, _)| !lpr.kernels.contains_key(*k)).collect();
+                assert_eq!(entries.len(), 1, "{base} on {name}: {entries:?}");
+                let (entry, e) = entries[0];
+                assert!(entry.ends_with("-RESIDENT"), "{base} on {name}: {entry}");
+                assert_eq!((e.launches, e.total_threads), (1, p as u64), "{base} on {name}");
+                assert!(close(e.modelled_time_ns, entry_ns), "{base} on {name}");
+                let rounds = res.total_resident_rounds() as f64;
+                let priced =
+                    launch.modelled_device_seconds.unwrap() * 1e9 + rounds * repriced + entry_ns;
+                let resident_ns = resident.modelled_device_seconds.unwrap() * 1e9;
+                assert!(close(resident_ns, priced), "{base} on {name}: {resident_ns} vs {priced}");
+            }
+        }
+    }
+}
+
 /// Regression: on the pooled executor the queue representations could
 /// append one column twice in a G-PR round when two threads displaced it at
 /// once.  The next round then pushed it from two threads, each claiming a
 /// row, and the downloaded matching came out larger than the maximum and
-/// invalid.  Resident rounds always run on the pool, so they hit the race
-/// most often; a handful of passes over the Tiny mini suite caught it.
+/// invalid.  A parallel threshold of 1 sends every launch of these small
+/// solves to the pool, where the race lives; four workers and
+/// one-cache-line chunks interleave the claims finely enough that a handful
+/// of passes over the Tiny mini suite catches it.
 #[test]
 fn pooled_resident_queue_solves_return_valid_matchings() {
     let instances = tiny_mini_suite();
+    let executor =
+        ExecutorConfig { parallel_threshold: 1, chunk_size: QUEUE_BLOCK, ..Default::default() };
     let mut solver = Solver::builder()
-        .device_policy(DevicePolicy::Parallel(3))
+        .device_policy(DevicePolicy::Parallel(4))
+        .executor_config(executor)
         .build()
         .expect("valid solver config");
     for pass in 0..6 {

@@ -1,12 +1,12 @@
 //! The virtual GPU device and its kernel-launch engine.
 
-use crate::exec::{ResidentBody, WorkerPool};
+use crate::exec::WorkerPool;
 use crate::perfmodel::PerfModel;
 use crate::scratch::ScratchArena;
-use crate::stats::DeviceStats;
+use crate::stats::{DeviceStats, LaunchKind};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// How kernel threads are executed on the host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,7 +20,9 @@ pub enum Backend {
     /// threads, so the benign races the paper's kernels allow actually
     /// happen.  This is the default for benchmarks.
     Parallel {
-        /// Number of host worker threads.
+        /// Number of host threads a pooled launch runs on: the thread that
+        /// issues it plus `workers − 1` persistent pool threads.  0 and 1
+        /// run every launch inline.
         workers: usize,
     },
 }
@@ -45,10 +47,12 @@ pub enum ExecMode {
     /// paying [`PerfModel::kernel_launch_overhead_ns`] every round.
     #[default]
     LaunchPerRound,
-    /// Persistent (megakernel) execution: one resident launch stays alive
-    /// for the whole solve ([`VirtualGpu::resident`]) and rounds cross a
-    /// software global barrier ([`crate::GlobalBarrier`]) instead of
-    /// relaunching, paying [`PerfModel::global_barrier_cost_ns`] per round.
+    /// Persistent (megakernel) pricing: the round loop runs inside a
+    /// [`VirtualGpu::resident`] scope, which executes every round exactly
+    /// like a launch-per-round launch but prices it as a round of one
+    /// resident grid — one entry launch for the whole loop, then
+    /// [`PerfModel::global_barrier_cost_ns`] per round instead of
+    /// [`PerfModel::kernel_launch_overhead_ns`].
     Persistent,
 }
 
@@ -114,14 +118,14 @@ pub struct ExecutorConfig {
     /// parallel backend; mirrors the fact that tiny CUDA grids cannot fill
     /// the device and their cost is dominated by launch overhead.
     pub parallel_threshold: usize,
-    /// Grid indices per chunk that pool workers claim from the launch's
-    /// shared cursor.  Smaller chunks balance divergent kernels better;
+    /// Grid indices per chunk that the threads of a pooled launch claim
+    /// from its shared cursor.  Smaller chunks balance divergent kernels better;
     /// larger chunks amortize the cursor increment.  Must be at least 1
     /// ([`ExecutorConfig::validate`]; `Solver::builder()` rejects 0 with a
     /// structured error, and the executor itself clamps to 1 as a last
     /// resort).  The effective chunk is capped per launch at
-    /// `grid / workers` (rounded up) so every pool worker gets a share of
-    /// mid-sized grids.
+    /// `grid / workers` (rounded up) so every thread of a pooled launch can
+    /// get a share of mid-sized grids.
     pub chunk_size: usize,
     /// Tag baked into the pool's host thread names
     /// (`gpm-gpu-t<tag>-worker-<i>`; tag 0, the default, keeps the plain
@@ -381,19 +385,8 @@ impl LaunchTotals {
 #[derive(Clone, Copy)]
 struct LaunchEvent {
     name: &'static str,
-    threads: usize,
-    work: u64,
-    atomics: u64,
-    hot_word_atomics: u64,
-    modelled_time_ns: f64,
-    wall_time_ns: f64,
-    /// `true` for work fused into the tail of the preceding launch: charged
-    /// to the same kernel without counting as a launch of its own.
-    fused: bool,
-    /// `true` for a device-resident round: charged a barrier crossing
-    /// instead of launch overhead, counted as `resident_rounds`/`barriers`
-    /// rather than `launches`.
-    resident: bool,
+    kind: LaunchKind,
+    record: LaunchRecord,
 }
 
 /// Pending launch events plus the merged per-kernel aggregate.  `record` is
@@ -419,37 +412,7 @@ impl StatsAccum {
 
     fn flush(&mut self) {
         for event in self.pending.drain(..) {
-            if event.resident {
-                self.merged.record_resident(
-                    event.name,
-                    event.threads,
-                    event.work,
-                    event.atomics,
-                    event.hot_word_atomics,
-                    event.modelled_time_ns,
-                    event.wall_time_ns,
-                );
-            } else if event.fused {
-                self.merged.record_fused(
-                    event.name,
-                    event.threads,
-                    event.work,
-                    event.atomics,
-                    event.hot_word_atomics,
-                    event.modelled_time_ns,
-                    event.wall_time_ns,
-                );
-            } else {
-                self.merged.record(
-                    event.name,
-                    event.threads,
-                    event.work,
-                    event.atomics,
-                    event.hot_word_atomics,
-                    event.modelled_time_ns,
-                    event.wall_time_ns,
-                );
-            }
+            self.merged.record(event.name, event.kind, &event.record);
         }
     }
 
@@ -465,24 +428,15 @@ impl StatsAccum {
 }
 
 /// Ambient state of an open [`VirtualGpu::resident`] scope on the current
-/// host thread.  `launch_inner` consults it first: launches issued on the
-/// scope's device while it is open execute as barrier-separated rounds of
-/// the persistent grid instead of fresh launches.
+/// host thread.  `launch_inner` consults it when pricing: launches issued on
+/// the scope's device while it is open are recorded as resident rounds.
 struct ResidentScope {
     /// Identity of the device that opened the scope (its address), so
-    /// launches on *other* devices keep launching normally.
+    /// launches on *other* devices keep their launch price.
     device: usize,
     /// Resident threads the entry launch kept alive; what each round's
     /// barrier crossing is priced for.
     participants: usize,
-    /// Pool workers executing rounds; 0 when rounds run inline.
-    workers: usize,
-    /// The device's configured chunk size, for round scheduling and the
-    /// deterministic cursor-claim accounting.
-    chunk_size: usize,
-    /// The pooled round-loop state; `None` runs rounds inline on the
-    /// calling thread (sequential backend or a single worker).
-    body: Option<Arc<ResidentBody>>,
 }
 
 thread_local! {
@@ -572,7 +526,8 @@ impl VirtualGpu {
     }
 
     /// Number of persistent worker threads this device has spawned: 0 before
-    /// the first pooled launch, the backend's worker count afterwards —
+    /// the first pooled launch, one less than the backend's worker count
+    /// afterwards (the launching thread is the launch's other thread) —
     /// never more, no matter how many launches run.
     pub fn worker_threads_spawned(&self) -> usize {
         self.pool.get().map(WorkerPool::workers).unwrap_or(0)
@@ -621,146 +576,56 @@ impl VirtualGpu {
 
     /// Opens a **persistent (megakernel) scope**: one resident launch named
     /// `name` enters the device and stays alive while `body` runs, and every
-    /// launch `body` issues *on this device from this thread* executes as a
-    /// device-resident round of that grid — synchronized by a software
-    /// global barrier ([`crate::GlobalBarrier`]) instead of returning to the
-    /// host — until the scope closes.
+    /// launch `body` issues *on this device from this thread* is priced as a
+    /// device-resident round of that grid until the scope closes.
     ///
     /// Cost-model view: entering charges one real launch of
     /// `min(domain, resident_capacity)` threads (the megakernel's single
     /// driver round-trip); each round then pays its work/atomic terms plus
     /// one [`PerfModel::global_barrier_cost_ns`] crossing *instead of*
     /// [`PerfModel::kernel_launch_overhead_ns`].  Rounds are accounted as
-    /// [`crate::KernelStats::resident_rounds`]/[`crate::KernelStats::barriers`]
-    /// under their own kernel names; fused tails
-    /// ([`VirtualGpu::launch_fused`]) still fuse (same round, no extra
-    /// barrier).
+    /// [`crate::KernelStats::resident_rounds`] under their own kernel names;
+    /// fused tails ([`VirtualGpu::launch_fused`]) still fuse (same round, no
+    /// extra barrier).
     ///
-    /// Execution view: with a pooled parallel backend the pool workers enter
-    /// a resident loop for the whole scope — the grid monopolizes the
-    /// device, like a real megakernel occupying every SM, so concurrent
-    /// launches from other threads on this device block until the scope
-    /// closes.  The sequential backend (and single-worker pools) runs
-    /// rounds inline, preserving deterministic thread order.
-    /// Either way the kernels and counters are identical to launch-per-round
-    /// execution; only launch overhead becomes barrier crossings.
+    /// Execution view: nothing changes.  Every round executes exactly like a
+    /// launch-per-round launch — inline below
+    /// [`ExecutorConfig::parallel_threshold`], otherwise on the device's
+    /// pool — so kernels, memory images and counters are identical in both
+    /// modes; only the price differs.
     ///
     /// # Panics
     /// Panics if a resident scope is already open on this thread.  A panic
-    /// inside `body` (host code or kernel) closes the scope cleanly: the
-    /// workers leave the resident loop and the pool survives.
+    /// inside `body` (host code or kernel) closes the scope cleanly.
     pub fn resident<R>(&self, name: &'static str, domain: usize, body: impl FnOnce() -> R) -> R {
-        // Check before touching the pool: a nested scope must fail fast, not
-        // deadlock on the launch gate the outer scope is holding.
-        RESIDENT.with(|slot| {
-            assert!(
-                slot.borrow().is_none(),
-                "nested VirtualGpu::resident scopes on one thread are not supported"
-            );
-        });
         let participants = domain.clamp(1, self.config.perf.resident_capacity());
-        let start = std::time::Instant::now();
-        let session = match self.config.backend {
-            Backend::Parallel { workers } if workers > 1 => {
-                Some(self.pool(workers).begin_resident())
-            }
-            _ => None,
-        };
-        // The megakernel's one driver round-trip: a real launch of the
-        // resident grid, with no work yet (the rounds report their own).
-        self.stats.lock().record(LaunchEvent {
-            name,
-            threads: participants,
-            work: 0,
-            atomics: 0,
-            hot_word_atomics: 0,
-            modelled_time_ns: self.config.perf.launch_cost_ns(participants, 0, 0),
-            wall_time_ns: start.elapsed().as_nanos() as f64,
-            fused: false,
-            resident: false,
-        });
         let _guard = ResidentScopeGuard::enter(ResidentScope {
             device: self as *const VirtualGpu as usize,
             participants,
-            workers: session.as_ref().map_or(0, |s| s.workers()),
-            chunk_size: self.config.executor.chunk_size,
-            body: session.as_ref().map(|s| s.body()),
         });
-        // Drop order on exit (including unwind): `_guard` first (clears the
-        // thread-local before any non-resident launch could reach the still
-        // gated pool), then `session` (exits the workers' resident loop and
-        // releases the device gate).
+        // The megakernel's one driver round-trip: a real launch of the
+        // resident grid, with no work yet (the rounds report their own).
+        let entry = LaunchRecord {
+            threads: participants,
+            work: 0,
+            max_thread_work: 0,
+            atomics: 0,
+            hot_word_atomics: 0,
+            modelled_time_ns: self.config.perf.launch_cost_ns(participants, 0, 0),
+            wall_time_ns: 0.0,
+        };
+        self.stats.lock().record(LaunchEvent { name, kind: LaunchKind::Launch, record: entry });
         body()
     }
 
-    /// Executes one launch as a round of the open resident scope, if the
-    /// calling thread has one on this device.
-    fn resident_round(
-        &self,
-        name: &'static str,
-        grid: usize,
-        kernel: &(dyn Fn(&ThreadCtx) + Sync),
-        fused: bool,
-    ) -> Option<LaunchRecord> {
-        let (participants, workers, chunk_size, round_body) = RESIDENT.with(|slot| {
+    /// The participant count of the resident scope the calling thread has
+    /// open on this device, if any.
+    fn resident_participants(&self) -> Option<usize> {
+        RESIDENT.with(|slot| {
             let slot = slot.borrow();
             let scope = slot.as_ref()?;
-            if scope.device != self as *const VirtualGpu as usize {
-                return None;
-            }
-            Some((scope.participants, scope.workers, scope.chunk_size, scope.body.clone()))
-        })?;
-        let start = std::time::Instant::now();
-        let totals = match &round_body {
-            Some(body) => body.round(grid, chunk_size, kernel),
-            None => run_range(0, grid, grid, kernel),
-        };
-        // Same deterministic chunk-cursor accounting as a pooled launch:
-        // resident workers claim grid chunks from a per-round cursor.
-        let cursor_claims = if round_body.is_some() && workers > 0 {
-            grid.div_ceil(crate::exec::effective_chunk(chunk_size, grid, workers)) as u64
-        } else {
-            0
-        };
-        let atomics = totals.atomics + cursor_claims;
-        let hot_word_atomics = totals.hot_word_atomics().max(cursor_claims);
-        let wall_time_ns = start.elapsed().as_nanos() as f64;
-        // A round pays everything a launch pays except the driver
-        // round-trip; a non-fused round then adds its barrier crossing.
-        // (A fused tail rides the *same* round as its host kernel, so it
-        // crosses no extra barrier — exactly as it pays no extra launch.)
-        let mut modelled_time_ns = (self.config.perf.launch_cost_with_atomics_ns(
-            grid,
-            totals.work,
-            totals.max_thread_work,
-            atomics,
-            hot_word_atomics,
-        ) - self.config.perf.kernel_launch_overhead_ns)
-            .max(0.0);
-        if !fused {
-            modelled_time_ns += self.config.perf.global_barrier_cost_ns(participants);
-        }
-        let record = LaunchRecord {
-            threads: grid,
-            work: totals.work,
-            max_thread_work: totals.max_thread_work,
-            atomics,
-            hot_word_atomics,
-            modelled_time_ns,
-            wall_time_ns,
-        };
-        self.stats.lock().record(LaunchEvent {
-            name,
-            threads: grid,
-            work: totals.work,
-            atomics,
-            hot_word_atomics,
-            modelled_time_ns,
-            wall_time_ns,
-            fused,
-            resident: !fused,
-        });
-        Some(record)
+            (scope.device == self as *const VirtualGpu as usize).then_some(scope.participants)
+        })
     }
 
     fn launch_inner(
@@ -770,9 +635,6 @@ impl VirtualGpu {
         kernel: &(dyn Fn(&ThreadCtx) + Sync),
         fused: bool,
     ) -> LaunchRecord {
-        if let Some(record) = self.resident_round(name, grid, kernel, fused) {
-            return record;
-        }
         let start = std::time::Instant::now();
         let executor = self.config.executor;
         let mut pooled_workers = 0;
@@ -804,17 +666,28 @@ impl VirtualGpu {
         // so it competes for "hottest word" only with its own claim count.
         let hot_word_atomics = totals.hot_word_atomics().max(cursor_claims);
         let wall_time_ns = start.elapsed().as_nanos() as f64;
-        let mut modelled_time_ns = self.config.perf.launch_cost_with_atomics_ns(
+        let perf = &self.config.perf;
+        let mut modelled_time_ns = perf.launch_cost_with_atomics_ns(
             grid,
             totals.work,
             totals.max_thread_work,
             atomics,
             hot_word_atomics,
         );
-        if fused {
-            // A fused tail rides the previous launch: no driver round-trip.
+        let (kind, barrier_ns) = match (fused, self.resident_participants()) {
+            // A fused tail rides the previous launch or round: no driver
+            // round-trip and no extra barrier.
+            (true, _) => (LaunchKind::FusedTail, 0.0),
+            // Inside a resident scope a launch is a round of the persistent
+            // grid: a barrier crossing replaces the driver round-trip.
+            (false, Some(participants)) => {
+                (LaunchKind::ResidentRound, perf.global_barrier_cost_ns(participants))
+            }
+            (false, None) => (LaunchKind::Launch, 0.0),
+        };
+        if kind != LaunchKind::Launch {
             modelled_time_ns =
-                (modelled_time_ns - self.config.perf.kernel_launch_overhead_ns).max(0.0);
+                (modelled_time_ns - perf.kernel_launch_overhead_ns).max(0.0) + barrier_ns;
         }
         let record = LaunchRecord {
             threads: grid,
@@ -825,17 +698,7 @@ impl VirtualGpu {
             modelled_time_ns,
             wall_time_ns,
         };
-        self.stats.lock().record(LaunchEvent {
-            name,
-            threads: grid,
-            work: totals.work,
-            atomics,
-            hot_word_atomics,
-            modelled_time_ns,
-            wall_time_ns,
-            fused,
-            resident: false,
-        });
+        self.stats.lock().record(LaunchEvent { name, kind, record });
         record
     }
 
@@ -953,7 +816,8 @@ mod tests {
         let out = DeviceBuffer::<u32>::new(grid, 0);
         gpu.launch("cover", grid, |ctx| out.set(ctx.global_id, 1));
         assert_eq!(out.to_vec().iter().map(|&v| v as usize).sum::<usize>(), grid);
-        assert_eq!(gpu.worker_threads_spawned(), 4);
+        // Four launch threads: the launcher and three pool workers.
+        assert_eq!(gpu.worker_threads_spawned(), 3);
     }
 
     #[test]
@@ -1119,28 +983,38 @@ mod tests {
             assert_eq!(s.launches_of("MEGA"), 1);
             assert_eq!(s.launches_of("STEP"), 0);
             assert_eq!(s.resident_rounds_of("STEP"), u64::from(rounds));
-            assert_eq!(s.kernels["STEP"].barriers, u64::from(rounds));
+            assert_eq!(s.total_barriers(), u64::from(rounds));
             assert_eq!(s.kernels["STEP"].total_work, u64::from(rounds) * grid as u64);
         }
     }
 
     #[test]
     fn resident_rounds_price_barriers_instead_of_launches() {
-        let gpu = VirtualGpu::sequential();
-        let grid = 1000;
-        let baseline = gpu.launch("lpr", grid, |ctx| ctx.add_work(1)).modelled_time_ns;
-        let mut round_cost = 0.0;
-        gpu.resident("scope", grid, || {
-            round_cost = gpu.launch("res", grid, |ctx| ctx.add_work(1)).modelled_time_ns;
-        });
-        let perf = gpu.config().perf;
-        let participants = grid.clamp(1, perf.resident_capacity());
-        let expected =
-            baseline - perf.kernel_launch_overhead_ns + perf.global_barrier_cost_ns(participants);
-        assert!((round_cost - expected).abs() < 1e-6, "{round_cost} vs {expected}");
-        // The entry launch is priced as a real launch of the resident grid.
-        let s = gpu.stats();
-        assert_eq!(s.kernels["scope"].modelled_time_ns, perf.launch_cost_ns(participants, 0, 0));
+        // A round executes where its launch-per-round twin does — inline
+        // below the threshold, on the pool above it — so its counters (the
+        // pool's chunk-cursor claims included) are the launch's, and only
+        // the overhead term is swapped for a barrier crossing.
+        let devices =
+            [(VirtualGpu::sequential(), 1000), (pooled(3, 16, 64), 8), (pooled(3, 16, 64), 10_000)];
+        for (gpu, grid) in devices {
+            let launch = gpu.launch("lpr", grid, |ctx| ctx.add_work(1));
+            let round =
+                gpu.resident("scope", grid, || gpu.launch("res", grid, |ctx| ctx.add_work(1)));
+            assert_eq!(
+                (round.work, round.atomics, round.hot_word_atomics),
+                (launch.work, launch.atomics, launch.hot_word_atomics),
+                "grid {grid}"
+            );
+            let perf = gpu.config().perf;
+            let participants = grid.clamp(1, perf.resident_capacity());
+            let expected = launch.modelled_time_ns - perf.kernel_launch_overhead_ns
+                + perf.global_barrier_cost_ns(participants);
+            let cost = round.modelled_time_ns;
+            assert!((cost - expected).abs() < 1e-6, "grid {grid}: {cost} vs {expected}");
+            // The entry launch is priced as a real launch of the resident grid.
+            let entry = gpu.stats().kernels["scope"].modelled_time_ns;
+            assert_eq!(entry, perf.launch_cost_ns(participants, 0, 0), "grid {grid}");
+        }
     }
 
     #[test]
@@ -1237,6 +1111,27 @@ mod tests {
         gpu.launch("after", 1000, |ctx| out.set(ctx.global_id, 1));
         assert_eq!(out.to_vec().iter().map(|&v| u64::from(v)).sum::<u64>(), 1000);
         assert_eq!(gpu.stats().launches_of("after"), 1);
+    }
+
+    #[test]
+    fn host_panic_inside_a_resident_scope_closes_it() {
+        // Host code failing between rounds unwinds through the scope: the
+        // thread-local slot is cleared, so later launches are priced as
+        // launches again and a new scope can open.
+        let gpu = pooled(2, 8, 64);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gpu.resident("scope", 64, || {
+                gpu.launch("round", 64, |_| {});
+                panic!("host-side failure");
+            })
+        }))
+        .unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"host-side failure"));
+        gpu.launch("after", 100, |_| {});
+        gpu.resident("again", 64, || gpu.launch("round", 64, |_| {}));
+        let s = gpu.stats();
+        assert_eq!(s.launches_of("after"), 1);
+        assert_eq!(s.resident_rounds_of("round"), 2);
     }
 
     #[test]

@@ -12,17 +12,26 @@
 //!   first launch large enough to go parallel) and parked on a [`Condvar`]
 //!   between launches.  Dropping the pool signals shutdown and joins every
 //!   worker.
+//! * **The launching thread works too.** A pooled launch on a device of
+//!   `workers` threads runs on the thread that called it plus `workers − 1`
+//!   pool threads.  The launcher posts the launch, wakes the pool and claims
+//!   chunks at once; a pool thread joins when it is scheduled and finds
+//!   chunks left, and one scheduled after the launcher closed the launch
+//!   skips it.  No launch therefore waits for a parked thread to be woken:
+//!   that wake-up costs tens of microseconds on an idle virtual CPU and
+//!   more while other processes hold the CPUs, and launch-heavy solves would
+//!   pay it hundreds of times, tying a solve's wall time to the host's load.
 //! * **Dynamic chunk scheduling.** Instead of statically splitting the grid
 //!   into one equal range per worker, workers claim fixed-size chunks of grid
 //!   indices from a shared atomic cursor.  Divergent kernels — the very
 //!   reason `G-PR-SHRKRNL` exists — no longer leave most workers idle behind
 //!   the one that drew the expensive range.
-//! * **Lock-free work accounting.** Each worker accumulates its work counters
-//!   locally and folds them into the launch's atomics once at the end; the
-//!   launch barrier is the only synchronization on the hot path.
+//! * **Lock-free work accounting.** Each thread of a launch accumulates its
+//!   work counters locally and folds them into the launch's totals once at
+//!   the end; the launch close is the only synchronization on the hot path.
 //! * **Panic containment.** A panicking kernel thread poisons the launch (the
-//!   other workers stop claiming chunks), and the payload is re-raised on the
-//!   launcher thread after the barrier.  The pool itself survives: the next
+//!   other threads stop claiming chunks), and the payload is re-raised on the
+//!   launcher thread after the launch closed.  The pool itself survives: the next
 //!   launch on the same device runs normally.
 //!
 //! ## Why there is `unsafe` here (and why it is sound)
@@ -33,15 +42,16 @@
 //! problem with `unsafe` internally; a persistent pool has no safe standard
 //! building block, so this module erases the kernel's lifetime behind a raw
 //! trait-object pointer ([`KernelPtr`]).  Soundness rests on the launch
-//! barrier: [`WorkerPool::run`] does not return until every worker has
-//! finished the epoch and the dispatch slot holding the pointer has been
-//! cleared, so no worker can observe the pointer after the borrow it was
-//! created from ends.  This is the only `unsafe` in the crate; everything
-//! else remains `#![deny(unsafe_code)]`-clean.
+//! close: a pool thread can take the pointer only from the dispatch slot,
+//! under its lock, and counts itself in `remaining` in the same critical
+//! section.  [`WorkerPool::run`] clears the slot under that lock once its
+//! own chunks are done and then waits for `remaining` to reach zero, so
+//! every thread that took the pointer has finished with it before `run`
+//! returns, and none can take it afterwards.  This is the only `unsafe` in
+//! the crate; everything else remains `#![deny(unsafe_code)]`-clean.
 
 #![allow(unsafe_code)]
 
-use crate::barrier::GlobalBarrier;
 use crate::engine::{LaunchTotals, ThreadCtx};
 use crate::primitives::QUEUE_BLOCK;
 use std::any::Any;
@@ -54,9 +64,8 @@ use std::thread::JoinHandle;
 ///
 /// Two constraints on top of the configured [`chunk_size`]:
 ///
-/// * every worker participating in the launch barrier should get a share of
-///   mid-sized grids, so the chunk is capped at `grid / workers` (rounded
-///   up);
+/// * every thread of the launch should be able to get a share of mid-sized
+///   grids, so the chunk is capped at `grid / workers` (rounded up);
 /// * chunks are aligned up to a multiple of [`QUEUE_BLOCK`] (one modelled
 ///   cache line) so a worker's chunk of grid indices and the queue-slot
 ///   blocks it claims tile the same granularity — in the cost model, an
@@ -89,10 +98,10 @@ struct KernelPtr(*const (dyn Fn(&ThreadCtx) + Sync));
 impl KernelPtr {
     /// Erases the borrow's lifetime.  Callers must guarantee the pointer is
     /// never dereferenced after the borrow ends; `WorkerPool::run` does so
-    /// with its end-of-launch barrier.
+    /// by closing the launch before it returns.
     fn erase(kernel: &(dyn Fn(&ThreadCtx) + Sync)) -> Self {
         // SAFETY: a reference-to-reference transmute that only widens the
-        // lifetime; layout is identical, and the barrier argument above
+        // lifetime; layout is identical, and the launch-close argument above
         // bounds every actual use to the original lifetime.
         let kernel: &'static (dyn Fn(&ThreadCtx) + Sync) = unsafe { std::mem::transmute(kernel) };
         Self(kernel)
@@ -100,7 +109,7 @@ impl KernelPtr {
 }
 
 // SAFETY: the pointee is `Sync` (shared calls from many threads are allowed),
-// and the launch barrier in `WorkerPool::run` guarantees the pointer is never
+// and the launch close in `WorkerPool::run` guarantees the pointer is never
 // dereferenced outside the lifetime of the borrow it was created from.
 unsafe impl Send for KernelPtr {}
 // SAFETY: as above; `&KernelPtr` only ever exposes the `Sync` pointee.
@@ -115,11 +124,11 @@ struct LaunchBody {
     chunk: usize,
     /// Next unclaimed grid index.
     cursor: AtomicUsize,
-    /// Work and atomic counters, folded in once per worker at launch end.
+    /// Work and atomic counters, folded in once per thread at launch end.
     totals: Mutex<LaunchTotals>,
     /// Set by the first panicking worker; stops further chunk claims.
     poisoned: AtomicBool,
-    /// The first panic payload, re-raised on the launcher after the barrier.
+    /// The first panic payload, re-raised on the launcher after the close.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
@@ -130,25 +139,14 @@ struct Job {
     body: Arc<LaunchBody>,
 }
 
-/// What one dispatch epoch asks the workers to do.
-#[derive(Clone)]
-enum Work {
-    /// One ordinary launch: claim chunks, aggregate, hit the end barrier.
-    Launch(Job),
-    /// Enter a resident (persistent) loop: stay in
-    /// [`resident_worker_loop`] executing barrier-separated rounds until
-    /// the session signals exit.  One dispatch epoch covers the whole
-    /// persistent launch, however many rounds it runs.
-    Resident(Arc<ResidentBody>),
-}
-
 /// Dispatch slot the workers wait on.
 struct Dispatch {
-    /// Bumped once per launch; workers run each epoch exactly once.
+    /// Bumped once per launch; a worker looks at each epoch at most once.
     epoch: u64,
-    /// The current launch, present while `remaining > 0`.
-    job: Option<Work>,
-    /// Workers that have not yet finished the current epoch.
+    /// The current launch, present from its post until the launcher closes
+    /// it.
+    job: Option<Job>,
+    /// Workers that took the current launch and have not finished it.
     remaining: usize,
     /// Set by `Drop`; workers exit instead of waiting for the next epoch.
     shutdown: bool,
@@ -158,7 +156,7 @@ struct PoolShared {
     dispatch: Mutex<Dispatch>,
     /// Signalled when a new epoch is posted (or shutdown begins).
     go: Condvar,
-    /// Signalled by the last worker to finish an epoch.
+    /// Signalled by the last worker to finish a closed launch.
     done: Condvar,
 }
 
@@ -169,23 +167,26 @@ pub(crate) struct WorkerPool {
     /// Serializes launches on one device, like CUDA's default stream.
     gate: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
-    workers: usize,
+    /// Host threads a launch runs on: the launcher and the pool's threads.
+    threads: usize,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` host threads, parked until the first launch.
+    /// Sets up launches on `threads` host threads: spawns `threads − 1`
+    /// workers, parked until the first launch, to run beside the launching
+    /// thread.
     ///
     /// `tag` is baked into the host thread names so pools belonging to
     /// different owners (e.g. service shards) are distinguishable in thread
     /// dumps.  Tag 0 keeps the historical `gpm-gpu-worker-<i>` names.
-    pub(crate) fn spawn_tagged(workers: usize, tag: usize) -> Self {
-        debug_assert!(workers >= 1, "a pool needs at least one worker");
+    pub(crate) fn spawn_tagged(threads: usize, tag: usize) -> Self {
+        debug_assert!(threads >= 1, "a launch needs at least one thread");
         let shared = Arc::new(PoolShared {
             dispatch: Mutex::new(Dispatch { epoch: 0, job: None, remaining: 0, shutdown: false }),
             go: Condvar::new(),
             done: Condvar::new(),
         });
-        let handles = (0..workers)
+        let handles = (0..threads.saturating_sub(1))
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 let name = if tag == 0 {
@@ -199,20 +200,20 @@ impl WorkerPool {
                     .expect("spawn virtual GPU worker")
             })
             .collect();
-        Self { shared, gate: Mutex::new(()), handles, workers }
+        Self { shared, gate: Mutex::new(()), handles, threads: threads.max(1) }
     }
 
-    /// Number of host threads this pool owns.
+    /// Number of host threads this pool owns (the launcher is not one).
     pub(crate) fn workers(&self) -> usize {
-        self.workers
+        self.handles.len()
     }
 
-    /// Runs one launch over the pool and blocks until every worker reached
-    /// the end-of-launch barrier (the implicit device-wide barrier of a CUDA
-    /// launch).  Returns the launch's aggregated [`LaunchTotals`].
+    /// Runs one launch on the calling thread and the pool and blocks until
+    /// every thread of it has finished (the implicit device-wide barrier of
+    /// a CUDA launch).  Returns the launch's aggregated [`LaunchTotals`].
     ///
     /// Re-raises the payload of the first panicking kernel thread, after the
-    /// barrier, leaving the pool intact for the next launch.
+    /// launch closed, leaving the pool intact for the next launch.
     pub(crate) fn run(
         &self,
         grid: usize,
@@ -220,11 +221,10 @@ impl WorkerPool {
         kernel: &(dyn Fn(&ThreadCtx) + Sync),
     ) -> LaunchTotals {
         let _gate = lock(&self.gate);
-        // Every worker participates in the barrier (that is what makes the
-        // erased kernel pointer sound); `effective_chunk` hands each woken
-        // worker a share of mid-sized grids and keeps chunks aligned to the
+        // `effective_chunk` leaves a share of mid-sized grids for every
+        // thread that arrives in time and keeps chunks aligned to the
         // modelled cache line.
-        let chunk = effective_chunk(chunk, grid, self.workers);
+        let chunk = effective_chunk(chunk, grid, self.threads);
         let body = Arc::new(LaunchBody {
             grid,
             chunk,
@@ -233,53 +233,23 @@ impl WorkerPool {
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
         });
-        self.dispatch_epoch(Work::Launch(Job {
-            kernel: KernelPtr::erase(kernel),
-            body: Arc::clone(&body),
-        }));
-        self.await_epoch();
-        body.reap()
-    }
-
-    /// Starts a **resident launch**: every worker enters a persistent loop
-    /// executing barrier-separated rounds ([`ResidentBody::round`]) instead
-    /// of returning to the dispatch slot after one kernel.  The launch gate
-    /// is held for the whole session — the resident grid monopolizes the
-    /// device, exactly like a real megakernel occupying every SM — and is
-    /// released when the returned session drops, which also exits the
-    /// workers' loops and completes the dispatch epoch.
-    pub(crate) fn begin_resident(&self) -> ResidentSession<'_> {
-        let gate = lock(&self.gate);
-        let body = Arc::new(ResidentBody {
-            barrier: GlobalBarrier::new(self.workers),
-            exit: AtomicBool::new(false),
-            round: Mutex::new(None),
-        });
-        self.dispatch_epoch(Work::Resident(Arc::clone(&body)));
-        ResidentSession { pool: self, body, _gate: gate }
-    }
-
-    /// Posts one dispatch epoch and wakes the workers.
-    fn dispatch_epoch(&self, work: Work) {
+        let job = Job { kernel: KernelPtr::erase(kernel), body: Arc::clone(&body) };
         let mut dispatch = lock(&self.shared.dispatch);
-        dispatch.job = Some(work);
+        dispatch.job = Some(job.clone());
         dispatch.epoch += 1;
-        dispatch.remaining = self.workers;
         drop(dispatch);
         self.shared.go.notify_all();
-    }
-
-    /// Blocks until every worker has finished the current epoch, then clears
-    /// the dispatch slot (for [`Work::Launch`], this is what lets the erased
-    /// kernel borrow end safely).
-    fn await_epoch(&self) {
+        run_chunks(&job);
+        // Close the launch: with the erased pointer gone from the slot no
+        // worker can take it, and once the workers that did have finished,
+        // the kernel borrow may safely end.
         let mut dispatch = lock(&self.shared.dispatch);
+        dispatch.job = None;
         while dispatch.remaining > 0 {
             dispatch = self.shared.done.wait(dispatch).unwrap_or_else(PoisonError::into_inner);
         }
-        // Clear the erased pointer before returning: after this, no
-        // worker can reach it, so the kernel borrow may safely end.
-        dispatch.job = None;
+        drop(dispatch);
+        body.reap()
     }
 }
 
@@ -293,116 +263,6 @@ impl LaunchBody {
             resume_unwind(payload);
         }
         std::mem::take(&mut *lock(&self.totals))
-    }
-}
-
-/// Shared state of one resident (persistent) launch: the software global
-/// barrier the rounds synchronize through and the per-round job slot the
-/// leader re-arms between crossings.
-///
-/// The leader is the *launcher* thread (it never claims chunks itself —
-/// it plays the role CUDA's host code would play if it could talk to a
-/// running grid): per round it arms the job slot, crosses the barrier
-/// twice ([`GlobalBarrier::release`] to open the round,
-/// [`GlobalBarrier::await_full`] to close it), and harvests the totals.
-/// Workers only ever [`GlobalBarrier::wait_past`], execute, and
-/// [`GlobalBarrier::arrive`].
-pub(crate) struct ResidentBody {
-    barrier: GlobalBarrier,
-    /// Set by the session's `Drop`; workers exit the loop at the next
-    /// release instead of running another round.
-    exit: AtomicBool,
-    /// The current round's launch, present between `release` and the
-    /// post-`await_full` clear.
-    round: Mutex<Option<Job>>,
-}
-
-impl ResidentBody {
-    /// Runs one device-resident round over the persistent workers and
-    /// blocks until every worker has crossed the end-of-round barrier.
-    /// Returns the round's aggregated totals; re-raises the payload of the
-    /// first panicking worker (after the crossing, so the loop stays
-    /// deadlock-free and the pool survives).
-    pub(crate) fn round(
-        &self,
-        grid: usize,
-        chunk: usize,
-        kernel: &(dyn Fn(&ThreadCtx) + Sync),
-    ) -> LaunchTotals {
-        let chunk = effective_chunk(chunk, grid, self.barrier.participants());
-        let body = Arc::new(LaunchBody {
-            grid,
-            chunk,
-            cursor: AtomicUsize::new(0),
-            totals: Mutex::new(LaunchTotals::default()),
-            poisoned: AtomicBool::new(false),
-            panic: Mutex::new(None),
-        });
-        *lock(&self.round) =
-            Some(Job { kernel: KernelPtr::erase(kernel), body: Arc::clone(&body) });
-        self.barrier.release();
-        let full = self.barrier.await_full();
-        assert!(full, "resident barrier poisoned mid-round");
-        self.barrier.depart_all();
-        // Every worker has arrived, i.e. finished executing; clearing the
-        // slot ends the erased pointer's reachable life, so the kernel
-        // borrow may safely end when this returns (same argument as
-        // `WorkerPool::run`).
-        *lock(&self.round) = None;
-        body.reap()
-    }
-}
-
-/// RAII handle of one resident launch on a [`WorkerPool`].  Rounds run via
-/// [`ResidentBody::round`]; dropping the session exits the workers' loops
-/// (even during unwind, so a panicking round cannot wedge the pool) and
-/// releases the device's launch gate.
-pub(crate) struct ResidentSession<'pool> {
-    pool: &'pool WorkerPool,
-    body: Arc<ResidentBody>,
-    _gate: MutexGuard<'pool, ()>,
-}
-
-impl ResidentSession<'_> {
-    /// The shared round-loop state, for the engine's ambient resident scope.
-    pub(crate) fn body(&self) -> Arc<ResidentBody> {
-        Arc::clone(&self.body)
-    }
-
-    /// Number of pool workers participating in each round.
-    pub(crate) fn workers(&self) -> usize {
-        self.body.barrier.participants()
-    }
-}
-
-impl Drop for ResidentSession<'_> {
-    fn drop(&mut self) {
-        self.body.exit.store(true, Ordering::Release);
-        // Wake the workers parked at the round barrier; they observe `exit`
-        // and leave the resident loop, finishing the dispatch epoch.
-        self.body.barrier.release();
-        self.pool.await_epoch();
-    }
-}
-
-/// The worker half of the resident protocol: wait for the leader to open
-/// round `epoch`, run it, arrive, repeat — until the session exits.  Panics
-/// inside a round are contained by [`run_chunks`] (the worker still
-/// arrives), so a failing kernel surfaces on the launcher without ever
-/// leaving the barrier short of participants.
-fn resident_worker_loop(body: &ResidentBody) {
-    let mut epoch = 0u64;
-    loop {
-        if !body.barrier.wait_past(epoch) {
-            return; // poisoned: bail rather than spin forever
-        }
-        epoch += 1;
-        if body.exit.load(Ordering::Acquire) {
-            return;
-        }
-        let job = lock(&body.round).clone().expect("a released round carries a job");
-        run_chunks(&job);
-        body.barrier.arrive();
     }
 }
 
@@ -424,7 +284,7 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &PoolShared) {
     let mut seen_epoch = 0u64;
     loop {
-        let work = {
+        let job = {
             let mut dispatch = lock(&shared.dispatch);
             loop {
                 if dispatch.shutdown {
@@ -432,18 +292,20 @@ fn worker_loop(shared: &PoolShared) {
                 }
                 if dispatch.epoch != seen_epoch {
                     seen_epoch = dispatch.epoch;
-                    break dispatch.job.clone().expect("a dispatched epoch carries a job");
+                    // A launch already closed has no chunks left: skip it.
+                    if let Some(job) = dispatch.job.clone() {
+                        dispatch.remaining += 1;
+                        break job;
+                    }
                 }
                 dispatch = shared.go.wait(dispatch).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        match work {
-            Work::Launch(job) => run_chunks(&job),
-            Work::Resident(body) => resident_worker_loop(&body),
-        }
+        run_chunks(&job);
         let mut dispatch = lock(&shared.dispatch);
         dispatch.remaining -= 1;
-        if dispatch.remaining == 0 {
+        // Only a closed launch has a launcher waiting for the count.
+        if dispatch.remaining == 0 && dispatch.job.is_none() {
             shared.done.notify_all();
         }
     }
@@ -453,9 +315,11 @@ fn worker_loop(shared: &PoolShared) {
 /// launch was poisoned by a panic elsewhere), accumulating work counters
 /// locally and folding them into the launch atomics once.
 fn run_chunks(job: &Job) {
-    // SAFETY: `WorkerPool::run` blocks until this worker has decremented
-    // `remaining`, which happens only after this function returns, so the
-    // kernel borrow behind the erased pointer is live for the whole call.
+    // SAFETY: on the launcher the borrow is its own and live; a worker took
+    // the job under the dispatch lock and counted itself in `remaining`,
+    // which it decrements only after this function returns, and
+    // `WorkerPool::run` waits for that count before returning, so the kernel
+    // borrow behind the erased pointer is live for the whole call.
     let kernel = unsafe { &*job.kernel.0 };
     let body = &*job.body;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -571,15 +435,44 @@ mod tests {
 
     #[test]
     fn tagged_pool_names_threads_after_the_tag() {
-        let pool = WorkerPool::spawn_tagged(2, 7);
-        let seen = Mutex::new(Vec::new());
-        let kernel = |_ctx: &ThreadCtx| {
-            let name = std::thread::current().name().unwrap_or("").to_string();
-            lock(&seen).push(name);
+        // Three launch threads: the launcher and two named pool threads.
+        let pool = WorkerPool::spawn_tagged(3, 7);
+        let names: Vec<_> =
+            pool.handles.iter().map(|h| h.thread().name().unwrap_or("").to_string()).collect();
+        assert_eq!(names, ["gpm-gpu-t7-worker-0", "gpm-gpu-t7-worker-1"]);
+    }
+
+    #[test]
+    fn the_launcher_runs_the_launch_when_no_worker_joins() {
+        // A one-thread pool owns no worker, so only the launcher can claim
+        // chunks; the launch must still cover its grid.
+        let pool = WorkerPool::spawn_tagged(1, 0);
+        assert_eq!(pool.workers(), 0);
+        let me = std::thread::current().id();
+        let out = DeviceBuffer::<u32>::new(1000, 0);
+        let kernel = |ctx: &ThreadCtx| {
+            assert_eq!(std::thread::current().id(), me);
+            out.set(ctx.global_id, 1);
         };
-        pool.run(2, 1, &kernel);
-        for name in lock(&seen).iter() {
-            assert!(name.starts_with("gpm-gpu-t7-worker-"), "unexpected thread name {name}");
+        let totals = pool.run(1000, 8, &kernel);
+        assert_eq!(out.to_vec().iter().map(|&v| u64::from(v)).sum::<u64>(), 1000);
+        assert_eq!(totals.work, 0);
+    }
+
+    #[test]
+    fn back_to_back_launches_survive_late_workers() {
+        // Launches small enough to finish before a woken worker is
+        // scheduled: workers join some, find others closed and skip them,
+        // and every launch still covers its grid exactly once.
+        let pool = WorkerPool::spawn_tagged(4, 0);
+        let out = DeviceBuffer::<u32>::new(64, 0);
+        for launch in 1..=2000u32 {
+            let kernel = |ctx: &ThreadCtx| {
+                out.set(ctx.global_id, out.get(ctx.global_id) + 1);
+                ctx.add_work(1);
+            };
+            assert_eq!(pool.run(64, 8, &kernel).work, 64, "launch {launch}");
+            assert!(out.to_vec().iter().all(|&v| v == launch), "launch {launch}");
         }
     }
 
@@ -590,90 +483,5 @@ mod tests {
         let totals = pool.run(0, 8, &kernel);
         assert_eq!(totals.work, 0);
         assert_eq!(totals.atomics, 0);
-    }
-
-    #[test]
-    fn resident_rounds_cover_the_grid_and_aggregate_totals() {
-        let pool = WorkerPool::spawn_tagged(3, 0);
-        let grid = 10_007;
-        let out = DeviceBuffer::<u32>::new(grid, 0);
-        {
-            let session = pool.begin_resident();
-            for round in 1..=5u32 {
-                let kernel =
-                    |ctx: &ThreadCtx| out.set(ctx.global_id, out.get(ctx.global_id) + round);
-                let totals = session.body().round(grid, 64, &kernel);
-                assert_eq!(totals.atomics, 0);
-            }
-            let counting = |ctx: &ThreadCtx| ctx.add_work(ctx.global_id as u64);
-            let totals = session.body().round(1000, 16, &counting);
-            assert_eq!(totals.work, (0..1000u64).sum());
-            assert_eq!(totals.max_thread_work, 999);
-        }
-        assert!(out.to_vec().iter().all(|&v| v == 1 + 2 + 3 + 4 + 5));
-        // The session released the gate and completed the epoch: ordinary
-        // launches work again afterwards.
-        out.fill(0);
-        pool.run(grid, 64, &|ctx: &ThreadCtx| out.set(ctx.global_id, 1));
-        assert!(out.to_vec().iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn one_resident_session_is_one_dispatch_epoch() {
-        // However many rounds run, the pool dispatches exactly once — the
-        // point of persistent execution.
-        let pool = WorkerPool::spawn_tagged(2, 0);
-        let epoch_before = lock(&pool.shared.dispatch).epoch;
-        {
-            let session = pool.begin_resident();
-            for _ in 0..100 {
-                session.body().round(64, 8, &|_ctx: &ThreadCtx| {});
-            }
-        }
-        let epoch_after = lock(&pool.shared.dispatch).epoch;
-        assert_eq!(epoch_after, epoch_before + 1);
-    }
-
-    #[test]
-    fn panic_in_a_resident_round_does_not_deadlock_the_pool() {
-        let pool = WorkerPool::spawn_tagged(3, 0);
-        {
-            let session = pool.begin_resident();
-            session.body().round(500, 8, &|_ctx: &ThreadCtx| {});
-            let boom = |ctx: &ThreadCtx| {
-                if ctx.global_id == 123 {
-                    panic!("resident boom");
-                }
-            };
-            let err = catch_unwind(AssertUnwindSafe(|| session.body().round(1000, 8, &boom)))
-                .unwrap_err();
-            assert_eq!(err.downcast_ref::<&str>(), Some(&"resident boom"));
-            // The same session still runs later rounds: the barrier crossed
-            // despite the panic, and only the round body was poisoned.
-            let out = DeviceBuffer::<u32>::new(256, 0);
-            session.body().round(256, 8, &|ctx: &ThreadCtx| out.set(ctx.global_id, 1));
-            assert_eq!(out.to_vec().iter().map(|&v| u64::from(v)).sum::<u64>(), 256);
-        }
-        // And the pool itself survives the session.
-        let out = DeviceBuffer::<u32>::new(500, 0);
-        pool.run(500, 8, &|ctx: &ThreadCtx| out.set(ctx.global_id, 1));
-        assert_eq!(out.to_vec().iter().map(|&v| u64::from(v)).sum::<u64>(), 500);
-    }
-
-    #[test]
-    fn dropping_a_session_mid_unwind_cleans_up() {
-        // Simulates an engine panicking on host code between rounds: the
-        // session drops during unwind and the workers exit cleanly.
-        let pool = WorkerPool::spawn_tagged(2, 0);
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            let session = pool.begin_resident();
-            session.body().round(64, 8, &|_ctx: &ThreadCtx| {});
-            panic!("host-side failure");
-        }))
-        .unwrap_err();
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"host-side failure"));
-        let out = DeviceBuffer::<u32>::new(100, 0);
-        pool.run(100, 8, &|ctx: &ThreadCtx| out.set(ctx.global_id, 1));
-        assert_eq!(out.to_vec().iter().map(|&v| u64::from(v)).sum::<u64>(), 100);
     }
 }

@@ -12,10 +12,12 @@
 //!    default stream.  With a parallel [`Backend`] the threads run on a
 //!    **worker pool spawned at most once per device** (the internal `exec`
 //!    module): workers
-//!    park on a condition variable between launches and claim fixed-size
-//!    grid chunks from a shared atomic cursor, so divergent kernels load-
-//!    balance dynamically and the per-launch host cost is a pointer handoff,
-//!    not a `thread::spawn`/`join` round trip.  (The sequential backend runs
+//!    park on a condition variable between launches, and the launching
+//!    thread and every worker that wakes in time claim fixed-size grid
+//!    chunks from a shared atomic cursor, so divergent kernels load-balance
+//!    dynamically, the per-launch host cost is a pointer handoff, not a
+//!    `thread::spawn`/`join` round trip, and no launch waits for a parked
+//!    worker to be scheduled.  (The sequential backend runs
 //!    every thread inline in id order, for deterministic interleavings.)  A
 //!    kernel panic fails its launch but leaves the pool intact; dropping the
 //!    device joins every worker.
@@ -58,21 +60,22 @@
 //! lives in [`ExecutorConfig`] and is plumbed upward through `gpm-core`'s
 //! `Solver::builder()` and `gpm-service`'s `Service::builder()`.
 //!
-//! Finally, the device supports **persistent (megakernel) execution**:
-//! [`VirtualGpu::resident`] keeps one launch alive for a whole solve and
-//! turns the launches issued inside it into device-resident rounds
-//! synchronized by a sense-reversing software global barrier
-//! ([`barrier::GlobalBarrier`]), so launch-bound round loops pay
+//! Finally, the device can **price persistent (megakernel) execution**:
+//! inside a [`VirtualGpu::resident`] scope, launches execute exactly as
+//! they always do but are recorded as device-resident rounds of one entry
+//! launch, so launch-bound round loops pay
 //! [`PerfModel::global_barrier_cost_ns`] per round instead of
-//! [`PerfModel::kernel_launch_overhead_ns`].  Engines select this with
-//! [`ExecMode`], threaded end-to-end like [`WorklistMode`].
+//! [`PerfModel::kernel_launch_overhead_ns`].  The barrier exists only in
+//! the model; there is one executor.  Engines select this pricing with
+//! [`ExecMode`], threaded end-to-end like [`WorklistMode`].  Every launch,
+//! fused tail and resident round is recorded through one
+//! [`DeviceStats::record`], tagged with its [`LaunchKind`].
 
 #![deny(unsafe_code)]
 // re-allowed only in `exec` for the lifetime erasure the
 // persistent pool needs; see that module's soundness argument.
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod buffer;
 pub mod engine;
 pub(crate) mod exec;
@@ -83,7 +86,6 @@ pub mod stats;
 pub mod stop;
 pub mod worklist;
 
-pub use barrier::{BarrierRole, GlobalBarrier};
 pub use buffer::{DeviceBuffer, DeviceScalar};
 pub use engine::{
     Backend, ExecMode, ExecutorConfig, GpuConfig, LaunchRecord, ParseExecModeError, ThreadCtx,
@@ -91,7 +93,7 @@ pub use engine::{
 };
 pub use perfmodel::PerfModel;
 pub use scratch::{ScratchArena, ScratchBuffer, ScratchStats};
-pub use stats::{DeviceStats, KernelStats};
+pub use stats::{DeviceStats, KernelStats, LaunchKind};
 pub use stop::StopCheck;
 pub use worklist::{
     ActiveView, DomainMarker, FrontierView, ParseWorklistModeError, SlotAction, Worklist,

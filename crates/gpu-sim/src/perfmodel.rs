@@ -120,14 +120,17 @@ impl PerfModel {
     /// Largest grid a persistent (megakernel) launch keeps resident on the
     /// device: Fermi sustains up to 48 warps per SM, and a persistent grid
     /// must not exceed what can be co-resident, because blocks beyond that
-    /// would never be scheduled and the software barrier would deadlock on a
-    /// real GPU.  `VirtualGpu::resident` clamps its participant count here.
+    /// would never be scheduled and a software global barrier would
+    /// deadlock on a real GPU.  `VirtualGpu::resident` clamps its
+    /// participant count here.
     pub fn resident_capacity(&self) -> usize {
         (self.num_sms * self.warp_size * 48).max(1)
     }
 
     /// Modelled cost (ns) of one software global-barrier crossing by
-    /// `threads` resident threads ([`crate::GlobalBarrier`]).
+    /// `threads` resident threads — the centralized arrival-counter barrier
+    /// a persistent CUDA kernel synchronizes its rounds with.  The virtual
+    /// GPU only prices this barrier; it executes every round as a launch.
     ///
     /// Per crossing, each warp's leader lane performs one RMW on the shared
     /// arrival word — all on the *same* word, so every one of them pays both

@@ -1,7 +1,23 @@
 //! Execution statistics collected by the virtual GPU.
 
+use crate::engine::LaunchRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// How one recorded launch counts in the per-kernel statistics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LaunchKind {
+    /// An ordinary kernel launch: counted in [`KernelStats::launches`].
+    Launch,
+    /// Work fused into the tail of the preceding launch (the CUDA
+    /// last-block-done idiom): counted in [`KernelStats::fused_tails`], not
+    /// as a launch.
+    FusedTail,
+    /// A launch issued inside a persistent scope (`VirtualGpu::resident`)
+    /// and priced as one of its rounds: counted in
+    /// [`KernelStats::resident_rounds`], not as a launch.
+    ResidentRound,
+}
 
 /// Per-kernel aggregate statistics.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -13,14 +29,11 @@ pub struct KernelStats {
     /// last-block-done idiom) and therefore pays no launch overhead and does
     /// not count as a launch.
     pub fused_tails: u64,
-    /// Number of device-resident rounds charged to this kernel: round work
-    /// executed inside a persistent launch (`VirtualGpu::resident`), which
-    /// pays a software-barrier crossing instead of a launch and does not
-    /// count as a launch.
+    /// Number of device-resident rounds charged to this kernel: launches
+    /// issued inside a persistent scope (`VirtualGpu::resident`), each priced
+    /// as one global-barrier crossing instead of a launch and not counted as
+    /// a launch.
     pub resident_rounds: u64,
-    /// Number of software global-barrier crossings charged to this kernel
-    /// (one per resident round).
-    pub barriers: u64,
     /// Total threads across all launches.
     pub total_threads: u64,
     /// Total work items (memory transactions) reported by kernel threads.
@@ -47,81 +60,21 @@ pub struct DeviceStats {
 }
 
 impl DeviceStats {
-    /// Records one launch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        kernel: &str,
-        threads: usize,
-        work: u64,
-        atomics: u64,
-        hot_word_atomics: u64,
-        modelled_time_ns: f64,
-        wall_time_ns: f64,
-    ) {
+    /// Records one launch of `kernel`, counted as `kind`.
+    pub fn record(&mut self, kernel: &str, kind: LaunchKind, launch: &LaunchRecord) {
         let entry = self.kernels.entry(kernel.to_string()).or_default();
-        entry.launches += 1;
-        entry.total_threads += threads as u64;
-        entry.total_work += work;
-        entry.total_atomics += atomics;
-        entry.hot_word_atomics += hot_word_atomics;
-        entry.modelled_time_ns += modelled_time_ns;
-        entry.wall_time_ns += wall_time_ns;
-        entry.max_grid = entry.max_grid.max(threads as u64);
-    }
-
-    /// Records one fused tail pass: accumulates threads/work/atomics/times
-    /// like [`DeviceStats::record`] but bumps `fused_tails` instead of
-    /// `launches` — the pass rode an existing launch, so it must not inflate
-    /// launch counts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_fused(
-        &mut self,
-        kernel: &str,
-        threads: usize,
-        work: u64,
-        atomics: u64,
-        hot_word_atomics: u64,
-        modelled_time_ns: f64,
-        wall_time_ns: f64,
-    ) {
-        let entry = self.kernels.entry(kernel.to_string()).or_default();
-        entry.fused_tails += 1;
-        entry.total_threads += threads as u64;
-        entry.total_work += work;
-        entry.total_atomics += atomics;
-        entry.hot_word_atomics += hot_word_atomics;
-        entry.modelled_time_ns += modelled_time_ns;
-        entry.wall_time_ns += wall_time_ns;
-        entry.max_grid = entry.max_grid.max(threads as u64);
-    }
-
-    /// Records one device-resident round: accumulates
-    /// threads/work/atomics/times like [`DeviceStats::record`] but bumps
-    /// `resident_rounds` and `barriers` instead of `launches` — the round
-    /// ran inside a persistent launch and crossed the software global
-    /// barrier instead of paying a driver round-trip.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_resident(
-        &mut self,
-        kernel: &str,
-        threads: usize,
-        work: u64,
-        atomics: u64,
-        hot_word_atomics: u64,
-        modelled_time_ns: f64,
-        wall_time_ns: f64,
-    ) {
-        let entry = self.kernels.entry(kernel.to_string()).or_default();
-        entry.resident_rounds += 1;
-        entry.barriers += 1;
-        entry.total_threads += threads as u64;
-        entry.total_work += work;
-        entry.total_atomics += atomics;
-        entry.hot_word_atomics += hot_word_atomics;
-        entry.modelled_time_ns += modelled_time_ns;
-        entry.wall_time_ns += wall_time_ns;
-        entry.max_grid = entry.max_grid.max(threads as u64);
+        match kind {
+            LaunchKind::Launch => entry.launches += 1,
+            LaunchKind::FusedTail => entry.fused_tails += 1,
+            LaunchKind::ResidentRound => entry.resident_rounds += 1,
+        }
+        entry.total_threads += launch.threads as u64;
+        entry.total_work += launch.work;
+        entry.total_atomics += launch.atomics;
+        entry.hot_word_atomics += launch.hot_word_atomics;
+        entry.modelled_time_ns += launch.modelled_time_ns;
+        entry.wall_time_ns += launch.wall_time_ns;
+        entry.max_grid = entry.max_grid.max(launch.threads as u64);
     }
 
     /// Total number of kernel launches.
@@ -170,9 +123,10 @@ impl DeviceStats {
         self.kernels.values().map(|k| k.resident_rounds).sum()
     }
 
-    /// Total software global-barrier crossings across all kernels.
+    /// Total modelled global-barrier crossings across all kernels: one per
+    /// resident round, so this equals [`DeviceStats::total_resident_rounds`].
     pub fn total_barriers(&self) -> u64 {
-        self.kernels.values().map(|k| k.barriers).sum()
+        self.total_resident_rounds()
     }
 
     /// Merges another statistics block into this one.
@@ -182,7 +136,6 @@ impl DeviceStats {
             entry.launches += k.launches;
             entry.fused_tails += k.fused_tails;
             entry.resident_rounds += k.resident_rounds;
-            entry.barriers += k.barriers;
             entry.total_threads += k.total_threads;
             entry.total_work += k.total_work;
             entry.total_atomics += k.total_atomics;
@@ -197,13 +150,35 @@ impl DeviceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use LaunchKind::{FusedTail, Launch, ResidentRound};
+
+    /// A launch record with the given counters (`max_thread_work` is not
+    /// aggregated, so it stays 0).
+    fn rec(
+        threads: usize,
+        work: u64,
+        atomics: u64,
+        hot: u64,
+        model: f64,
+        wall: f64,
+    ) -> LaunchRecord {
+        LaunchRecord {
+            threads,
+            work,
+            max_thread_work: 0,
+            atomics,
+            hot_word_atomics: hot,
+            modelled_time_ns: model,
+            wall_time_ns: wall,
+        }
+    }
 
     #[test]
     fn record_accumulates_per_kernel() {
         let mut s = DeviceStats::default();
-        s.record("push", 100, 500, 40, 10, 1000.0, 2000.0);
-        s.record("push", 50, 100, 10, 5, 500.0, 700.0);
-        s.record("relabel", 10, 10, 0, 0, 10.0, 20.0);
+        s.record("push", Launch, &rec(100, 500, 40, 10, 1000.0, 2000.0));
+        s.record("push", Launch, &rec(50, 100, 10, 5, 500.0, 700.0));
+        s.record("relabel", Launch, &rec(10, 10, 0, 0, 10.0, 20.0));
         assert_eq!(s.total_launches(), 3);
         assert_eq!(s.launches_of("push"), 2);
         assert_eq!(s.launches_of("relabel"), 1);
@@ -224,8 +199,8 @@ mod tests {
     #[test]
     fn fused_tails_accumulate_without_counting_as_launches() {
         let mut s = DeviceStats::default();
-        s.record("push", 100, 500, 0, 0, 1000.0, 2000.0);
-        s.record_fused("push", 200, 50, 8, 8, 100.0, 150.0);
+        s.record("push", Launch, &rec(100, 500, 0, 0, 1000.0, 2000.0));
+        s.record("push", FusedTail, &rec(200, 50, 8, 8, 100.0, 150.0));
         let push = &s.kernels["push"];
         assert_eq!(push.launches, 1);
         assert_eq!(push.fused_tails, 1);
@@ -237,7 +212,7 @@ mod tests {
         assert_eq!(push.max_grid, 200);
         assert_eq!(s.total_launches(), 1);
         // A fused pass on a never-launched kernel still creates the row.
-        s.record_fused("stitch", 16, 4, 2, 2, 10.0, 10.0);
+        s.record("stitch", FusedTail, &rec(16, 4, 2, 2, 10.0, 10.0));
         assert_eq!(s.launches_of("stitch"), 0);
         assert_eq!(s.fused_tails_of("stitch"), 1);
     }
@@ -245,12 +220,12 @@ mod tests {
     #[test]
     fn merge_combines_blocks() {
         let mut a = DeviceStats::default();
-        a.record("k", 10, 10, 3, 1, 1.0, 1.0);
+        a.record("k", Launch, &rec(10, 10, 3, 1, 1.0, 1.0));
         let mut b = DeviceStats::default();
-        b.record("k", 20, 5, 2, 2, 2.0, 2.0);
-        b.record("j", 1, 1, 0, 0, 1.0, 1.0);
-        b.record_fused("k", 5, 5, 1, 1, 1.0, 1.0);
-        b.record_resident("k", 7, 2, 1, 1, 3.0, 3.0);
+        b.record("k", Launch, &rec(20, 5, 2, 2, 2.0, 2.0));
+        b.record("j", Launch, &rec(1, 1, 0, 0, 1.0, 1.0));
+        b.record("k", FusedTail, &rec(5, 5, 1, 1, 1.0, 1.0));
+        b.record("k", ResidentRound, &rec(7, 2, 1, 1, 3.0, 3.0));
         a.merge(&b);
         assert_eq!(a.total_launches(), 3);
         assert_eq!(a.kernels["k"].total_threads, 42);
@@ -258,21 +233,20 @@ mod tests {
         assert_eq!(a.kernels["k"].hot_word_atomics, 5);
         assert_eq!(a.kernels["k"].fused_tails, 1);
         assert_eq!(a.kernels["k"].resident_rounds, 1);
-        assert_eq!(a.kernels["k"].barriers, 1);
         assert_eq!(a.kernels["k"].max_grid, 20);
         assert_eq!(a.launches_of("j"), 1);
+        assert_eq!(a.total_barriers(), 1);
     }
 
     #[test]
     fn resident_rounds_accumulate_without_counting_as_launches() {
         let mut s = DeviceStats::default();
-        s.record("loop", 100, 500, 0, 0, 7000.0, 100.0);
-        s.record_resident("loop", 100, 400, 14, 14, 800.0, 90.0);
-        s.record_resident("loop", 100, 300, 14, 14, 700.0, 80.0);
+        s.record("loop", Launch, &rec(100, 500, 0, 0, 7000.0, 100.0));
+        s.record("loop", ResidentRound, &rec(100, 400, 14, 14, 800.0, 90.0));
+        s.record("loop", ResidentRound, &rec(100, 300, 14, 14, 700.0, 80.0));
         let k = &s.kernels["loop"];
         assert_eq!(k.launches, 1);
         assert_eq!(k.resident_rounds, 2);
-        assert_eq!(k.barriers, 2);
         assert_eq!(k.total_threads, 300);
         assert_eq!(k.total_work, 1200);
         assert_eq!(s.total_launches(), 1);

@@ -731,13 +731,13 @@ impl<'gpu> Worklist<'gpu> {
     /// verdict: `true` iff any item is active.
     ///
     /// This is the form a persistent round loop needs: under
-    /// [`ExecMode::Persistent`](crate::ExecMode) the leader executes the
-    /// whole transition between two barrier crossings (inside the
-    /// [`VirtualGpu::resident`] scope), so its kernels are charged as
-    /// resident rounds; the host-mediated paths — the queue-overflow rebuild
-    /// and the host-staged parts of compaction — still run on the leader
-    /// exactly as they would between launches.  Launch-per-round loops may
-    /// use it too; it is equivalent to `end_round()` + `begin_round(..)`.
+    /// [`ExecMode::Persistent`](crate::ExecMode) the whole transition sits
+    /// between two rounds of the [`VirtualGpu::resident`] scope, so its
+    /// kernels are priced as resident rounds; the host-mediated paths — the
+    /// queue-overflow rebuild and the host-staged parts of compaction — run
+    /// on the host exactly as they do between launches.  Launch-per-round
+    /// loops may use it too; it is equivalent to `end_round()` +
+    /// `begin_round(..)`.
     pub fn round_transition(
         &mut self,
         predicate: impl Fn(usize) -> bool + Sync,

@@ -23,6 +23,22 @@ fn live_pool_threads() -> Option<usize> {
     )
 }
 
+/// Polls [`live_pool_threads`] for up to a second until it reads `want`,
+/// and returns the last reading.  A worker names itself when it first runs,
+/// and a launch no longer waits for every worker to be scheduled; an
+/// exiting thread may leave the task table a beat after `join` returns.
+fn settled_pool_threads(want: usize) -> Option<usize> {
+    let mut seen = live_pool_threads();
+    for _ in 0..100 {
+        if seen == Some(want) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        seen = live_pool_threads();
+    }
+    seen
+}
+
 #[test]
 fn drop_joins_all_pool_workers() {
     let Some(before) = live_pool_threads() else {
@@ -43,18 +59,11 @@ fn drop_joins_all_pool_workers() {
 
     let out = DeviceBuffer::<u32>::new(1_000, 0);
     gpu.launch("touch", out.len(), |ctx| out.set(ctx.global_id, 1));
-    assert_eq!(live_pool_threads(), Some(3), "first pooled launch spawns the workers");
+    // Three launch threads: the launching thread and two pool workers.
+    assert_eq!(settled_pool_threads(2), Some(2), "first pooled launch spawns the workers");
     gpu.launch("touch", out.len(), |ctx| out.set(ctx.global_id, 2));
-    assert_eq!(live_pool_threads(), Some(3), "later launches reuse them");
+    assert_eq!(settled_pool_threads(2), Some(2), "later launches reuse them");
 
     drop(gpu);
-    // `join` has returned, but the kernel may remove the task-table entries
-    // of exiting threads a beat later; poll briefly before declaring a leak.
-    for _ in 0..100 {
-        if live_pool_threads() == Some(0) {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert_eq!(live_pool_threads(), Some(0), "drop must join every worker");
+    assert_eq!(settled_pool_threads(0), Some(0), "drop must join every worker");
 }

@@ -2,14 +2,14 @@
 //! (CI runs this with a timeout guard):
 //!
 //! 1. Uploads a launch-bound road-network-style instance and solves it
-//!    twice by fingerprint — once launch-per-round, once with the
-//!    `@resident` persistent megakernel loop — and asserts both reach the
-//!    same cardinality: the whole label grammar, execution-mode suffix
-//!    included, works over the wire.
+//!    twice by fingerprint — once launch-per-round, once priced as the
+//!    `@resident` persistent megakernel — and asserts both reach the same
+//!    cardinality and that the resident price is the lower one: the whole
+//!    label grammar, execution-mode suffix included, works over the wire.
 //! 2. Submits a deliberately huge, tagged `@resident` solve on a second
-//!    connection and cancels it by tag mid-solve.  The persistent loop
-//!    polls the stop signal at its software global barrier, so the cancel
-//!    must land within one device round — not after the full solve.
+//!    connection and cancels it by tag mid-solve.  The round loop polls the
+//!    stop signal before every round, so the cancel must land within one
+//!    device round — not after the full solve.
 //!
 //! ```text
 //! cargo run --release -p gpm-service &               # listens on 127.0.0.1:7878
@@ -33,12 +33,20 @@ fn cardinality(response: &Value) -> u64 {
         .expect("solve response carries report.cardinality")
 }
 
+fn modelled_device_seconds(response: &Value) -> f64 {
+    response
+        .get("report")
+        .and_then(|r| r.get("modelled_device_seconds"))
+        .and_then(Value::as_f64)
+        .expect("GPU solve response carries report.modelled_device_seconds")
+}
+
 fn main() -> std::io::Result<()> {
     let addr = std::env::args().nth(1).unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let mut client = Client::connect(&addr)?;
     println!("connected to gpm-service at {addr}");
 
-    // Part 1: the persistent loop agrees with launch-per-round over the
+    // Part 1: the persistent pricing agrees with launch-per-round over the
     // wire.  A long-diameter mesh-like instance is the launch-bound regime
     // the resident mode exists for.
     let graph = gen::road_network(220, 220, 0.05, 11).expect("generate graph");
@@ -67,10 +75,22 @@ fn main() -> std::io::Result<()> {
         .map(str::to_string);
     assert_eq!(echoed.as_deref(), Some("G-PR-Shr"), "unexpected report label");
     println!("both execution modes matched {launch_card} pairs");
+    // Both modes execute the same launches; only the price differs, and on
+    // this many near-empty rounds a barrier crossing beats a launch.
+    let (launch_s, resident_s) =
+        (modelled_device_seconds(&launch_response), modelled_device_seconds(&resident_response));
+    println!(
+        "modelled device time: launch-per-round {:.3} ms, resident {:.3} ms",
+        launch_s * 1e3,
+        resident_s * 1e3
+    );
+    assert!(
+        resident_s < launch_s,
+        "the resident price ({resident_s} s) must undercut launch-per-round ({launch_s} s)"
+    );
 
-    // Part 2: cancellation stays round-granular under the megakernel.  One
-    // entry launch keeps the device threads resident for the whole solve,
-    // so only the stop poll at the global barrier can honour this cancel.
+    // Part 2: cancellation stays round-granular under the megakernel
+    // pricing: the round loop's stop poll honours this cancel mid-solve.
     let huge = gen::rmat(gen::RmatParams::graph500(17, 16), 7).expect("generate graph");
     println!(
         "submitting {}x{} RMAT '@resident' solve ({} edges) tagged 'resident-victim' …",

@@ -12,8 +12,10 @@
 //!
 //! The shard's executor pool is equally private: each worker's solver is
 //! built with the shard's [`ExecutorConfig`], whose `pool_tag` is the shard
-//! id, so the kernel threads of shard 3 show up as `gpm-gpu-t3-worker-*` in
-//! a thread dump instead of blending into one global pool.
+//! id, so the pool threads of shard 3 show up as `gpm-gpu-t3-worker-*` in
+//! a thread dump instead of blending into one global pool (beside the
+//! shard's `gpm-service-s3-worker-*` threads, which run chunks of the
+//! launches they issue).
 //!
 //! The cache holds one entry per graph: the graph, the matching its last
 //! solve produced, and the parent and delta `patch_graph` made it from.  A
