@@ -1,6 +1,7 @@
 //! Criterion microbenches of the virtual-GPU building blocks: kernel launch
-//! overhead, device prefix sum, the global-relabeling BFS kernels, and a
-//! whole G-HKDW solve, whose Duff–Wiberg path kernel dominates its host time.
+//! overhead, device prefix sum, the global-relabeling BFS kernels, and two
+//! whole G-HKDW solves: on kron its Duff–Wiberg path kernel dominates the
+//! host time, on hugetrace its dense BFS levels do.
 //!
 //! Run with `cargo bench -p gpm-bench --bench kernels`.
 
@@ -67,11 +68,30 @@ fn bench_ghkdw_solve(c: &mut Criterion) {
     });
 }
 
+fn bench_ghkdw_dense_bfs(c: &mut Criterion) {
+    // hugetrace's long, thin BFS levels make G-HK-BFS-KRNL's dense frontier
+    // the bulk of a G-HKDW solve: the sample is the host cost of its levels,
+    // which grows with the members run, not with the grid priced.
+    let gpu = VirtualGpu::sequential();
+    let spec = by_name("hugetrace-00000").expect("known instance");
+    let graph = spec.generate(Scale::Small).expect("generation");
+    let matching = cheap_matching(&graph);
+    let mut workspace = GhkWorkspace::new();
+    c.bench_function("ghkdw_hugetrace_small_sequential", |b| {
+        b.iter(|| {
+            ghk::run_with(&gpu, &graph, &matching, GhkVariant::Hkdw, &mut workspace)
+                .matching
+                .cardinality()
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_launch_overhead,
     bench_prefix_sum,
     bench_global_relabel,
-    bench_ghkdw_solve
+    bench_ghkdw_solve,
+    bench_ghkdw_dense_bfs
 );
 criterion_main!(benches);

@@ -56,7 +56,7 @@
 //! reset.
 
 use crate::device::{DeviceState, MU_UNMATCHED};
-use crate::roundloop::{drive_rounds, resident_scope, subtract_device_stats, RoundOutcome};
+use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
 use gpm_gpu::{
     DeviceBuffer, DeviceStats, ExecMode, StopCheck, VirtualGpu, Worklist, WorklistKernels,
     WorklistMode,
@@ -243,7 +243,7 @@ pub fn run_with_exec_stop(
     stop: &StopCheck,
 ) -> GhkResult {
     let start = std::time::Instant::now();
-    let base_stats = gpu.stats();
+    let mark = gpu.stats_mark();
     let GhkWorkspace {
         state: state_slot,
         dist_col: dist_slot,
@@ -351,8 +351,7 @@ pub fn run_with_exec_stop(
 
     // G-HK/G-HKDW keep µ consistent; download directly.
     let matching = state.download_matching();
-    let mut run_device = gpu.stats();
-    subtract_device_stats(&mut run_device, &base_stats);
+    let run_device = gpu.stats_since(&mark);
     stats.atomics = run_device.total_atomics();
     stats.device = run_device;
     stats.seconds = start.elapsed().as_secs_f64();

@@ -35,7 +35,7 @@
 
 use crate::device::{DeviceState, MU_UNMATCHABLE, MU_UNMATCHED};
 use crate::ggr::global_relabel_with_stop;
-use crate::roundloop::{drive_rounds, resident_scope, subtract_device_stats, RoundOutcome};
+use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
 use crate::strategy::GrStrategy;
 use gpm_gpu::{
     ActiveView, DeviceStats, ExecMode, SlotAction, StopCheck, VirtualGpu, Worklist,
@@ -286,7 +286,7 @@ pub fn run_with_stop(
     stop: &StopCheck,
 ) -> GprResult {
     let start = std::time::Instant::now();
-    let base_stats = gpu.stats();
+    let mark = gpu.stats_mark();
     let GprWorkspace { state: state_slot } = workspace;
     let state = DeviceState::upload_into(state_slot, graph, initial);
     let mut stats = GprRunStats {
@@ -309,8 +309,7 @@ pub fn run_with_stop(
 
     // Report only the device work done by this run, even if the caller
     // reuses one VirtualGpu across runs.
-    let mut run_device = gpu.stats();
-    subtract_device_stats(&mut run_device, &base_stats);
+    let run_device = gpu.stats_since(&mark);
     stats.atomics = run_device.total_atomics();
     stats.device = run_device;
     stats.seconds = start.elapsed().as_secs_f64();

@@ -19,7 +19,7 @@
 //! their results are identical by construction; only the modelled launch
 //! cost differs.
 
-use gpm_gpu::{DeviceStats, ExecMode, StopCheck, VirtualGpu};
+use gpm_gpu::{ExecMode, StopCheck, VirtualGpu};
 
 /// What one round of a [`drive_rounds`] loop decided.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,28 +79,6 @@ pub fn resident_scope(
         ExecMode::Persistent => Some((name, domain.max(1))),
         ExecMode::LaunchPerRound => None,
     }
-}
-
-/// Subtracts `base` (a previous device snapshot) from `total`, leaving only
-/// the work performed after the snapshot was taken — the per-run isolation
-/// every engine's stats reporting relies on.  Rows that did no work in the
-/// window are dropped; fused-only and resident-only rows (which launch
-/// nothing but are real work) are kept.
-pub(crate) fn subtract_device_stats(total: &mut DeviceStats, base: &DeviceStats) {
-    for (name, b) in &base.kernels {
-        if let Some(t) = total.kernels.get_mut(name) {
-            t.launches -= b.launches;
-            t.fused_tails -= b.fused_tails;
-            t.resident_rounds -= b.resident_rounds;
-            t.total_threads -= b.total_threads;
-            t.total_work -= b.total_work;
-            t.total_atomics -= b.total_atomics;
-            t.hot_word_atomics -= b.hot_word_atomics;
-            t.modelled_time_ns -= b.modelled_time_ns;
-            t.wall_time_ns -= b.wall_time_ns;
-        }
-    }
-    total.kernels.retain(|_, k| k.launches > 0 || k.fused_tails > 0 || k.resident_rounds > 0);
 }
 
 #[cfg(test)]

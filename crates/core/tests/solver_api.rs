@@ -12,7 +12,7 @@ use gpm_core::{
 use gpm_gpu::primitives::QUEUE_BLOCK;
 use gpm_gpu::WorklistMode;
 use gpm_graph::gen;
-use gpm_graph::instances::{mini_suite, Scale};
+use gpm_graph::instances::{by_name, mini_suite, Scale};
 use gpm_graph::verify::maximum_matching_cardinality;
 use gpm_graph::{BipartiteCsr, Matching};
 use proptest::prelude::*;
@@ -685,4 +685,31 @@ fn executor_config_reaches_the_session_device() {
     let before = device as *const _;
     solver.solve(&g, Algorithm::gpr_default()).unwrap();
     assert!(std::ptr::eq(solver.device().unwrap(), before));
+}
+
+#[test]
+fn a_reused_device_reports_each_solves_own_max_grid() {
+    // A solve's device statistics cover only its own launches, the largest
+    // grid per kernel included, however large the earlier solves on the
+    // same device were.
+    let big = by_name("hugetrace-00000").unwrap().generate(Scale::Small).unwrap();
+    let small = by_name("amazon0505").unwrap().generate(Scale::Tiny).unwrap();
+    assert_eq!((small.num_rows(), small.num_cols()), (256, 256));
+    let sequential = || {
+        Solver::builder()
+            .device_policy(DevicePolicy::Sequential)
+            .build()
+            .expect("valid solver config")
+    };
+    let max_grids = |solver: &mut Solver, alg: Algorithm| -> Vec<(String, u64)> {
+        let report = solver.solve(&small, alg).unwrap();
+        let stats = report.device_stats.expect("a GPU solve reports device stats");
+        stats.kernels.into_iter().map(|(name, k)| (name, k.max_grid)).collect()
+    };
+    for label in ["G-PR-Shr@adaptive:0.7+dense@resident", "G-HKDW"] {
+        let alg: Algorithm = label.parse().unwrap();
+        let mut reused = sequential();
+        reused.solve(&big, alg).unwrap();
+        assert_eq!(max_grids(&mut reused, alg), max_grids(&mut sequential(), alg), "{label}");
+    }
 }

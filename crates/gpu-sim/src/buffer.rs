@@ -13,8 +13,9 @@
 //! and therefore model the device memory semantics faithfully without UB.
 //! The matching kernels never use read-modify-write operations, preserving
 //! the paper's "atomic-free" claim (relaxed loads/stores are not the CUDA
-//! `atomicAdd`-style operations the paper avoids); the two RMWs below serve
-//! the worklist's append queues only.
+//! `atomicAdd`-style operations the paper avoids); the RMWs below serve the
+//! worklist only: its append queues, and the host membership bitmap of its
+//! dense frontiers.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -195,6 +196,14 @@ impl DeviceBuffer<u64> {
     #[inline]
     pub fn swap(&self, i: usize, v: u64) -> u64 {
         self.cells[i].swap(v, Ordering::Relaxed)
+    }
+
+    /// Atomically ORs `bits` into word `i`, relaxed.  Not a device
+    /// operation: it sets bits of the dense frontier's host membership
+    /// bitmap, which the cost model never charges.
+    #[inline]
+    pub(crate) fn fetch_or(&self, i: usize, bits: u64) {
+        self.cells[i].fetch_or(bits, Ordering::Relaxed);
     }
 
     /// A stable identifier of word `i` for contention accounting

@@ -1,11 +1,14 @@
 //! The virtual GPU device and its kernel-launch engine.
 
+use crate::buffer::DeviceBuffer;
 use crate::exec::WorkerPool;
 use crate::perfmodel::PerfModel;
 use crate::scratch::ScratchArena;
 use crate::stats::{DeviceStats, LaunchKind};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// How kernel threads are executed on the host.
@@ -116,7 +119,12 @@ impl std::str::FromStr for ExecMode {
 pub struct ExecutorConfig {
     /// Grids smaller than this run inline on the calling thread even with a
     /// parallel backend; mirrors the fact that tiny CUDA grids cannot fill
-    /// the device and their cost is dominated by launch overhead.
+    /// the device and their cost is dominated by launch overhead.  The two
+    /// halves of that rule look at different counts when a launch runs
+    /// fewer threads than it prices — a dense BFS level, which runs only its
+    /// frontier's members: the host's choice between inline and the pool
+    /// follows the threads that run, while the price of a pooled launch
+    /// (its chunk-cursor claims) follows the grid.
     pub parallel_threshold: usize,
     /// Grid indices per chunk that the threads of a pooled launch claim
     /// from its shared cursor.  Smaller chunks balance divergent kernels better;
@@ -236,7 +244,7 @@ impl ThreadCtx {
     /// Distinct contended words tracked per thread.
     const ATOMIC_WORD_SLOTS: usize = 4;
 
-    pub(crate) fn new(global_id: usize, grid_size: usize) -> Self {
+    fn new(global_id: usize, grid_size: usize) -> Self {
         Self {
             global_id,
             grid_size,
@@ -395,6 +403,9 @@ struct LaunchEvent {
 #[derive(Default)]
 struct StatsAccum {
     merged: DeviceStats,
+    /// Each kernel's largest grid since the last [`VirtualGpu::stats_mark`]:
+    /// a maximum cannot be subtracted from a snapshot.
+    max_grid_since_mark: BTreeMap<&'static str, u64>,
     pending: Vec<LaunchEvent>,
 }
 
@@ -413,6 +424,8 @@ impl StatsAccum {
     fn flush(&mut self) {
         for event in self.pending.drain(..) {
             self.merged.record(event.name, event.kind, &event.record);
+            let max_grid = self.max_grid_since_mark.entry(event.name).or_default();
+            *max_grid = (*max_grid).max(event.record.threads as u64);
         }
     }
 
@@ -424,7 +437,15 @@ impl StatsAccum {
     fn reset(&mut self) {
         self.pending.clear();
         self.merged = DeviceStats::default();
+        self.max_grid_since_mark.clear();
     }
+}
+
+/// A point in a device's statistics that [`VirtualGpu::stats_since`]
+/// measures from: one solve's launches on a device that ran others before.
+#[derive(Clone, Debug)]
+pub struct StatsMark {
+    base: DeviceStats,
 }
 
 /// Ambient state of an open [`VirtualGpu::resident`] scope on the current
@@ -553,7 +574,7 @@ impl VirtualGpu {
     where
         F: Fn(&ThreadCtx) + Sync,
     {
-        self.launch_inner(name, grid, &kernel, false)
+        self.launch_inner(name, grid, grid, grid, &|ids| run_threads(ids, grid, &kernel), false)
     }
 
     /// Launches a kernel as the **fused tail** of the immediately preceding
@@ -571,7 +592,46 @@ impl VirtualGpu {
     where
         F: Fn(&ThreadCtx) + Sync,
     {
-        self.launch_inner(name, grid, &kernel, true)
+        self.launch_inner(name, grid, grid, grid, &|ids| run_threads(ids, grid, &kernel), true)
+    }
+
+    /// Launches `kernel` as a launch of `grid` threads of which only the
+    /// `count` members set in the bitmap `members` (bit `id % 64` of word
+    /// `id / 64`, each id below `grid`) run on the host, in increasing id
+    /// order.  The launch is recorded exactly as the full grid in which
+    /// every other thread reported one work unit and nothing else — the
+    /// stamp-reading threads of a dense frontier scan — so its record, price
+    /// and statistics equal those of the full-grid launch whose non-member
+    /// threads behave that way.  Only the host's choice between running
+    /// inline and on the pool looks at `count`; the pooled price (the chunk
+    /// cursor's claims) follows `grid`.
+    pub(crate) fn launch_members<F>(
+        &self,
+        name: &'static str,
+        grid: usize,
+        members: &DeviceBuffer<u64>,
+        count: usize,
+        kernel: F,
+    ) -> LaunchRecord
+    where
+        F: Fn(&ThreadCtx) + Sync,
+    {
+        // The pool splits the bitmap's words; each word runs its set bits.
+        let chunks = |words: Range<usize>| {
+            let ids = words.flat_map(|word| {
+                let mut bits = members.get(word);
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some(word * 64 + bit)
+                })
+            });
+            run_threads(ids, grid, &kernel)
+        };
+        self.launch_inner(name, grid, members.len(), count, &chunks, false)
     }
 
     /// Opens a **persistent (megakernel) scope**: one resident launch named
@@ -628,27 +688,43 @@ impl VirtualGpu {
         })
     }
 
-    fn launch_inner(
+    /// Runs a launch of `grid` threads whose `count` running threads are
+    /// spread over `items` — inline, or on the pool (which hands `chunks`
+    /// one range of `0..items` at a time) when `count` reaches the threshold
+    /// — and records it as `grid` threads, the `grid − count` that did not
+    /// run having reported one work unit each.
+    fn launch_inner<C>(
         &self,
         name: &'static str,
         grid: usize,
-        kernel: &(dyn Fn(&ThreadCtx) + Sync),
+        items: usize,
+        count: usize,
+        chunks: &C,
         fused: bool,
-    ) -> LaunchRecord {
+    ) -> LaunchRecord
+    where
+        C: Fn(Range<usize>) -> LaunchTotals + Sync,
+    {
         let start = std::time::Instant::now();
         let executor = self.config.executor;
-        let mut pooled_workers = 0;
-        let totals = match self.config.backend {
-            Backend::Sequential => run_range(0, grid, grid, kernel),
-            Backend::Parallel { workers } => {
-                if grid < executor.parallel_threshold || workers <= 1 {
-                    run_range(0, grid, grid, kernel)
-                } else {
-                    pooled_workers = workers;
-                    self.pool(workers).run(grid, executor.chunk_size, kernel)
-                }
+        // The price of a pooled launch follows the grid; where the host runs
+        // it follows the threads that actually run.
+        let pooled_workers = match self.config.backend {
+            Backend::Parallel { workers } if workers > 1 && grid >= executor.parallel_threshold => {
+                workers
             }
+            _ => 0,
         };
+        let mut totals = if pooled_workers > 0 && count >= executor.parallel_threshold {
+            self.pool(pooled_workers).run(items, executor.chunk_size, chunks)
+        } else {
+            chunks(0..items)
+        };
+        let idle = (grid - count) as u64;
+        if idle > 0 {
+            totals.work += idle;
+            totals.max_thread_work = totals.max_thread_work.max(1);
+        }
         // The executor's chunk cursor is itself a contended RMW word: every
         // pooled chunk claim is one fetch_add.  Charge it through the same
         // model, deterministically (the claim count is a function of the
@@ -712,20 +788,60 @@ impl VirtualGpu {
         self.stats.lock().snapshot()
     }
 
+    /// Marks the start of a measured window, such as one solve, for
+    /// [`VirtualGpu::stats_since`].  A device keeps one window: a later mark
+    /// restarts the largest-grid record of an earlier one.
+    pub fn stats_mark(&self) -> StatsMark {
+        let mut accum = self.stats.lock();
+        let base = accum.snapshot();
+        accum.max_grid_since_mark.clear();
+        StatsMark { base }
+    }
+
+    /// The statistics of the launches recorded since `mark`: every counter
+    /// is its growth since the mark, and each kernel's
+    /// [`max_grid`](crate::KernelStats::max_grid) is the largest grid it
+    /// launched since.  Kernels that recorded nothing since are left out.
+    pub fn stats_since(&self, mark: &StatsMark) -> DeviceStats {
+        let mut accum = self.stats.lock();
+        let mut stats = accum.snapshot();
+        for (name, k) in &mut stats.kernels {
+            if let Some(b) = mark.base.kernels.get(name) {
+                k.launches -= b.launches;
+                k.fused_tails -= b.fused_tails;
+                k.resident_rounds -= b.resident_rounds;
+                k.total_threads -= b.total_threads;
+                k.total_work -= b.total_work;
+                k.total_atomics -= b.total_atomics;
+                k.hot_word_atomics -= b.hot_word_atomics;
+                k.modelled_time_ns -= b.modelled_time_ns;
+                k.wall_time_ns -= b.wall_time_ns;
+            }
+            k.max_grid = accum.max_grid_since_mark.get(name.as_str()).copied().unwrap_or(0);
+        }
+        stats.kernels.retain(|_, k| k.launches > 0 || k.fused_tails > 0 || k.resident_rounds > 0);
+        stats
+    }
+
     /// Clears the accumulated statistics.
     pub fn reset_stats(&self) {
         self.stats.lock().reset();
     }
 }
 
-/// Runs logical threads `start..end` of a `grid`-sized launch inline,
-/// returning the aggregated [`LaunchTotals`].
-fn run_range<F>(start: usize, end: usize, grid: usize, kernel: &F) -> LaunchTotals
+/// The one thread loop of every launch, inline or one pooled chunk at a
+/// time: runs logical threads `ids` of a `grid`-sized launch and returns
+/// their aggregated [`LaunchTotals`].
+pub(crate) fn run_threads<F>(
+    ids: impl Iterator<Item = usize>,
+    grid: usize,
+    kernel: &F,
+) -> LaunchTotals
 where
-    F: Fn(&ThreadCtx) + Sync + ?Sized,
+    F: Fn(&ThreadCtx) + ?Sized,
 {
     let mut totals = LaunchTotals::default();
-    for id in start..end {
+    for id in ids {
         let ctx = ThreadCtx::new(id, grid);
         kernel(&ctx);
         totals.absorb_thread(&ctx);

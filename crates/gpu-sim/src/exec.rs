@@ -26,8 +26,14 @@
 //!   indices from a shared atomic cursor.  Divergent kernels — the very
 //!   reason `G-PR-SHRKRNL` exists — no longer leave most workers idle behind
 //!   the one that drew the expensive range.
-//! * **Lock-free work accounting.** Each thread of a launch accumulates its
-//!   work counters locally and folds them into the launch's totals once at
+//! * **Chunk-granular dispatch.** The pool never sees a logical thread: a
+//!   launch hands it one erased closure that runs a whole chunk of the
+//!   launch's items and returns their [`LaunchTotals`].  The engine builds
+//!   that closure around each kernel, so every kernel's thread loop is
+//!   monomorphic, pooled or inline, and the pool pays one indirect call per
+//!   chunk instead of one per thread.
+//! * **Lock-free work accounting.** Each host thread of a launch folds its
+//!   chunks' totals locally and merges them into the launch's totals once at
 //!   the end; the launch close is the only synchronization on the hot path.
 //! * **Panic containment.** A panicking kernel thread poisons the launch (the
 //!   other threads stop claiming chunks), and the payload is re-raised on the
@@ -36,25 +42,27 @@
 //!
 //! ## Why there is `unsafe` here (and why it is sound)
 //!
-//! Kernels borrow their captures (`&DeviceBuffer`, `&BipartiteCsr`, …) from
-//! the launcher's stack, so the closure is not `'static` — but persistent
-//! workers are `'static` threads.  `std::thread::scope` solves exactly this
-//! problem with `unsafe` internally; a persistent pool has no safe standard
-//! building block, so this module erases the kernel's lifetime behind a raw
-//! trait-object pointer ([`KernelPtr`]).  Soundness rests on the launch
-//! close: a pool thread can take the pointer only from the dispatch slot,
-//! under its lock, and counts itself in `remaining` in the same critical
-//! section.  [`WorkerPool::run`] clears the slot under that lock once its
-//! own chunks are done and then waits for `remaining` to reach zero, so
-//! every thread that took the pointer has finished with it before `run`
-//! returns, and none can take it afterwards.  This is the only `unsafe` in
-//! the crate; everything else remains `#![deny(unsafe_code)]`-clean.
+//! A launch's chunk closure borrows the kernel and its captures
+//! (`&DeviceBuffer`, `&BipartiteCsr`, …) from the launcher's stack, so it is
+//! not `'static` — but persistent workers are `'static` threads.
+//! `std::thread::scope` solves exactly this problem with `unsafe`
+//! internally; a persistent pool has no safe standard building block, so
+//! this module erases the chunk closure's lifetime behind a raw trait-object
+//! pointer ([`ChunkPtr`]).  Soundness rests on the launch close: a pool
+//! thread can take the pointer only from the dispatch slot, under its lock,
+//! and counts itself in `remaining` in the same critical section.
+//! [`WorkerPool::run`] clears the slot under that lock once its own chunks
+//! are done and then waits for `remaining` to reach zero, so every thread
+//! that took the pointer has finished with it before `run` returns, and none
+//! can take it afterwards.  This is the only `unsafe` in the crate;
+//! everything else remains `#![deny(unsafe_code)]`-clean.
 
 #![allow(unsafe_code)]
 
-use crate::engine::{LaunchTotals, ThreadCtx};
+use crate::engine::LaunchTotals;
 use crate::primitives::QUEUE_BLOCK;
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -89,42 +97,47 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A kernel reference with its lifetime erased so the long-lived workers can
+/// One launch's work as the pool sees it: runs the items of a chunk and
+/// returns their totals.
+type ChunkFn<'a> = dyn Fn(Range<usize>) -> LaunchTotals + Sync + 'a;
+
+/// A chunk closure with its lifetime erased so the long-lived workers can
 /// hold it for the duration of one launch.  See the module docs for the
 /// soundness argument.
 #[derive(Clone, Copy)]
-struct KernelPtr(*const (dyn Fn(&ThreadCtx) + Sync));
+struct ChunkPtr(*const ChunkFn<'static>);
 
-impl KernelPtr {
+impl ChunkPtr {
     /// Erases the borrow's lifetime.  Callers must guarantee the pointer is
     /// never dereferenced after the borrow ends; `WorkerPool::run` does so
     /// by closing the launch before it returns.
-    fn erase(kernel: &(dyn Fn(&ThreadCtx) + Sync)) -> Self {
+    fn erase(chunks: &ChunkFn<'_>) -> Self {
         // SAFETY: a reference-to-reference transmute that only widens the
         // lifetime; layout is identical, and the launch-close argument above
         // bounds every actual use to the original lifetime.
-        let kernel: &'static (dyn Fn(&ThreadCtx) + Sync) = unsafe { std::mem::transmute(kernel) };
-        Self(kernel)
+        let chunks: &'static ChunkFn<'static> = unsafe { std::mem::transmute(chunks) };
+        Self(chunks)
     }
 }
 
 // SAFETY: the pointee is `Sync` (shared calls from many threads are allowed),
 // and the launch close in `WorkerPool::run` guarantees the pointer is never
 // dereferenced outside the lifetime of the borrow it was created from.
-unsafe impl Send for KernelPtr {}
-// SAFETY: as above; `&KernelPtr` only ever exposes the `Sync` pointee.
-unsafe impl Sync for KernelPtr {}
+unsafe impl Send for ChunkPtr {}
+// SAFETY: as above; `&ChunkPtr` only ever exposes the `Sync` pointee.
+unsafe impl Sync for ChunkPtr {}
 
 /// Shared per-launch state: the chunk cursor and the lock-free aggregation
 /// targets the workers fold their local counters into.
 struct LaunchBody {
-    /// Total logical threads in the launch.
-    grid: usize,
-    /// Grid indices claimed per cursor increment.
+    /// Items in the launch: its threads, or the members that run.
+    items: usize,
+    /// Items claimed per cursor increment.
     chunk: usize,
-    /// Next unclaimed grid index.
+    /// Next unclaimed item.
     cursor: AtomicUsize,
-    /// Work and atomic counters, folded in once per thread at launch end.
+    /// Work and atomic counters, folded in once per host thread at launch
+    /// end.
     totals: Mutex<LaunchTotals>,
     /// Set by the first panicking worker; stops further chunk claims.
     poisoned: AtomicBool,
@@ -132,10 +145,10 @@ struct LaunchBody {
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// One dispatched launch: the erased kernel plus its shared state.
+/// One dispatched launch: the erased chunk closure plus its shared state.
 #[derive(Clone)]
 struct Job {
-    kernel: KernelPtr,
+    chunks: ChunkPtr,
     body: Arc<LaunchBody>,
 }
 
@@ -208,32 +221,28 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Runs one launch on the calling thread and the pool and blocks until
-    /// every thread of it has finished (the implicit device-wide barrier of
+    /// Runs one launch of `items` items on the calling thread and the pool,
+    /// handing `chunks` one claimed range of `0..items` at a time, and
+    /// blocks until every range has run (the implicit device-wide barrier of
     /// a CUDA launch).  Returns the launch's aggregated [`LaunchTotals`].
     ///
-    /// Re-raises the payload of the first panicking kernel thread, after the
-    /// launch closed, leaving the pool intact for the next launch.
-    pub(crate) fn run(
-        &self,
-        grid: usize,
-        chunk: usize,
-        kernel: &(dyn Fn(&ThreadCtx) + Sync),
-    ) -> LaunchTotals {
+    /// Re-raises the payload of the first panicking chunk, after the launch
+    /// closed, leaving the pool intact for the next launch.
+    pub(crate) fn run(&self, items: usize, chunk: usize, chunks: &ChunkFn<'_>) -> LaunchTotals {
         let _gate = lock(&self.gate);
-        // `effective_chunk` leaves a share of mid-sized grids for every
+        // `effective_chunk` leaves a share of mid-sized launches for every
         // thread that arrives in time and keeps chunks aligned to the
         // modelled cache line.
-        let chunk = effective_chunk(chunk, grid, self.threads);
+        let chunk = effective_chunk(chunk, items, self.threads);
         let body = Arc::new(LaunchBody {
-            grid,
+            items,
             chunk,
             cursor: AtomicUsize::new(0),
             totals: Mutex::new(LaunchTotals::default()),
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
         });
-        let job = Job { kernel: KernelPtr::erase(kernel), body: Arc::clone(&body) };
+        let job = Job { chunks: ChunkPtr::erase(chunks), body: Arc::clone(&body) };
         let mut dispatch = lock(&self.shared.dispatch);
         dispatch.job = Some(job.clone());
         dispatch.epoch += 1;
@@ -242,7 +251,7 @@ impl WorkerPool {
         run_chunks(&job);
         // Close the launch: with the erased pointer gone from the slot no
         // worker can take it, and once the workers that did have finished,
-        // the kernel borrow may safely end.
+        // the chunk closure's borrow may safely end.
         let mut dispatch = lock(&self.shared.dispatch);
         dispatch.job = None;
         while dispatch.remaining > 0 {
@@ -311,30 +320,25 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Claims chunks from the shared cursor until the grid is exhausted (or the
-/// launch was poisoned by a panic elsewhere), accumulating work counters
-/// locally and folding them into the launch atomics once.
+/// Claims chunks from the shared cursor until the items are exhausted (or
+/// the launch was poisoned by a panic elsewhere), folding each chunk's
+/// totals locally and merging them into the launch's totals once.
 fn run_chunks(job: &Job) {
     // SAFETY: on the launcher the borrow is its own and live; a worker took
     // the job under the dispatch lock and counted itself in `remaining`,
     // which it decrements only after this function returns, and
-    // `WorkerPool::run` waits for that count before returning, so the kernel
-    // borrow behind the erased pointer is live for the whole call.
-    let kernel = unsafe { &*job.kernel.0 };
+    // `WorkerPool::run` waits for that count before returning, so the chunk
+    // closure behind the erased pointer is live for the whole call.
+    let chunks = unsafe { &*job.chunks.0 };
     let body = &*job.body;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut totals = LaunchTotals::default();
         while !body.poisoned.load(Ordering::Relaxed) {
             let start = body.cursor.fetch_add(body.chunk, Ordering::Relaxed);
-            if start >= body.grid {
+            if start >= body.items {
                 break;
             }
-            let end = (start + body.chunk).min(body.grid);
-            for id in start..end {
-                let ctx = ThreadCtx::new(id, body.grid);
-                kernel(&ctx);
-                totals.absorb_thread(&ctx);
-            }
+            totals.merge(&chunks(start..(start + body.chunk).min(body.items)));
         }
         totals
     }));
@@ -356,6 +360,16 @@ fn run_chunks(job: &Job) {
 mod tests {
     use super::*;
     use crate::buffer::DeviceBuffer;
+    use crate::engine::{run_threads, ThreadCtx};
+
+    /// The chunk closure a plain launch of `grid` threads hands the pool:
+    /// `kernel` once per item, folded by the engine's thread loop.
+    fn per_thread<'a>(
+        grid: usize,
+        kernel: &'a (dyn Fn(&ThreadCtx) + Sync),
+    ) -> impl Fn(Range<usize>) -> LaunchTotals + Sync + 'a {
+        move |items| run_threads(items, grid, kernel)
+    }
 
     #[test]
     fn pool_covers_the_grid_with_dynamic_chunks() {
@@ -365,7 +379,7 @@ mod tests {
         for chunk in [1usize, 7, 64, 1024, 20_000] {
             out.fill(0);
             let kernel = |ctx: &ThreadCtx| out.set(ctx.global_id, out.get(ctx.global_id) + 1);
-            pool.run(grid, chunk, &kernel);
+            pool.run(grid, chunk, &per_thread(grid, &kernel));
             assert!(out.to_vec().iter().all(|&v| v == 1), "chunk = {chunk}");
         }
     }
@@ -374,7 +388,7 @@ mod tests {
     fn work_counters_aggregate_across_workers() {
         let pool = WorkerPool::spawn_tagged(4, 0);
         let kernel = |ctx: &ThreadCtx| ctx.add_work(ctx.global_id as u64);
-        let totals = pool.run(1000, 16, &kernel);
+        let totals = pool.run(1000, 16, &per_thread(1000, &kernel));
         assert_eq!(totals.work, (0..1000u64).sum());
         assert_eq!(totals.max_thread_work, 999);
     }
@@ -395,7 +409,7 @@ mod tests {
                 ctx.add_atomic(spread.word_id(ctx.global_id));
             }
         };
-        let totals = pool.run(1000, 16, &kernel);
+        let totals = pool.run(1000, 16, &per_thread(1000, &kernel));
         assert_eq!(totals.atomics, 1500);
         assert_eq!(totals.hot_word_atomics(), 1000);
     }
@@ -424,12 +438,13 @@ mod tests {
                 panic!("injected");
             }
         };
-        let err = catch_unwind(AssertUnwindSafe(|| pool.run(1000, 8, &boom))).unwrap_err();
+        let err = catch_unwind(AssertUnwindSafe(|| pool.run(1000, 8, &per_thread(1000, &boom))))
+            .unwrap_err();
         assert_eq!(err.downcast_ref::<&str>(), Some(&"injected"));
         // The same pool still runs the next launch to completion.
         let out = DeviceBuffer::<u32>::new(500, 0);
         let kernel = |ctx: &ThreadCtx| out.set(ctx.global_id, 1);
-        pool.run(500, 8, &kernel);
+        pool.run(500, 8, &per_thread(500, &kernel));
         assert_eq!(out.to_vec().iter().map(|&v| u64::from(v)).sum::<u64>(), 500);
     }
 
@@ -454,7 +469,7 @@ mod tests {
             assert_eq!(std::thread::current().id(), me);
             out.set(ctx.global_id, 1);
         };
-        let totals = pool.run(1000, 8, &kernel);
+        let totals = pool.run(1000, 8, &per_thread(1000, &kernel));
         assert_eq!(out.to_vec().iter().map(|&v| u64::from(v)).sum::<u64>(), 1000);
         assert_eq!(totals.work, 0);
     }
@@ -471,7 +486,7 @@ mod tests {
                 out.set(ctx.global_id, out.get(ctx.global_id) + 1);
                 ctx.add_work(1);
             };
-            assert_eq!(pool.run(64, 8, &kernel).work, 64, "launch {launch}");
+            assert_eq!(pool.run(64, 8, &per_thread(64, &kernel)).work, 64, "launch {launch}");
             assert!(out.to_vec().iter().all(|&v| v == launch), "launch {launch}");
         }
     }
@@ -480,7 +495,7 @@ mod tests {
     fn zero_grid_run_returns_immediately() {
         let pool = WorkerPool::spawn_tagged(2, 0);
         let kernel = |_ctx: &ThreadCtx| panic!("no threads should run");
-        let totals = pool.run(0, 8, &kernel);
+        let totals = pool.run(0, 8, &per_thread(0, &kernel));
         assert_eq!(totals.work, 0);
         assert_eq!(totals.atomics, 0);
     }

@@ -17,7 +17,9 @@
 //!    chunks from a shared atomic cursor, so divergent kernels load-balance
 //!    dynamically, the per-launch host cost is a pointer handoff, not a
 //!    `thread::spawn`/`join` round trip, and no launch waits for a parked
-//!    worker to be scheduled.  (The sequential backend runs
+//!    worker to be scheduled.  The pool calls one closure per chunk, and
+//!    every launch — pooled or inline — runs its threads in one loop
+//!    compiled for its kernel.  (The sequential backend runs
 //!    every thread inline in id order, for deterministic interleavings.)  A
 //!    kernel panic fails its launch but leaves the pool intact; dropping the
 //!    device joins every worker.
@@ -53,7 +55,9 @@
 //! dense stamp scans, `G-PR-SHRKRNL`-style compaction, a device-side
 //! atomic-append queue, and a blocked-claim variant of that queue that
 //! amortizes the contended tail `fetch_add` over cache-line-sized slot
-//! blocks.  See that module's docs for the round protocols and the queue
+//! blocks.  A dense BFS level is priced as the paper's full grid but runs
+//! only its frontier's members on the host.  See that module's docs for the
+//! round protocols, the dense frontier's host bookkeeping, and the queue
 //! memory model under the pooled executor.
 //!
 //! Executor tuning (inline threshold, chunk size, pool tag)
@@ -88,8 +92,8 @@ pub mod worklist;
 
 pub use buffer::{DeviceBuffer, DeviceScalar};
 pub use engine::{
-    Backend, ExecMode, ExecutorConfig, GpuConfig, LaunchRecord, ParseExecModeError, ThreadCtx,
-    VirtualGpu,
+    Backend, ExecMode, ExecutorConfig, GpuConfig, LaunchRecord, ParseExecModeError, StatsMark,
+    ThreadCtx, VirtualGpu,
 };
 pub use perfmodel::PerfModel;
 pub use scratch::{ScratchArena, ScratchBuffer, ScratchStats};

@@ -11,9 +11,11 @@
 //!
 //! * [`WorklistMode::DenseStamp`] — membership is a per-vertex stamp (the
 //!   paper's `iA` array); iteration scans the whole slot list (or domain)
-//!   every round.  Zero bookkeeping between rounds, full-width launches.
-//!   This is the representation behind `G-PR-NoShr` and the paper's dense
-//!   level-synchronous BFS kernels.
+//!   every round.  Zero device bookkeeping between rounds, full-width
+//!   launches.  This is the representation behind `G-PR-NoShr` and the
+//!   paper's dense level-synchronous BFS kernels.  A dense BFS level is
+//!   *priced* as its full grid but *executed* over its members only (see
+//!   [Dense frontiers on the host](#dense-frontiers-on-the-host)).
 //! * [`WorklistMode::Compacted`] — `G-PR-Shr`'s representation.  The slot
 //!   list is rebuilt on request by the paper's `G-PR-SHRKRNL` pattern (a
 //!   count pass, a device
@@ -67,6 +69,30 @@
 //! monotonically across rounds **and across re-seeds**, so a recycled
 //! worklist never needs its stamps cleared.
 //!
+//! # Dense frontiers on the host
+//!
+//! On the device a [`WorklistMode::DenseStamp`] BFS level is one thread per
+//! domain vertex, and almost every thread only reads its stamp and exits.
+//! The cost model prices such threads from the grid alone, so running them
+//! on the host would buy nothing.  A dense frontier therefore also keeps a
+//! host *membership bitmap*: [`Worklist::seed`],
+//! [`Worklist::seed_by_predicate`] and [`FrontierView::push`] set a
+//! vertex's bit, a re-seed clears the bitmap, and seeding and
+//! [`Worklist::advance_frontier`] gather it into the level's own bitmap,
+//! leaving it clear for the next level's pushes.
+//! [`Worklist::for_each_frontier`] runs its kernel for the level's members
+//! only, in increasing order, and records the launch exactly as the full
+//! grid in which every other thread reported its one unit of stamp-reading
+//! work.  The bitmaps are simulator bookkeeping, never charged — the device's
+//! record of the frontier is still its stamps and its activity word — and
+//! at one bit per vertex they cost the host a word per 64 vertices a level.
+//!
+//! Each member still tests `stamp == epoch` when it runs.  A push earlier in
+//! the same level can move a member's stamp on to the next level, and the
+//! full-grid scan then skips it; so does the member launch.  The sequential
+//! backend therefore visits the members in the full scan's order and leaves
+//! the same memory image.
+//!
 //! # AtomicQueue memory model
 //!
 //! A queue push is `fetch_add(tail)` + relaxed store of the item, with a
@@ -118,10 +144,10 @@
 //!    the same stamp rebuild as race 3.
 
 use crate::buffer::DeviceBuffer;
-use crate::engine::{ThreadCtx, VirtualGpu};
+use crate::engine::{LaunchRecord, ThreadCtx, VirtualGpu};
 use crate::primitives::{self, DeviceQueue, QUEUE_BLOCK};
 use crate::scratch::ScratchBuffer;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::str::FromStr;
 
@@ -139,7 +165,10 @@ const STITCH_THRESHOLD: usize = 448;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WorklistMode {
     /// Stamp-guarded slots scanned in full every round (the paper's
-    /// `iA`-array scheme; no compaction ever runs).
+    /// `iA`-array scheme; no compaction ever runs).  A BFS level is priced
+    /// as the full domain but runs only its members on the host, listed by
+    /// an uncharged host bitmap; each member re-checks its stamp (see
+    /// [Dense frontiers on the host](self#dense-frontiers-on-the-host)).
     DenseStamp,
     /// Slots compacted with the count / prefix-sum / scatter pattern of
     /// `G-PR-SHRKRNL` when the engine asks for it; BFS frontiers advance by
@@ -301,10 +330,16 @@ impl ActiveView<'_> {
 pub struct FrontierView<'a> {
     stamp: &'a DeviceBuffer<u64>,
     epoch: u64,
-    nonempty: &'a DeviceBuffer<u64>,
-    /// The next level's append queue; absent only in
-    /// [`WorklistMode::DenseStamp`], whose frontier is the stamps alone.
-    queue: Option<DeviceQueue<'a>>,
+    next: NextLevel<'a>,
+}
+
+/// Where [`FrontierView::push`] records the next level.
+enum NextLevel<'a> {
+    /// [`WorklistMode::DenseStamp`]: the stamps and the activity word are the
+    /// device's record, `marks` the host's membership bitmap.
+    Dense { nonempty: &'a DeviceBuffer<u64>, marks: &'a DeviceBuffer<u64> },
+    /// Every other mode appends to the next level's queue.
+    Queue(DeviceQueue<'a>),
 }
 
 impl FrontierView<'_> {
@@ -313,18 +348,54 @@ impl FrontierView<'_> {
     #[inline]
     pub fn push(&self, ctx: &ThreadCtx, v: usize) {
         let next = self.epoch + 1;
-        match &self.queue {
-            None => {
+        match &self.next {
+            NextLevel::Dense { nonempty, marks } => {
                 self.stamp.set(v, next);
-                self.nonempty.set(0, 1);
+                nonempty.set(0, 1);
+                mark(marks, v);
             }
-            Some(queue) => {
+            NextLevel::Queue(queue) => {
                 if self.stamp.get(v) != next {
                     self.stamp.set(v, next);
                     queue.push(ctx, v as u64);
                 }
             }
         }
+    }
+}
+
+/// Sets `v`'s bit in a dense frontier's membership bitmap.
+#[inline]
+fn mark(marks: &DeviceBuffer<u64>, v: usize) {
+    marks.fetch_or(v / 64, 1 << (v % 64));
+}
+
+/// The host's membership record of a [`WorklistMode::DenseStamp`] frontier
+/// (see [Dense frontiers on the host](self#dense-frontiers-on-the-host)):
+/// two bitmaps of one bit per domain vertex, drawn from the device's scratch
+/// arena so warm sessions reuse them across levels and solves.
+struct DenseMembers<'gpu> {
+    /// Seeded, or pushed during the current level: the next level.
+    marks: ScratchBuffer<'gpu>,
+    /// The current level's members.
+    level: ScratchBuffer<'gpu>,
+    /// How many bits `level` has set.
+    len: Cell<usize>,
+}
+
+impl DenseMembers<'_> {
+    /// Moves the marks into `level`, clearing them for the next level.
+    fn gather(&self) {
+        let mut len = 0;
+        for word in 0..self.marks.len() {
+            let bits = self.marks.get(word);
+            if bits != 0 {
+                self.marks.set(word, 0);
+            }
+            self.level.set(word, bits);
+            len += bits.count_ones() as usize;
+        }
+        self.len.set(len);
     }
 }
 
@@ -360,6 +431,7 @@ pub struct Worklist<'gpu> {
     current: OnceCell<ScratchBuffer<'gpu>>,
     pending: OnceCell<ScratchBuffer<'gpu>>,
     stamp: OnceCell<ScratchBuffer<'gpu>>,
+    members: OnceCell<DenseMembers<'gpu>>,
     tail: ScratchBuffer<'gpu>,
     nonempty: ScratchBuffer<'gpu>,
     overflow: ScratchBuffer<'gpu>,
@@ -392,6 +464,7 @@ impl<'gpu> Worklist<'gpu> {
             current: OnceCell::new(),
             pending: OnceCell::new(),
             stamp: OnceCell::new(),
+            members: OnceCell::new(),
             tail: gpu.scratch().acquire(1, 0),
             nonempty: gpu.scratch().acquire(1, 0),
             overflow: gpu.scratch().acquire(1, 0),
@@ -436,6 +509,24 @@ impl<'gpu> Worklist<'gpu> {
     /// use; epochs start at 1, so a zeroed stamp never matches.
     fn stamp_buf(&self) -> &DeviceBuffer<u64> {
         self.stamp.get_or_init(|| self.gpu.scratch().acquire(self.domain, 0))
+    }
+
+    /// The dense frontier's host membership, acquired on first use.
+    fn members(&self) -> &DenseMembers<'gpu> {
+        let words = self.domain.div_ceil(64);
+        self.members.get_or_init(|| DenseMembers {
+            marks: self.gpu.scratch().acquire(words, 0),
+            level: self.gpu.scratch().acquire(words, 0),
+            len: Cell::new(0),
+        })
+    }
+
+    /// Clears the dense frontier's membership bitmap for a re-seed and
+    /// returns it.
+    fn cleared_marks(&self) -> &DeviceBuffer<u64> {
+        let marks = &self.members().marks;
+        marks.fill(0);
+        marks
     }
 
     /// The representation this worklist runs with.
@@ -487,10 +578,12 @@ impl<'gpu> Worklist<'gpu> {
         // ever written so far can masquerade as a freshly seeded item.
         self.epoch += 2;
         let epoch = self.epoch;
+        let dense = self.mode == WorklistMode::DenseStamp;
         let mut k = 0usize;
         {
             let current = self.current_buf();
             let stamp = self.stamp_buf();
+            let marks = dense.then(|| self.cleared_marks());
             // The partner array only needs refreshing if it already exists;
             // an untouched pending array is EMPTY-filled on first use, and a
             // round-one resolve of an EMPTY slot memory is a no-op —
@@ -502,11 +595,17 @@ impl<'gpu> Worklist<'gpu> {
                 debug_assert!(v < self.domain, "worklist item {v} outside domain {}", self.domain);
                 current.set(k, v as u64);
                 stamp.set(v, epoch);
+                if let Some(marks) = marks {
+                    mark(marks, v);
+                }
                 if let Some(pending) = pending {
                     pending.set(k, v as u64);
                 }
                 k += 1;
             }
+        }
+        if dense {
+            self.members().gather();
         }
         self.len = k;
         self.tail.set(0, 0);
@@ -532,16 +631,19 @@ impl<'gpu> Worklist<'gpu> {
         match self.mode {
             WorklistMode::DenseStamp => {
                 // Membership is the stamps alone; one domain pass suffices
-                // and no list is materialized.
+                // and no device list is materialized.
                 let epoch = self.epoch;
                 let stamp = self.stamp_buf();
+                let marks = self.cleared_marks();
                 self.gpu.launch(self.names.refill, self.domain, |ctx| {
                     let v = ctx.global_id;
                     ctx.add_work(1);
                     if predicate(v) {
                         stamp.set(v, epoch);
+                        mark(marks, v);
                     }
                 });
+                self.members().gather();
                 self.len = 0;
             }
             WorklistMode::Compacted | WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
@@ -755,34 +857,49 @@ impl<'gpu> Worklist<'gpu> {
 
     /// Launches `f` over the current frontier.  In
     /// [`WorklistMode::DenseStamp`] the launch covers the whole domain and
-    /// the stamp array decides membership (the paper's dense BFS kernels);
-    /// the other modes launch over the frontier list appended during the
-    /// previous level.  `f` pushes next-level vertices through the
-    /// [`FrontierView`].
+    /// the stamp array decides membership (the paper's dense BFS kernels),
+    /// though only the level's members run on the host; the other modes
+    /// launch over the frontier list appended during the previous level.
+    /// `f` pushes next-level vertices through the [`FrontierView`].
     pub fn for_each_frontier(
         &self,
         name: &'static str,
         f: impl Fn(&ThreadCtx, usize, &FrontierView<'_>) + Sync,
     ) {
+        self.frontier_launch(name, f);
+    }
+
+    /// [`Worklist::for_each_frontier`], returning the level's launch record.
+    fn frontier_launch(
+        &self,
+        name: &'static str,
+        f: impl Fn(&ThreadCtx, usize, &FrontierView<'_>) + Sync,
+    ) -> LaunchRecord {
         let stamp = self.stamp_buf();
         let epoch = self.epoch;
-        let view = FrontierView {
-            stamp,
-            epoch,
-            nonempty: &self.nonempty,
-            queue: (self.mode != WorklistMode::DenseStamp).then(|| self.queue_view()),
-        };
         match self.mode {
             WorklistMode::DenseStamp => {
-                self.gpu.launch(name, self.domain, |ctx| {
-                    let v = ctx.global_id;
-                    ctx.add_work(1);
-                    if stamp.get(v) == epoch {
-                        f(ctx, v, &view);
-                    }
-                });
+                let members = self.members();
+                let next = NextLevel::Dense { nonempty: &self.nonempty, marks: &members.marks };
+                let view = FrontierView { stamp, epoch, next };
+                // A member re-checks its stamp: a push earlier in this level
+                // may have moved it on to the next one.
+                self.gpu.launch_members(
+                    name,
+                    self.domain,
+                    &members.level,
+                    members.len.get(),
+                    |ctx| {
+                        let v = ctx.global_id;
+                        ctx.add_work(1);
+                        if stamp.get(v) == epoch {
+                            f(ctx, v, &view);
+                        }
+                    },
+                )
             }
             WorklistMode::Compacted | WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+                let view = FrontierView { stamp, epoch, next: NextLevel::Queue(self.queue_view()) };
                 let current = self.current_buf();
                 self.gpu.launch(name, self.len, |ctx| {
                     let i = ctx.global_id;
@@ -794,15 +911,16 @@ impl<'gpu> Worklist<'gpu> {
                         return;
                     }
                     f(ctx, v as usize, &view);
-                });
+                })
             }
         }
     }
 
     /// Moves the frontier to the next level, returning `true` iff it is
-    /// non-empty.  [`WorklistMode::DenseStamp`] reads its activity flag;
-    /// every other mode swaps in the list appended during the level
-    /// (rebuilding from stamps only after an overflow).
+    /// non-empty.  [`WorklistMode::DenseStamp`] reads its activity flag and
+    /// gathers the level's members from its host bitmap; every other mode
+    /// swaps in the list appended during the level (rebuilding from stamps
+    /// only after an overflow).
     pub fn advance_frontier(&mut self) -> bool {
         self.fresh_seed = false;
         self.fused_refill_done = false;
@@ -810,6 +928,7 @@ impl<'gpu> Worklist<'gpu> {
         if self.mode == WorklistMode::DenseStamp {
             let any = self.nonempty.get(0) != 0;
             self.nonempty.set(0, 0);
+            self.members().gather();
             return any;
         }
         self.take_appended_queue();
@@ -1095,6 +1214,8 @@ impl fmt::Debug for Worklist<'_> {
 mod tests {
     use super::*;
     use crate::engine::VirtualGpu;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     const NAMES: WorklistKernels = WorklistKernels {
         init: "wl_init",
@@ -1632,6 +1753,134 @@ mod tests {
             .collect();
         assert_eq!(threads[0], threads[1]);
         assert_eq!(threads[0], n as u64, "one thread per visit");
+    }
+
+    /// The launch a dense frontier level replaced: one thread per domain
+    /// vertex, each reading its stamp.
+    fn full_grid_level(
+        wl: &Worklist<'_>,
+        name: &'static str,
+        f: impl Fn(&ThreadCtx, usize, &FrontierView<'_>) + Sync,
+    ) -> LaunchRecord {
+        let (stamp, epoch) = (wl.stamp_buf(), wl.epoch);
+        let next = NextLevel::Dense { nonempty: &wl.nonempty, marks: &wl.members().marks };
+        let view = FrontierView { stamp, epoch, next };
+        wl.gpu.launch(name, wl.domain, |ctx| {
+            let v = ctx.global_id;
+            ctx.add_work(1);
+            if stamp.get(v) == epoch {
+                f(ctx, v, &view);
+            }
+        })
+    }
+
+    /// Everything a dense level leaves behind that the cost model or the
+    /// next level can see, with the modelled time as bits.
+    fn record_bits(rec: &LaunchRecord) -> (usize, u64, u64, u64, u64, u64) {
+        let LaunchRecord { threads, work, max_thread_work, atomics, hot_word_atomics, .. } = *rec;
+        (threads, work, max_thread_work, atomics, hot_word_atomics, rec.modelled_time_ns.to_bits())
+    }
+
+    /// A frontier kernel with varied work, one contended word, and pushes
+    /// read from `adjacency` (vertex `v` pushes the list at `v` modulo its
+    /// length, each target modulo the domain, unless `skip` says no).
+    fn level_kernel<'a>(
+        hot: &'a DeviceBuffer<u64>,
+        adjacency: &'a [Vec<usize>],
+        skip: &'a (dyn Fn(usize) -> bool + Sync),
+    ) -> impl Fn(&ThreadCtx, usize, &FrontierView<'_>) + Sync + 'a {
+        move |ctx, v, frontier| {
+            ctx.add_work(1 + v as u64 % 3);
+            if v % 4 == 0 {
+                hot.fetch_add(0, 1);
+                ctx.add_atomic(hot.word_id(0));
+            }
+            let domain = frontier.stamp.len();
+            for &w in &adjacency[v % adjacency.len()] {
+                if !skip(w % domain) {
+                    frontier.push(ctx, w % domain);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A dense level over its members records the same launch, leaves
+        /// the same next-level stamps and advances the same way as the
+        /// full-grid launch it replaces — including after a re-seed that
+        /// abandons a level's pushes.  On the pooled backend the pushes skip
+        /// current members, so that no race decides which members run.
+        #[test]
+        fn dense_member_levels_match_the_full_grid_launch(
+            domain in 1usize..400,
+            seeds in vec(0usize..1000, 0..24),
+            reseeds in vec(0usize..1000, 0..24),
+            adjacency in vec(vec(0usize..1000, 0..4), 1..64),
+            reseed_after in 0usize..5,
+        ) {
+            // A seed lists distinct items (its slot list holds the domain).
+            let distinct = |items: Vec<usize>| {
+                let mut seen = vec![false; domain];
+                items.into_iter().map(|v| v % domain).filter(|&v| !std::mem::replace(&mut seen[v], true)).collect::<Vec<_>>()
+            };
+            let (seeds, reseeds) = (distinct(seeds), distinct(reseeds));
+            let pooled_3 = || {
+                let exec = crate::ExecutorConfig::default().with_parallel_threshold(1);
+                VirtualGpu::new(
+                    crate::GpuConfig::tesla_c2050(crate::Backend::Parallel { workers: 3 })
+                        .with_executor(exec),
+                )
+            };
+            for pooled in [false, true] {
+                let device = || if pooled { pooled_3() } else { VirtualGpu::sequential() };
+                let (gpu_m, gpu_f) = (device(), device());
+                let mut members = Worklist::new(&gpu_m, WorklistMode::DenseStamp, domain, NAMES);
+                let mut full = Worklist::new(&gpu_f, WorklistMode::DenseStamp, domain, NAMES);
+                members.seed(seeds.iter().copied());
+                full.seed(seeds.iter().copied());
+                for level in 0..8 {
+                    let in_level: Vec<bool> =
+                        members.stamp_buf().to_vec().iter().map(|&s| s == members.epoch).collect();
+                    // Pooled pushes skip current members (see above).
+                    let skip = |w: usize| pooled && in_level[w];
+                    let (hot_m, hot_f) = (DeviceBuffer::<u64>::new(1, 0), DeviceBuffer::<u64>::new(1, 0));
+                    let got = members.frontier_launch("wl_level", level_kernel(&hot_m, &adjacency, &skip));
+                    let want = full_grid_level(&full, "wl_level", level_kernel(&hot_f, &adjacency, &skip));
+                    prop_assert_eq!(record_bits(&got), record_bits(&want), "pooled {} level {}", pooled, level);
+                    prop_assert_eq!(members.stamp_buf().to_vec(), full.stamp_buf().to_vec());
+                    if level == reseed_after {
+                        members.seed(reseeds.iter().copied());
+                        full.seed(reseeds.iter().copied());
+                        continue;
+                    }
+                    let advanced = members.advance_frontier();
+                    prop_assert_eq!(advanced, full.advance_frontier());
+                    if !advanced {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_levels_run_only_their_members_on_the_host() {
+        let runs = std::sync::atomic::AtomicUsize::new(0);
+        let n = 1_000_000;
+        let gpu = VirtualGpu::sequential();
+        let mut wl = Worklist::new(&gpu, WorklistMode::DenseStamp, n, NAMES);
+        wl.seed([999_999, 7, 500_000]);
+        wl.for_each_frontier("wl_bfs", |_ctx, _v, _frontier| {
+            runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        });
+        assert_eq!(runs.into_inner(), 3);
+        // Priced as the full grid: a million threads, each with its unit of
+        // stamp-reading work.
+        let stats = gpu.stats();
+        assert_eq!(stats.kernels["wl_bfs"].total_threads, n as u64);
+        assert_eq!(stats.kernels["wl_bfs"].total_work, n as u64);
     }
 
     #[test]

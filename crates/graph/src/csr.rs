@@ -42,12 +42,14 @@ impl BipartiteCsr {
     /// Builds a graph from an edge list of `(row, col)` pairs.
     ///
     /// Duplicate edges are collapsed; the adjacency lists of the result are
-    /// sorted.  Returns an error if any endpoint is out of bounds.
+    /// sorted.  Returns an error if a side has more vertices than
+    /// [`VertexId`] can name, or if any endpoint is out of bounds.
     pub fn from_edges(
         num_rows: usize,
         num_cols: usize,
         edges: &[(VertexId, VertexId)],
     ) -> Result<Self> {
+        Self::check_shape(num_rows, num_cols)?;
         for &(r, c) in edges {
             if (r as usize) >= num_rows {
                 return Err(GraphError::RowOutOfBounds { row: r, num_rows });
@@ -60,6 +62,18 @@ impl BipartiteCsr {
         sorted.sort_unstable();
         sorted.dedup();
         Ok(Self::from_sorted_dedup_edges(num_rows, num_cols, &sorted))
+    }
+
+    /// Rejects a shape with a side above [`VertexId::MAX`] vertices, before
+    /// anything is allocated for it.
+    pub(crate) fn check_shape(num_rows: usize, num_cols: usize) -> Result<()> {
+        let limit = VertexId::MAX as usize;
+        if num_rows > limit || num_cols > limit {
+            return Err(GraphError::InvalidCsr(format!(
+                "{num_rows}x{num_cols} has a side above the vertex-id limit {limit}"
+            )));
+        }
+        Ok(())
     }
 
     /// Builds a graph from an edge list already sorted by `(row, col)` with no
@@ -448,6 +462,17 @@ mod tests {
             BipartiteCsr::from_edges(2, 2, &[(0, 5)]),
             Err(GraphError::ColOutOfBounds { col: 5, num_cols: 2 })
         ));
+    }
+
+    #[test]
+    fn shapes_beyond_the_vertex_id_range_are_rejected_before_allocating() {
+        let limit = VertexId::MAX as usize;
+        for (rows, cols) in
+            [(limit + 1, 1), (1, limit + 1), (100_000_000_000_000, 1), (usize::MAX, 0)]
+        {
+            let err = BipartiteCsr::from_edges(rows, cols, &[]).unwrap_err();
+            assert!(err.to_string().contains("vertex-id limit"), "{rows}x{cols}: {err}");
+        }
     }
 
     #[test]

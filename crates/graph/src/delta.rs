@@ -374,9 +374,10 @@ impl BipartiteCsr {
     /// The result is canonical, so its [`BipartiteCsr::fingerprint`] equals
     /// that of a from-scratch rebuild of the same logical edge set.
     ///
-    /// Errors if an insert, remove, or clear references a vertex outside the
-    /// *patched* shape (base shape plus [`GraphDelta::add_rows`] /
-    /// [`GraphDelta::add_cols`]).
+    /// Errors if the *patched* shape (base shape plus
+    /// [`GraphDelta::add_rows`] / [`GraphDelta::add_cols`]) has a side above
+    /// [`VertexId::MAX`] vertices, or if an insert, remove, or clear
+    /// references a vertex outside it.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<Self> {
         let canon;
         let d = if delta.is_canonical() {
@@ -385,8 +386,12 @@ impl BipartiteCsr {
             canon = delta.to_canonical();
             &canon
         };
-        let new_rows = self.num_rows() + d.add_rows;
-        let new_cols = self.num_cols() + d.add_cols;
+        let grown =
+            (self.num_rows().checked_add(d.add_rows), self.num_cols().checked_add(d.add_cols));
+        let (Some(new_rows), Some(new_cols)) = grown else {
+            return Err(GraphError::InvalidCsr("the patched shape overflows usize".into()));
+        };
+        Self::check_shape(new_rows, new_cols)?;
         for &(r, c) in d.insert_edges.iter().chain(d.remove_edges.iter()) {
             if (r as usize) >= new_rows {
                 return Err(GraphError::RowOutOfBounds { row: r, num_rows: new_rows });
@@ -661,6 +666,19 @@ mod tests {
         let mut d = GraphDelta::new();
         d.add_rows(1).insert_edge(3, 0);
         assert!(g.apply_delta(&d).is_ok());
+    }
+
+    #[test]
+    fn growth_beyond_the_vertex_id_range_is_rejected() {
+        let g = base();
+        for added in [VertexId::MAX as usize, 100_000_000_000_000, usize::MAX] {
+            let mut d = GraphDelta::new();
+            d.add_rows(added);
+            assert!(matches!(g.apply_delta(&d), Err(GraphError::InvalidCsr(_))), "{added} rows");
+            let mut d = GraphDelta::new();
+            d.add_cols(added);
+            assert!(matches!(g.apply_delta(&d), Err(GraphError::InvalidCsr(_))), "{added} cols");
+        }
     }
 
     #[test]

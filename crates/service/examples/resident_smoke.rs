@@ -6,10 +6,12 @@
 //!    `@resident` persistent megakernel — and asserts both reach the same
 //!    cardinality and that the resident price is the lower one: the whole
 //!    label grammar, execution-mode suffix included, works over the wire.
-//! 2. Submits a deliberately huge, tagged `@resident` solve on a second
-//!    connection and cancels it by tag mid-solve.  The round loop polls the
+//! 2. Uploads a deliberately huge graph, solves it by fingerprint with a
+//!    tagged `@resident` label on a second connection, and cancels it by
+//!    tag once `shards` reports the job running.  The round loop polls the
 //!    stop signal before every round, so the cancel must land within one
-//!    device round — not after the full solve.
+//!    device round — after at least one completed round, and long before
+//!    the full solve ends.
 //!
 //! ```text
 //! cargo run --release -p gpm-service &               # listens on 127.0.0.1:7878
@@ -39,6 +41,32 @@ fn modelled_device_seconds(response: &Value) -> f64 {
         .and_then(|r| r.get("modelled_device_seconds"))
         .and_then(Value::as_f64)
         .expect("GPU solve response carries report.modelled_device_seconds")
+}
+
+/// Polls the per-shard snapshots until a job is running, so a cancel sent
+/// next lands in the solve's round loop rather than in the queue.
+fn wait_until_running(client: &mut Client) -> std::io::Result<()> {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let shards = client.shard_stats()?;
+        if shards.iter().any(|s| s.get("running").and_then(Value::as_u64).unwrap_or(0) > 0) {
+            return Ok(());
+        }
+        if Instant::now() > deadline {
+            return Err(std::io::Error::other("the tagged job never started running"));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The round count a `job cancelled after N rounds …` error names.
+fn rounds_completed(message: &str) -> u64 {
+    message
+        .split("after ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no round count in: {message}"))
 }
 
 fn main() -> std::io::Result<()> {
@@ -91,7 +119,12 @@ fn main() -> std::io::Result<()> {
 
     // Part 2: cancellation stays round-granular under the megakernel
     // pricing: the round loop's stop poll honours this cancel mid-solve.
-    let huge = gen::rmat(gen::RmatParams::graph500(17, 16), 7).expect("generate graph");
+    // The graph is uploaded first, so the solve starts as soon as it is
+    // submitted and the cancel cannot overtake it in the queue.
+    // Scale 18 keeps the solve running several times longer than the
+    // polls and the cancel take to reach the server.
+    let huge = gen::rmat(gen::RmatParams::graph500(18, 16), 7).expect("generate graph");
+    let victim_fingerprint = client.put_graph(&huge)?;
     println!(
         "submitting {}x{} RMAT '@resident' solve ({} edges) tagged 'resident-victim' …",
         huge.num_rows(),
@@ -105,28 +138,22 @@ fn main() -> std::io::Result<()> {
         let options =
             SolveOptions { tag: Some("resident-victim".to_string()), ..Default::default() };
         let victim = Algorithm::gpr_default().with_exec(ExecMode::Persistent);
-        match a.solve_inline_with(&huge, victim, InitHeuristic::Empty, &options) {
+        match a.solve_cached_with(victim_fingerprint, victim, InitHeuristic::Empty, &options) {
             Ok(_) => Err(std::io::Error::other("solve finished before the cancel landed")),
             Err(e) => Ok(e),
         }
     });
 
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let cancelled = client.cancel_tag("resident-victim")?;
-        if cancelled > 0 {
-            println!("cancel reached {cancelled} job(s) after {:?}", started.elapsed());
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err(std::io::Error::other("cancel never found the tagged job"));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until_running(&mut client)?;
+    let cancelled = client.cancel_tag("resident-victim")?;
+    println!("cancel reached {cancelled} job(s) after {:?}", started.elapsed());
+    assert_eq!(cancelled, 1, "the running job must be cancellable by its tag");
 
     let err = solve.join().expect("solve thread panicked")?;
     let message = err.to_string();
     assert!(message.contains("cancelled"), "expected a cancelled error, got: {message}");
+    let rounds = rounds_completed(&message);
+    assert!(rounds >= 1, "the cancel must land inside the round loop, got: {message}");
     println!("resident solve failed as expected: {message}");
     println!("cancelled end-to-end in {:?}", started.elapsed());
 

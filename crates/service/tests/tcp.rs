@@ -252,3 +252,39 @@ fn non_utf8_line_gets_an_error_and_the_connection_keeps_serving() {
     read_response(&mut reader);
     server.join().unwrap();
 }
+
+#[test]
+fn hostile_dimensions_get_errors_and_the_server_keeps_serving() {
+    let (addr, server) = spawn_server();
+    let (mut stream, mut reader) = raw_connection(addr);
+    let mut ask = |line: &str| {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        read_response(&mut reader)
+    };
+    let put = ask(r#"{"op":"put_graph","rows":2,"cols":2,"edges":[[0,0],[1,1]]}"#);
+    let parent = put.get("fingerprint").and_then(Value::as_str).expect("fingerprint").to_string();
+    // A side of 10^14 vertices once aborted the server allocating for it,
+    // and one of 9·10^18 panicked its connection thread on a capacity
+    // overflow; the patch twins grow a graph to the same sizes, the last
+    // past usize::MAX.
+    let hostile = [
+        r#"{"op":"put_graph","rows":100000000000000,"cols":1,"edges":[]}"#.to_string(),
+        r#"{"op":"put_graph","rows":9000000000000000000,"cols":1,"edges":[]}"#.to_string(),
+        format!(r#"{{"op":"patch_graph","parent":"{parent}","add_rows":100000000000000}}"#),
+        format!(r#"{{"op":"patch_graph","parent":"{parent}","add_rows":18446744073709551615}}"#),
+    ];
+    for line in &hostile {
+        let response = ask(line);
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{line}: {response:?}"
+        );
+        assert!(response.get("error").and_then(Value::as_str).is_some(), "{line}: {response:?}");
+    }
+    let solved = ask(&format!(r#"{{"op":"solve","algorithm":"HK","fingerprint":"{parent}"}}"#));
+    let report = solved.get("report").unwrap_or_else(|| panic!("{solved:?}"));
+    assert_eq!(report.get("cardinality").and_then(Value::as_u64), Some(2));
+    ask(r#"{"op":"shutdown"}"#);
+    server.join().unwrap();
+}
