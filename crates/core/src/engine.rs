@@ -4,9 +4,12 @@
 //! Each of the paper's seven families — the three G-PR variants, G-HK /
 //! G-HKDW, sequential PR, PF+, HK, HKDW, and P-DBFS — is wrapped in an
 //! engine that owns its **warm workspace** (device state, label arrays,
-//! active-list staging).  A [`crate::solver::Solver`] session keeps one
-//! engine per [`Algorithm`] it has run, so repeated solves on same-shaped
-//! graphs skip the setup cost the paper excludes from its reported runtimes.
+//! active-list staging).  The two GPU families have an engine type each;
+//! the five CPU baselines share one, which holds the baseline's solve as a
+//! closure owning its warm state.  A [`crate::solver::Solver`] session keeps
+//! one engine per [`Algorithm`] it has run, so repeated solves on
+//! same-shaped graphs skip the setup cost the paper excludes from its
+//! reported runtimes.
 
 use crate::cancel::SolveCtx;
 use crate::error::SolveError;
@@ -14,7 +17,8 @@ use crate::ghk::{self, GhkVariant, GhkWorkspace};
 use crate::gpr::{self, GprConfig, GprWorkspace};
 use crate::solver::Algorithm;
 use gpm_cpu::{
-    hkdw, hopcroft_karp, pdbfs, pothen_fan, sequential_pr_with, PdbfsConfig, PrConfig, PrWorkspace,
+    hkdw, hopcroft_karp, pdbfs, pothen_fan, sequential_pr_with, CpuRunResult, PdbfsConfig,
+    PrConfig, PrWorkspace,
 };
 use gpm_gpu::{DeviceStats, VirtualGpu};
 use gpm_graph::{BipartiteCsr, Matching};
@@ -95,16 +99,26 @@ pub fn engine_for_tuned(
             exec,
             workspace: GhkWorkspace::new(),
         }),
-        Algorithm::SequentialPushRelabel(k) => Box::new(PrEngine {
-            algorithm,
-            config: PrConfig { global_relabel_k: k, ..PrConfig::default() },
-            workspace: PrWorkspace::new(),
-        }),
-        Algorithm::PothenFan => Box::new(PothenFanEngine),
-        Algorithm::HopcroftKarp => Box::new(HopcroftKarpEngine),
-        Algorithm::Hkdw => Box::new(HkdwEngine),
-        Algorithm::Pdbfs(threads) => Box::new(PdbfsEngine { threads }),
+        Algorithm::SequentialPushRelabel(k) => {
+            let config = PrConfig { global_relabel_k: k, ..PrConfig::default() };
+            let mut workspace = PrWorkspace::new();
+            cpu_engine(algorithm, move |g, m| sequential_pr_with(g, m, config, &mut workspace))
+        }
+        Algorithm::PothenFan => cpu_engine(algorithm, pothen_fan),
+        Algorithm::HopcroftKarp => cpu_engine(algorithm, hopcroft_karp),
+        Algorithm::Hkdw => cpu_engine(algorithm, hkdw),
+        Algorithm::Pdbfs(threads) => {
+            cpu_engine(algorithm, move |g, m| pdbfs(g, m, PdbfsConfig { threads }))
+        }
     })
+}
+
+/// The engine of a CPU baseline that `run` solves.
+fn cpu_engine(
+    algorithm: Algorithm,
+    run: impl FnMut(&BipartiteCsr, &Matching) -> CpuRunResult + Send + 'static,
+) -> Box<dyn Engine + Send> {
+    Box::new(CpuEngine { algorithm, run: Box::new(run) })
 }
 
 /// G-PR (all three kernel variants) with a warm device workspace.
@@ -182,14 +196,17 @@ impl Engine for GhkEngine {
     }
 }
 
-/// Sequential push-relabel with warm label arrays.
-struct PrEngine {
+/// One solve of a CPU baseline, owning whatever warm state the baseline
+/// keeps between solves (sequential PR's label arrays; the others none).
+type CpuSolve = dyn FnMut(&BipartiteCsr, &Matching) -> CpuRunResult + Send;
+
+/// A CPU baseline.
+struct CpuEngine {
     algorithm: Algorithm,
-    config: PrConfig,
-    workspace: PrWorkspace,
+    run: Box<CpuSolve>,
 }
 
-impl Engine for PrEngine {
+impl Engine for CpuEngine {
     fn algorithm(&self) -> Algorithm {
         self.algorithm
     }
@@ -200,85 +217,7 @@ impl Engine for PrEngine {
         initial: &Matching,
         _ctx: &mut EngineCtx<'_>,
     ) -> Result<EngineOutput, SolveError> {
-        let r = sequential_pr_with(graph, initial, self.config, &mut self.workspace);
-        Ok(EngineOutput { matching: r.matching, wall_seconds: r.stats.seconds, device_stats: None })
-    }
-}
-
-/// Pothen–Fan with lookahead (stateless between solves).
-struct PothenFanEngine;
-
-impl Engine for PothenFanEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::PothenFan
-    }
-
-    fn solve(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        _ctx: &mut EngineCtx<'_>,
-    ) -> Result<EngineOutput, SolveError> {
-        let r = pothen_fan(graph, initial);
-        Ok(EngineOutput { matching: r.matching, wall_seconds: r.stats.seconds, device_stats: None })
-    }
-}
-
-/// Hopcroft–Karp (stateless between solves).
-struct HopcroftKarpEngine;
-
-impl Engine for HopcroftKarpEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::HopcroftKarp
-    }
-
-    fn solve(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        _ctx: &mut EngineCtx<'_>,
-    ) -> Result<EngineOutput, SolveError> {
-        let r = hopcroft_karp(graph, initial);
-        Ok(EngineOutput { matching: r.matching, wall_seconds: r.stats.seconds, device_stats: None })
-    }
-}
-
-/// HKDW (stateless between solves).
-struct HkdwEngine;
-
-impl Engine for HkdwEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Hkdw
-    }
-
-    fn solve(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        _ctx: &mut EngineCtx<'_>,
-    ) -> Result<EngineOutput, SolveError> {
-        let r = hkdw(graph, initial);
-        Ok(EngineOutput { matching: r.matching, wall_seconds: r.stats.seconds, device_stats: None })
-    }
-}
-
-/// Multicore P-DBFS (spawns its worker threads per solve).
-struct PdbfsEngine {
-    threads: usize,
-}
-
-impl Engine for PdbfsEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Pdbfs(self.threads)
-    }
-
-    fn solve(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        _ctx: &mut EngineCtx<'_>,
-    ) -> Result<EngineOutput, SolveError> {
-        let r = pdbfs(graph, initial, PdbfsConfig { threads: self.threads });
+        let r = (self.run)(graph, initial);
         Ok(EngineOutput { matching: r.matching, wall_seconds: r.stats.seconds, device_stats: None })
     }
 }

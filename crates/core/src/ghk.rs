@@ -36,10 +36,11 @@
 //! columns this thread has visited — lives in a `thread_local!` scratch of
 //! the OS thread executing the virtual thread, so a thread allocates
 //! nothing and tests a column's visited mark in O(1).  The marks are
-//! epoch-stamped: each virtual thread starts an empty set by advancing the
-//! epoch, and the stamps are cleared only when the `u32` epoch wraps.  An OS
-//! thread keeps 4 bytes per column of the largest graph it has swept, plus
-//! stacks as deep as its longest path, for as long as it lives.
+//! `gpm_cpu::EpochMarks`, the CPU baselines' visited marks: each virtual
+//! thread starts an empty set by advancing the epoch, and the stamps are
+//! cleared only when the `u32` epoch wraps.  An OS thread keeps 4 bytes per
+//! column of the largest graph it has swept, plus stacks as deep as its
+//! longest path, for as long as it lives.
 //!
 //! A virtual thread runs start to finish on one OS thread under every
 //! backend and execution mode, so "visited by this thread" keeps its
@@ -57,6 +58,7 @@
 
 use crate::device::{DeviceState, MU_UNMATCHED};
 use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
+use gpm_cpu::EpochMarks;
 use gpm_gpu::{
     DeviceBuffer, DeviceStats, ExecMode, StopCheck, VirtualGpu, Worklist, WorklistKernels,
     WorklistMode,
@@ -371,40 +373,6 @@ struct Frame {
 impl Frame {
     fn new(vertex: usize) -> Self {
         Self { vertex, next: 0, via: -1 }
-    }
-}
-
-/// Epoch-stamped membership over `0..len`: [`EpochMarks::begin`] empties
-/// the set in O(1) by advancing the epoch, and clears the stamps only when
-/// the epoch wraps.
-#[derive(Debug, Default)]
-struct EpochMarks {
-    stamps: Vec<u32>,
-    epoch: u32,
-}
-
-impl EpochMarks {
-    /// Starts an empty set over at least `len` items.
-    fn begin(&mut self, len: usize) {
-        if self.stamps.len() < len {
-            self.stamps.resize(len, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        self.stamps[i] == self.epoch
-    }
-
-    /// Adds `i`; returns `false` if it was already in the set.
-    fn insert(&mut self, i: usize) -> bool {
-        let fresh = self.stamps[i] != self.epoch;
-        self.stamps[i] = self.epoch;
-        fresh
     }
 }
 
@@ -832,13 +800,14 @@ mod tests {
                 s.spawn(|| {
                     if let Some(epoch) = wrap_from {
                         SCRATCH.with_borrow_mut(|s| {
-                            s.visited.stamps = vec![1; g.num_cols()];
-                            s.visited.epoch = epoch;
+                            let (stamps, current) = s.visited.raw_parts_mut();
+                            *stamps = vec![1; g.num_cols()];
+                            *current = epoch;
                         });
                     }
                     let gpu = VirtualGpu::sequential();
                     let (r, paths) = recording(|| run(&gpu, &g, &init, GhkVariant::Hkdw));
-                    (outcome(&r), paths, SCRATCH.with_borrow(|s| s.visited.epoch))
+                    (outcome(&r), paths, SCRATCH.with_borrow_mut(|s| *s.visited.raw_parts_mut().1))
                 })
                 .join()
                 .unwrap()

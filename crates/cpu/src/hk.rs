@@ -15,29 +15,30 @@
 //! doubles as a fast oracle for the test suites (its result cardinality is
 //! cross-checked against `gpm_graph::verify`).
 
-use crate::{CpuRunResult, CpuStats};
+use crate::search::{Rules, Search, Side};
+use crate::{CpuRunResult, CpuStats, EpochMarks};
 use gpm_graph::{BipartiteCsr, Matching, VertexId};
 use std::collections::VecDeque;
 
 const INF: u32 = u32::MAX;
 
-/// Internal state of one HK run, reused by the HKDW variant.
-pub(crate) struct HkState {
+/// Internal state of one HK run.
+struct HkState {
     /// BFS level of each column (distance from an unmatched column).
-    pub dist_col: Vec<u32>,
+    dist_col: Vec<u32>,
     /// Level of the virtual NIL vertex = length (in column layers) of the
     /// shortest augmenting path found by the last BFS.
-    pub dist_nil: u32,
+    dist_nil: u32,
 }
 
 impl HkState {
-    pub(crate) fn new(g: &BipartiteCsr) -> Self {
+    fn new(g: &BipartiteCsr) -> Self {
         Self { dist_col: vec![INF; g.num_cols()], dist_nil: INF }
     }
 
     /// BFS phase: layers columns by shortest alternating-path distance from
     /// any unmatched column.  Returns `true` when an augmenting path exists.
-    pub(crate) fn bfs(&mut self, g: &BipartiteCsr, m: &Matching, stats: &mut CpuStats) -> bool {
+    fn bfs(&mut self, g: &BipartiteCsr, m: &Matching, stats: &mut CpuStats) -> bool {
         let mut queue = VecDeque::new();
         for c in 0..g.num_cols() as VertexId {
             if !m.is_col_matched(c) {
@@ -73,54 +74,63 @@ impl HkState {
         }
         self.dist_nil != INF
     }
+}
 
-    /// Restricted DFS from column `c`, following only level-increasing edges,
-    /// augmenting in place.  Returns `true` when an augmenting path was found.
-    pub(crate) fn dfs(
-        &mut self,
-        g: &BipartiteCsr,
-        m: &mut Matching,
-        c: VertexId,
-        stats: &mut CpuStats,
-    ) -> bool {
-        let next_level = self.dist_col[c as usize].saturating_add(1);
-        for &u in g.col_neighbors(c) {
-            stats.edges_scanned += 1;
-            // Level of the vertex behind row u: its matched column, or NIL.
-            let (behind_level, behind) = match m.row_mate(u) {
-                None => (self.dist_nil, None),
-                Some(w) => (self.dist_col[w as usize], Some(w)),
-            };
-            if behind_level != next_level {
-                continue;
-            }
-            let proceed = match behind {
-                None => true,
-                Some(w) => self.dfs(g, m, w, stats),
-            };
-            if proceed {
-                m.match_pair(u, c);
-                return true;
-            }
-        }
-        // Dead end: prune this column for the rest of the phase.
+/// HK's search rules: step only to the next BFS level, and prune a dead-end
+/// column for the rest of the phase.
+impl Rules for HkState {
+    #[inline]
+    fn admit(&mut self, c: VertexId, _u: VertexId, mate: Option<VertexId>) -> bool {
+        // Level of the vertex behind row u: its matched column, or NIL.
+        let behind_level = mate.map_or(self.dist_nil, |w| self.dist_col[w as usize]);
+        behind_level == self.dist_col[c as usize].saturating_add(1)
+    }
+
+    fn dead_end(&mut self, c: VertexId) {
         self.dist_col[c as usize] = INF;
-        false
     }
 }
 
 /// Runs Hopcroft–Karp starting from `initial`.
 pub fn hopcroft_karp(g: &BipartiteCsr, initial: &Matching) -> CpuRunResult {
+    phases(g, initial, "HK", false)
+}
+
+/// The phase loop HK and HKDW share: a BFS layering, then the HK step along
+/// a maximal set of disjoint shortest augmenting paths, then, with `sweep`,
+/// HKDW's Duff–Wiberg sweep from the free rows (see [`crate::hkdw`]).
+pub(crate) fn phases(
+    g: &BipartiteCsr,
+    initial: &Matching,
+    algorithm: &'static str,
+    sweep: bool,
+) -> CpuRunResult {
     let start = std::time::Instant::now();
-    let mut stats = CpuStats { algorithm: "HK", ..Default::default() };
+    let mut stats = CpuStats { algorithm, ..Default::default() };
     let mut matching = initial.clone();
     let mut state = HkState::new(g);
+    let mut search = Search::default();
+    let mut visited_col = EpochMarks::default();
 
     while state.bfs(g, &matching, &mut stats) {
         stats.phases += 1;
         for c in 0..g.num_cols() as VertexId {
-            if !matching.is_col_matched(c) && state.dfs(g, &mut matching, c, &mut stats) {
+            if !matching.is_col_matched(c)
+                && search.augment(g, &mut matching, Side::Cols, c, &mut state, &mut stats)
+            {
                 stats.augmentations += 1;
+            }
+        }
+        if !sweep {
+            continue;
+        }
+        visited_col.begin(g.num_cols());
+        for r in 0..g.num_rows() as VertexId {
+            if !matching.is_row_matched(r)
+                && search.augment(g, &mut matching, Side::Rows, r, &mut visited_col, &mut stats)
+            {
+                stats.augmentations += 1;
+                stats.pushes += 1; // counts extra-sweep augmentations separately
             }
         }
     }

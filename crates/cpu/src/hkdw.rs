@@ -10,69 +10,18 @@
 //!
 //! This CPU implementation is the reference for the GPU G-HKDW baseline in
 //! `gpm-core`.
+//!
+//! HKDW shares HK's phase loop; its sweep is the crate's one augmenting-path
+//! search started from the free rows, entering each column at most once per
+//! phase.
 
-use crate::hk::HkState;
-use crate::{CpuRunResult, CpuStats};
-use gpm_graph::{BipartiteCsr, Matching, VertexId};
-
-/// Unrestricted augmenting DFS from row `r` (searching toward an unmatched
-/// column), used for the extra Duff–Wiberg sweep.
-fn dfs_from_row(
-    g: &BipartiteCsr,
-    m: &mut Matching,
-    visited_col: &mut [bool],
-    r: VertexId,
-    stats: &mut CpuStats,
-) -> bool {
-    for &c in g.row_neighbors(r) {
-        stats.edges_scanned += 1;
-        if visited_col[c as usize] {
-            continue;
-        }
-        visited_col[c as usize] = true;
-        let proceed = match m.col_mate(c) {
-            None => true,
-            Some(w) => dfs_from_row(g, m, visited_col, w, stats),
-        };
-        if proceed {
-            m.match_pair(r, c);
-            return true;
-        }
-    }
-    false
-}
+use crate::hk::phases;
+use crate::CpuRunResult;
+use gpm_graph::{BipartiteCsr, Matching};
 
 /// Runs HKDW starting from `initial`.
 pub fn hkdw(g: &BipartiteCsr, initial: &Matching) -> CpuRunResult {
-    let start = std::time::Instant::now();
-    let mut stats = CpuStats { algorithm: "HKDW", ..Default::default() };
-    let mut matching = initial.clone();
-    let mut state = HkState::new(g);
-    let mut visited_col = vec![false; g.num_cols()];
-
-    while state.bfs(g, &matching, &mut stats) {
-        stats.phases += 1;
-        // Regular HK step: maximal set of disjoint shortest augmenting paths.
-        for c in 0..g.num_cols() as VertexId {
-            if !matching.is_col_matched(c) && state.dfs(g, &mut matching, c, &mut stats) {
-                stats.augmentations += 1;
-            }
-        }
-        // Duff–Wiberg extra sweep: unrestricted DFS from remaining unmatched
-        // rows, picking up longer augmenting paths within the same phase.
-        visited_col.iter_mut().for_each(|v| *v = false);
-        for r in 0..g.num_rows() as VertexId {
-            if !matching.is_row_matched(r)
-                && dfs_from_row(g, &mut matching, &mut visited_col, r, &mut stats)
-            {
-                stats.augmentations += 1;
-                stats.pushes += 1; // counts extra-sweep augmentations separately
-            }
-        }
-    }
-
-    stats.seconds = start.elapsed().as_secs_f64();
-    CpuRunResult { matching, stats }
+    phases(g, initial, "HKDW", true)
 }
 
 #[cfg(test)]

@@ -18,6 +18,32 @@
 //! All solvers take the graph and an initial matching (the paper always uses
 //! the cheap greedy matching from `gpm_graph::heuristics`) and return a
 //! [`CpuRunResult`] containing the final matching and operation counts.
+//!
+//! ## One augmenting-path search
+//!
+//! HK, HKDW, PF+ and P-DBFS's cleanup pass run one depth-first
+//! augmenting-path search (crate-private, `search.rs`).  It keeps its path
+//! on a reused heap stack of `(vertex, neighbour cursor)` frames, so no
+//! path, however long, recurses; it visits in the order of the textbook
+//! recursion and rewrites a found path deepest pair first.  Each engine
+//! passes it the side its roots are on and the rules that make it that
+//! engine's search:
+//!
+//! * HK (and HKDW's HK step) start from free columns and step only to the
+//!   next BFS level; a column whose neighbours all fail is pruned for the
+//!   rest of the phase (its level becomes infinite).
+//! * HKDW's Duff–Wiberg sweep starts from free rows and enters each column
+//!   at most once per phase.
+//! * PF+ starts from free columns, enters each row at most once per pass,
+//!   and runs its lookahead (a free row among the column's neighbours,
+//!   resuming where the column's last lookahead stopped) as it enters each
+//!   column, the root included.
+//! * P-DBFS's cleanup starts from free columns and enters each row at most
+//!   once per root column.
+//!
+//! The visited marks are one type, [`EpochMarks`]: starting a new set costs
+//! O(1), and the stamps are cleared only when the `u32` epoch wraps.
+//! `gpm-core`'s G-HK path kernels use it too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +53,9 @@ pub mod hkdw;
 pub mod pdbfs;
 pub mod pfp;
 pub mod pr;
+mod search;
+
+pub use search::EpochMarks;
 
 use gpm_graph::Matching;
 

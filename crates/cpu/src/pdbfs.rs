@@ -16,8 +16,11 @@
 //!   unmatched columns are finished with a sequential augmenting-path pass so
 //!   the result is guaranteed maximum (disjoint claiming alone can starve a
 //!   column whose only augmenting paths run through another tree's claim).
+//!   That pass is the crate's one augmenting-path search, entering each row
+//!   at most once per root column.
 
-use crate::{CpuRunResult, CpuStats};
+use crate::search::{Search, Side};
+use crate::{CpuRunResult, CpuStats, EpochMarks};
 use gpm_graph::{BipartiteCsr, Matching, VertexId, UNMATCHED};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -186,13 +189,15 @@ pub fn pdbfs(g: &BipartiteCsr, initial: &Matching, config: PdbfsConfig) -> CpuRu
         row_mate.iter().map(|v| v.load(Ordering::Relaxed)).collect(),
         col_mate.iter().map(|v| v.load(Ordering::Relaxed)).collect(),
     );
-    let mut visited_row = vec![false; g.num_rows()];
+    // Each root column's search enters each row at most once.
+    let mut search = Search::default();
+    let mut visited_row = EpochMarks::default();
     for c in unmatched {
         if matching.is_col_matched(c) {
             continue;
         }
-        visited_row.iter_mut().for_each(|v| *v = false);
-        if augment_sequential(g, &mut matching, &mut visited_row, c, &mut stats) {
+        visited_row.begin(g.num_rows());
+        if search.augment(g, &mut matching, Side::Cols, c, &mut visited_row, &mut stats) {
             stats.augmentations += 1;
         }
     }
@@ -202,32 +207,6 @@ pub fn pdbfs(g: &BipartiteCsr, initial: &Matching, config: PdbfsConfig) -> CpuRu
     stats.edges_scanned += edges_scanned.load(Ordering::Relaxed);
     stats.seconds = start.elapsed().as_secs_f64();
     CpuRunResult { matching, stats }
-}
-
-/// Plain augmenting DFS used for the final cleanup pass.
-fn augment_sequential(
-    g: &BipartiteCsr,
-    m: &mut Matching,
-    visited_row: &mut [bool],
-    c: VertexId,
-    stats: &mut CpuStats,
-) -> bool {
-    for &u in g.col_neighbors(c) {
-        stats.edges_scanned += 1;
-        if visited_row[u as usize] {
-            continue;
-        }
-        visited_row[u as usize] = true;
-        let proceed = match m.row_mate(u) {
-            None => true,
-            Some(w) => augment_sequential(g, m, visited_row, w, stats),
-        };
-        if proceed {
-            m.match_pair(u, c);
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]

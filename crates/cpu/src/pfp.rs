@@ -11,56 +11,44 @@
 //! The paper uses PF+ (together with HK and PR) to filter its instance set to
 //! graphs where sequential algorithms need more than one second.
 
-use crate::{CpuRunResult, CpuStats};
+use crate::search::{Rules, Search, Side};
+use crate::{CpuRunResult, CpuStats, EpochMarks};
 use gpm_graph::{BipartiteCsr, Matching, VertexId};
 
-/// One DFS with lookahead from unmatched column `c`.
-///
-/// `visited_row` carries a per-pass stamp so it does not need clearing
-/// between starting columns of the same pass (they must stay disjoint) but is
-/// reset between passes.
-fn dfs_lookahead(
-    g: &BipartiteCsr,
-    m: &mut Matching,
-    visited_row: &mut [u32],
-    stamp: u32,
-    lookahead_ptr: &mut [usize],
-    c: VertexId,
-    stats: &mut CpuStats,
-) -> bool {
-    // Lookahead: scan for an unmatched row first, resuming where the last
-    // lookahead on this column stopped (the "pointer" trick of PF+).
-    let nbrs = g.col_neighbors(c);
-    let start_ptr = lookahead_ptr[c as usize];
-    for (offset, &u) in nbrs.iter().enumerate().skip(start_ptr) {
-        stats.edges_scanned += 1;
-        if !m.is_row_matched(u) && visited_row[u as usize] != stamp {
-            visited_row[u as usize] = stamp;
-            lookahead_ptr[c as usize] = offset + 1;
-            m.match_pair(u, c);
-            return true;
-        }
-    }
-    lookahead_ptr[c as usize] = nbrs.len();
+/// PF+'s search rules for one pass: the rows it has visited (augmenting
+/// paths of one pass stay disjoint) and each column's lookahead cursor.
+struct Pass {
+    visited_row: EpochMarks,
+    lookahead_ptr: Vec<usize>,
+}
 
-    // Regular DFS step: descend through matched rows.
-    for &u in nbrs {
-        stats.edges_scanned += 1;
-        if visited_row[u as usize] == stamp {
-            continue;
-        }
-        visited_row[u as usize] = stamp;
-        if let Some(w) = m.row_mate(u) {
-            if dfs_lookahead(g, m, visited_row, stamp, lookahead_ptr, w, stats) {
-                m.match_pair(u, c);
-                return true;
-            }
-        } else {
-            m.match_pair(u, c);
-            return true;
-        }
+impl Rules for Pass {
+    #[inline]
+    fn admit(&mut self, _c: VertexId, u: VertexId, _mate: Option<VertexId>) -> bool {
+        self.visited_row.insert(u as usize)
     }
-    false
+
+    /// Lookahead: scan for an unmatched row first, resuming where the last
+    /// lookahead on this column stopped (the "pointer" trick of PF+).
+    fn enter(
+        &mut self,
+        g: &BipartiteCsr,
+        m: &Matching,
+        c: VertexId,
+        stats: &mut CpuStats,
+    ) -> Option<VertexId> {
+        let nbrs = g.col_neighbors(c);
+        let ptr = &mut self.lookahead_ptr[c as usize];
+        for (offset, &u) in nbrs.iter().enumerate().skip(*ptr) {
+            stats.edges_scanned += 1;
+            if !m.is_row_matched(u) && self.visited_row.insert(u as usize) {
+                *ptr = offset + 1;
+                return Some(u);
+            }
+        }
+        *ptr = nbrs.len();
+        None
+    }
 }
 
 /// Runs Pothen–Fan with lookahead starting from `initial`.
@@ -68,37 +56,27 @@ pub fn pothen_fan(g: &BipartiteCsr, initial: &Matching) -> CpuRunResult {
     let start = std::time::Instant::now();
     let mut stats = CpuStats { algorithm: "PFP", ..Default::default() };
     let mut matching = initial.clone();
-    let mut visited_row = vec![0u32; g.num_rows()];
-    let mut stamp = 0u32;
+    let mut search = Search::default();
+    let mut pass =
+        Pass { visited_row: EpochMarks::default(), lookahead_ptr: vec![0; g.num_cols()] };
 
     loop {
         stats.phases += 1;
-        let mut augmented_this_pass = false;
-        // Lookahead pointers reset every pass (edges may have been re-matched).
-        let mut lookahead_ptr = vec![0usize; g.num_cols()];
-        stamp += 1;
+        // Disjointness and the lookahead pointers hold within one pass only
+        // (edges may have been re-matched since).
+        pass.visited_row.begin(g.num_rows());
+        pass.lookahead_ptr.fill(0);
+        let before = stats.augmentations;
         for c in 0..g.num_cols() as VertexId {
-            if matching.is_col_matched(c) {
-                continue;
-            }
-            if dfs_lookahead(
-                g,
-                &mut matching,
-                &mut visited_row,
-                stamp,
-                &mut lookahead_ptr,
-                c,
-                &mut stats,
-            ) {
+            if !matching.is_col_matched(c)
+                && search.augment(g, &mut matching, Side::Cols, c, &mut pass, &mut stats)
+            {
                 stats.augmentations += 1;
-                augmented_this_pass = true;
             }
         }
-        if !augmented_this_pass {
+        if stats.augmentations == before {
             break;
         }
-        // Disjointness is only required within a pass; reset for the next.
-        stamp += 1;
     }
 
     stats.seconds = start.elapsed().as_secs_f64();

@@ -571,6 +571,8 @@ impl<'gpu> Worklist<'gpu> {
     /// (Re-)seeds the worklist from host-side items, host staging included —
     /// the analogue of uploading the initial active list to the device.
     /// Moves to a fresh epoch, so stale stamps from earlier use are inert.
+    /// A repeated item is seeded once: the list holds distinct items, at
+    /// most the domain.
     pub fn seed(&mut self, items: impl IntoIterator<Item = usize>) {
         // +2, not +1: a round's pushes stamp `epoch + 1`, and a caller may
         // re-seed after a round whose pushes were never consumed (e.g. a BFS
@@ -593,6 +595,9 @@ impl<'gpu> Worklist<'gpu> {
                 if self.mode.is_queue() { None } else { self.pending.get().map(|buf| &**buf) };
             for v in items {
                 debug_assert!(v < self.domain, "worklist item {v} outside domain {}", self.domain);
+                if stamp.get(v) == epoch {
+                    continue;
+                }
                 current.set(k, v as u64);
                 stamp.set(v, epoch);
                 if let Some(marks) = marks {
@@ -1820,12 +1825,8 @@ mod tests {
             adjacency in vec(vec(0usize..1000, 0..4), 1..64),
             reseed_after in 0usize..5,
         ) {
-            // A seed lists distinct items (its slot list holds the domain).
-            let distinct = |items: Vec<usize>| {
-                let mut seen = vec![false; domain];
-                items.into_iter().map(|v| v % domain).filter(|&v| !std::mem::replace(&mut seen[v], true)).collect::<Vec<_>>()
-            };
-            let (seeds, reseeds) = (distinct(seeds), distinct(reseeds));
+            let in_domain = |items: Vec<usize>| items.into_iter().map(|v| v % domain).collect::<Vec<_>>();
+            let (seeds, reseeds) = (in_domain(seeds), in_domain(reseeds));
             let pooled_3 = || {
                 let exec = crate::ExecutorConfig::default().with_parallel_threshold(1);
                 VirtualGpu::new(
@@ -1906,6 +1907,21 @@ mod tests {
                 for (v, &count) in host.iter().enumerate() {
                     let expected = u64::from((4..8).contains(&v));
                     assert_eq!(count, expected, "{mode}: vertex {v} visited {count}x");
+                }
+            }
+            // A repeated item is seeded once, even in a list longer than
+            // the domain.
+            let repeated: Vec<usize> = (0..24).map(|i| i % 11 / 2 * 2).collect();
+            for (domain, items) in [(1, vec![0, 0]), (11, repeated)] {
+                let mut wl = Worklist::new(&gpu, mode, domain, NAMES);
+                wl.seed(items.iter().copied());
+                let visited = DeviceBuffer::<u64>::new(domain, 0);
+                wl.for_each_frontier("wl_bfs", |_ctx, v, _frontier| {
+                    visited.fetch_add(v, 1);
+                });
+                for (v, &count) in visited.to_vec().iter().enumerate() {
+                    let expected = u64::from(items.contains(&v));
+                    assert_eq!(count, expected, "{mode}: vertex {v} of {domain} visited {count}x");
                 }
             }
         }

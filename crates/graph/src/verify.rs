@@ -4,15 +4,23 @@
 //!
 //! 1. [`is_valid_matching`] — every matched pair is an edge, mates are mutual;
 //! 2. [`is_maximal`] — no edge can be added directly (both endpoints free);
-//! 3. [`is_maximum`] — no augmenting path exists (Berge's theorem, Theorem 1
-//!    of the paper), verified by BFS from every unmatched column; in addition
-//!    [`koenig_cover`] builds a vertex cover of size `|M|`, whose existence
-//!    is a *certificate* of maximality by König's theorem.
+//! 3. [`is_maximum`] — a certificate check: `m` is valid and the
+//!    [`koenig_cover`] it yields covers `g` with exactly `|M|` vertices.  No
+//!    vertex cover is smaller than any matching, so such a cover proves `m`
+//!    maximum, and by König's theorem every maximum matching yields one.  If
+//!    `m` is not maximum, the free row that ends an augmenting path lands in
+//!    the cover and makes it larger than `|M|` (Berge's theorem, Theorem 1
+//!    of the paper, seen from the other side).  One alternating BFS from all
+//!    free columns at once answers, in `O(V + E)`.
 //!
 //! A simple reference solver, [`reference_maximum_matching`], computes a
 //! maximum matching with textbook augmenting-path search (`O(V·E)`).  It is
 //! deliberately written independently of the optimized algorithms in
-//! `gpm-cpu`/`gpm-core` so their tests do not share code with their oracle.
+//! `gpm-cpu`/`gpm-core` so their tests do not share code with their oracle:
+//! it keeps its own explicit stack rather than calling `gpm-cpu`'s shared
+//! search.  It spends no call-stack frame per path edge, so it answers
+//! graphs whose augmenting paths run through millions of vertices on any
+//! thread.
 
 use crate::{BipartiteCsr, Matching, VertexId};
 use std::collections::VecDeque;
@@ -42,47 +50,14 @@ pub fn is_maximal(g: &BipartiteCsr, m: &Matching) -> bool {
     true
 }
 
-/// `true` iff there is an augmenting path starting from unmatched column `c`.
-fn has_augmenting_path_from(g: &BipartiteCsr, m: &Matching, c: VertexId) -> bool {
-    // Alternating BFS: columns are expanded over non-matching edges, rows are
-    // left over matching edges.
-    let mut visited_col = vec![false; g.num_cols()];
-    let mut visited_row = vec![false; g.num_rows()];
-    let mut queue = VecDeque::new();
-    visited_col[c as usize] = true;
-    queue.push_back(c);
-    while let Some(v) = queue.pop_front() {
-        for &u in g.col_neighbors(v) {
-            if visited_row[u as usize] {
-                continue;
-            }
-            visited_row[u as usize] = true;
-            match m.row_mate(u) {
-                None => return true, // free row reached: augmenting path exists
-                Some(w) => {
-                    if !visited_col[w as usize] {
-                        visited_col[w as usize] = true;
-                        queue.push_back(w);
-                    }
-                }
-            }
-        }
-    }
-    false
-}
-
-/// `true` iff `m` is a **maximum** matching of `g` (Berge): valid and with no
-/// augmenting path from any unmatched column.
+/// `true` iff `m` is a **maximum** matching of `g`: valid, and certified
+/// by a [`koenig_cover`] of size `|M|` that covers `g` (see the module docs).
 pub fn is_maximum(g: &BipartiteCsr, m: &Matching) -> bool {
     if !is_valid_matching(g, m) {
         return false;
     }
-    for c in 0..g.num_cols() as VertexId {
-        if !m.is_col_matched(c) && has_augmenting_path_from(g, m, c) {
-            return false;
-        }
-    }
-    true
+    let cover = koenig_cover(g, m);
+    cover.size() == m.cardinality() && cover.covers(g)
 }
 
 /// A vertex cover of a bipartite graph, given as (rows in cover, cols in
@@ -163,33 +138,31 @@ pub fn koenig_cover(g: &BipartiteCsr, m: &Matching) -> VertexCover {
 /// Slow but simple; used only as a test oracle and for small instances.
 pub fn reference_maximum_matching(g: &BipartiteCsr) -> Matching {
     let mut m = Matching::empty_for(g);
-    let mut visited_row = vec![0u32; g.num_rows()];
-    let mut stamp = 0u32;
-
-    fn try_augment(
-        g: &BipartiteCsr,
-        m: &mut Matching,
-        visited_row: &mut [u32],
-        stamp: u32,
-        c: VertexId,
-    ) -> bool {
-        for &u in g.col_neighbors(c) {
-            if visited_row[u as usize] == stamp {
+    // `visited_row[u] == root + 1`: the search from column `root` entered `u`.
+    let mut visited_row = vec![0 as VertexId; g.num_rows()];
+    // The DFS path: each column on it and the index of its next neighbour.
+    let mut path: Vec<(VertexId, usize)> = Vec::new();
+    for root in 0..g.num_cols() as VertexId {
+        path.push((root, 0));
+        while let Some((c, next)) = path.pop() {
+            let Some(&u) = g.col_neighbors(c).get(next) else { continue };
+            path.push((c, next + 1));
+            if std::mem::replace(&mut visited_row[u as usize], root + 1) == root + 1 {
                 continue;
             }
-            visited_row[u as usize] = stamp;
-            let mate = m.row_mate(u);
-            if mate.is_none() || try_augment(g, m, visited_row, stamp, mate.unwrap()) {
-                m.match_pair(u, c);
-                return true;
+            match m.row_mate(u) {
+                Some(w) => path.push((w, 0)),
+                None => {
+                    // Augment, deepest pair first: each `match_pair` frees
+                    // the row the next one down re-pairs.
+                    m.match_pair(u, c);
+                    path.pop();
+                    for (c, next) in path.drain(..).rev() {
+                        m.match_pair(g.col_neighbors(c)[next - 1], c);
+                    }
+                }
             }
         }
-        false
-    }
-
-    for c in 0..g.num_cols() as VertexId {
-        stamp += 1;
-        try_augment(g, &mut m, &mut visited_row, stamp, c);
     }
     m
 }

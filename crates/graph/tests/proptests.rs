@@ -139,6 +139,8 @@ proptest! {
         prop_assert!(is_maximal(&g, &m));
         let opt = maximum_matching_cardinality(&g);
         prop_assert!(m.cardinality() <= opt);
+        // The König certificate tells a maximum matching from a smaller one.
+        prop_assert_eq!(is_maximum(&g, &m), m.cardinality() == opt);
         // A maximal matching is at least half the maximum.
         prop_assert!(2 * m.cardinality() >= opt);
     }
@@ -150,6 +152,8 @@ proptest! {
         prop_assert!(is_maximal(&g, &m));
         let opt = maximum_matching_cardinality(&g);
         prop_assert!(m.cardinality() <= opt);
+        // The König certificate tells a maximum matching from a smaller one.
+        prop_assert_eq!(is_maximum(&g, &m), m.cardinality() == opt);
         prop_assert!(2 * m.cardinality() >= opt);
     }
 

@@ -7,6 +7,7 @@ use gpm_graph::gen;
 use gpm_graph::verify::maximum_matching_cardinality;
 use gpm_service::server::MAX_REQUEST_LINE_BYTES;
 use gpm_service::{serve, Client, Service};
+use gpm_testutil::{augmenting_chain, dead_end_chain};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -286,5 +287,28 @@ fn hostile_dimensions_get_errors_and_the_server_keeps_serving() {
     let report = solved.get("report").unwrap_or_else(|| panic!("{solved:?}"));
     assert_eq!(report.get("cardinality").and_then(Value::as_u64), Some(2));
     ask(r#"{"op":"shutdown"}"#);
+    server.join().unwrap();
+}
+
+#[test]
+fn chains_through_every_vertex_get_the_maximum_and_the_server_keeps_serving() {
+    // Each chain's one alternating path runs through all its ~40,000
+    // vertices: a search spending a call-stack frame per path edge overflows
+    // the shard worker's stack on it, which aborts the whole server.
+    let k = 20_000;
+    let (addr, server) = spawn_server();
+    let mut client = Client::connect(addr).expect("connect");
+    for (graph, maximum) in [(augmenting_chain(k), k + 1), (dead_end_chain(k), k)] {
+        for label in ["HK", "HKDW", "PFP", "P-DBFS", "PR"] {
+            let algorithm: Algorithm = label.parse().unwrap();
+            let response = client.solve_inline(&graph, algorithm, InitHeuristic::Cheap).unwrap();
+            let report = response.get("report").unwrap_or_else(|| panic!("{label}: {response:?}"));
+            let cardinality = report.get("cardinality").and_then(Value::as_u64);
+            assert_eq!(cardinality, Some(maximum as u64), "{label} on {} columns", k + 1);
+        }
+    }
+    let stats = client.stats().expect("stats after the chains");
+    assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(10), "{stats:?}");
+    client.shutdown().unwrap();
     server.join().unwrap();
 }

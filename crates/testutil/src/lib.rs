@@ -6,11 +6,15 @@
 //! [`BipartiteCsr`]: failing graphs shrink by dropping edge subsets and
 //! trimming the vertex sets, converging on small witnesses instead of
 //! replaying giant random instances.
+//!
+//! Beside it, three chain graphs whose one alternating path runs through
+//! every vertex ([`augmenting_chain`], [`dead_end_chain`], [`sweep_chain`]):
+//! a search that spends a call-stack frame per path edge overflows on them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gpm_graph::{BipartiteCsr, VertexId};
+use gpm_graph::{BipartiteCsr, Matching, VertexId};
 use proptest::strategy::Strategy;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -92,6 +96,50 @@ impl Strategy for ArbBipartite {
     }
 }
 
+/// Column `i < k` of a chain: rows `i` and `i + 1`, the second only below
+/// `rows`.
+fn chain_edges(k: usize, rows: usize) -> Vec<(VertexId, VertexId)> {
+    let mut edges: Vec<(VertexId, VertexId)> = (0..k)
+        .flat_map(|i| [(i, i), (i + 1, i)])
+        .filter(|&(r, _)| r < rows)
+        .map(|(r, c)| (r as VertexId, c as VertexId))
+        .collect();
+    edges.push((0, k as VertexId));
+    edges
+}
+
+/// The augmenting chain of `k`: `k + 1` rows and `k + 1` columns; column
+/// `i < k` has rows `i` and `i + 1`, and column `k` has row 0.  The cheap
+/// matching pairs column `i` with row `i`, which leaves one augmenting path
+/// through every vertex: column `k`, row 0, column 0, row 1, …, row `k`.
+pub fn augmenting_chain(k: usize) -> BipartiteCsr {
+    BipartiteCsr::from_edges(k + 1, k + 1, &chain_edges(k, k + 1)).expect("in-bounds edges")
+}
+
+/// The dead-end chain of `k`: `k` rows and `k + 1` columns; column `i < k`
+/// has row `i`, plus row `i + 1` when `i + 1 < k`, and column `k` has row 0.
+/// The cheap matching is maximum, yet column `k` still roots an alternating
+/// path through every vertex, with no free row at its end.
+pub fn dead_end_chain(k: usize) -> BipartiteCsr {
+    BipartiteCsr::from_edges(k, k + 1, &chain_edges(k, k)).expect("in-bounds edges")
+}
+
+/// The sweep chain of `k` and its starting matching: the augmenting chain
+/// plus a disjoint edge (row `k + 1`, column `k + 1`), matched as
+/// `{(row i, column i) : i < k}`.  Hopcroft–Karp's first phase then stops
+/// at length 1 (column `k + 1`), so HKDW's Duff–Wiberg sweep walks the
+/// whole chain from row `k`.
+pub fn sweep_chain(k: usize) -> (BipartiteCsr, Matching) {
+    let mut edges = chain_edges(k, k + 1);
+    edges.push((k as VertexId + 1, k as VertexId + 1));
+    let g = BipartiteCsr::from_edges(k + 2, k + 2, &edges).expect("in-bounds edges");
+    let mut m = Matching::empty_for(&g);
+    for i in 0..k as VertexId {
+        m.match_pair(i, i);
+    }
+    (g, m)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +171,24 @@ mod tests {
                 assert!(s.num_edges() <= g.num_edges(), "shrinking must not add edges");
             }
         }
+    }
+
+    #[test]
+    fn chains_have_their_documented_matchings() {
+        use gpm_graph::heuristics::cheap_matching;
+        use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
+        let k = 5;
+        let g = augmenting_chain(k);
+        let cheap = cheap_matching(&g);
+        assert_eq!(cheap.cardinality(), k);
+        assert!(!cheap.is_col_matched(k as VertexId));
+        assert_eq!(maximum_matching_cardinality(&g), k + 1);
+        let g = dead_end_chain(k);
+        assert!(is_maximum(&g, &cheap_matching(&g)));
+        assert_eq!(g.col_degree(k as VertexId - 1), 1);
+        let (g, start) = sweep_chain(k);
+        start.validate_against(&g).unwrap();
+        assert_eq!((start.cardinality(), maximum_matching_cardinality(&g)), (k, k + 2));
     }
 
     proptest! {
