@@ -1,7 +1,9 @@
 //! Criterion microbenches of the virtual-GPU building blocks: kernel launch
-//! overhead, device prefix sum, the global-relabeling BFS kernels, and two
-//! whole G-HKDW solves: on kron its Duff–Wiberg path kernel dominates the
-//! host time, on hugetrace its dense BFS levels do.
+//! overhead, device prefix sum, the global-relabeling BFS kernels, two
+//! whole G-HKDW solves (on kron its Duff–Wiberg path kernel dominates the
+//! host time, on hugetrace its dense BFS levels do), and a whole dense-list
+//! G-PR solve on a pooled device, whose slot rounds sweep a long list of
+//! mostly empty slots.
 //!
 //! Run with `cargo bench -p gpm-bench --bench kernels`.
 
@@ -9,6 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm_core::device::DeviceState;
 use gpm_core::ggr::global_relabel;
 use gpm_core::ghk::{self, GhkVariant, GhkWorkspace};
+use gpm_core::{Algorithm, DevicePolicy, Solver};
 use gpm_gpu::{primitives, DeviceBuffer, VirtualGpu};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{by_name, Scale};
@@ -86,12 +89,32 @@ fn bench_ghkdw_dense_bfs(c: &mut Criterion) {
     });
 }
 
+fn bench_gpr_dense_pooled(c: &mut Criterion) {
+    // The request a `parallel:2` service shard runs for hugetrace under the
+    // dense list: 1,263 rounds over a 1,414-slot list that holds few live
+    // slots in most of them, so the sample follows the live slots that
+    // `G-PR-INITKRNL` and `G-PR-PUSHKRNL` run, not the list they are priced
+    // as.
+    let spec = by_name("hugetrace-00000").expect("known instance");
+    let graph = spec.generate(Scale::Small).expect("generation");
+    let matching = cheap_matching(&graph);
+    let algorithm: Algorithm = "G-PR-Shr@adaptive:0.7+dense".parse().expect("known label");
+    let mut solver =
+        Solver::builder().device_policy(DevicePolicy::Parallel(2)).build().expect("valid config");
+    c.bench_function("gpr_dense_hugetrace_small_pooled", |b| {
+        b.iter(|| {
+            solver.solve_with_initial(&graph, &matching, algorithm).expect("solve").cardinality
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_launch_overhead,
     bench_prefix_sum,
     bench_global_relabel,
     bench_ghkdw_solve,
-    bench_ghkdw_dense_bfs
+    bench_ghkdw_dense_bfs,
+    bench_gpr_dense_pooled
 );
 criterion_main!(benches);

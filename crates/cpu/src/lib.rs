@@ -38,8 +38,8 @@
 //!   and runs its lookahead (a free row among the column's neighbours,
 //!   resuming where the column's last lookahead stopped) as it enters each
 //!   column, the root included.
-//! * P-DBFS's cleanup starts from free columns and enters each row at most
-//!   once per root column.
+//! * P-DBFS's cleanup is PF+'s pass loop, run from the matching its
+//!   parallel rounds left.
 //!
 //! The visited marks are one type, [`EpochMarks`]: starting a new set costs
 //! O(1), and the stamps are cleared only when the `u32` epoch wraps.

@@ -13,14 +13,15 @@
 //! * when a tree reaches an unmatched row the discovered augmenting path is
 //!   applied; the tree owns all its vertices, so the augmentation is safe;
 //! * rounds repeat; once a round finds no augmenting path the few remaining
-//!   unmatched columns are finished with a sequential augmenting-path pass so
-//!   the result is guaranteed maximum (disjoint claiming alone can starve a
-//!   column whose only augmenting paths run through another tree's claim).
-//!   That pass is the crate's one augmenting-path search, entering each row
-//!   at most once per root column.
+//!   unmatched columns are finished sequentially so the result is
+//!   guaranteed maximum (disjoint claiming alone can starve a column whose
+//!   only augmenting paths run through another tree's claim).  The cleanup
+//!   is PF+'s pass loop from the matching the rounds left: the searches of
+//!   one pass share their visited rows, so a pass scans O(E) edges however
+//!   many columns stay free, and passes repeat until one augments nothing.
 
-use crate::search::{Search, Side};
-use crate::{CpuRunResult, CpuStats, EpochMarks};
+use crate::pfp::augment_in_passes;
+use crate::{CpuRunResult, CpuStats};
 use gpm_graph::{BipartiteCsr, Matching, VertexId, UNMATCHED};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -184,23 +185,12 @@ pub fn pdbfs(g: &BipartiteCsr, initial: &Matching, config: PdbfsConfig) -> CpuRu
     }
 
     // Sequential cleanup: the disjointness restriction can starve columns, so
-    // finish with plain augmenting-path searches to guarantee maximality.
+    // finish with PF+'s passes to guarantee maximality.
     let mut matching = Matching::from_raw(
         row_mate.iter().map(|v| v.load(Ordering::Relaxed)).collect(),
         col_mate.iter().map(|v| v.load(Ordering::Relaxed)).collect(),
     );
-    // Each root column's search enters each row at most once.
-    let mut search = Search::default();
-    let mut visited_row = EpochMarks::default();
-    for c in unmatched {
-        if matching.is_col_matched(c) {
-            continue;
-        }
-        visited_row.begin(g.num_rows());
-        if search.augment(g, &mut matching, Side::Cols, c, &mut visited_row, &mut stats) {
-            stats.augmentations += 1;
-        }
-    }
+    augment_in_passes(g, &mut matching, &mut stats);
 
     stats.pushes = 0;
     stats.augmentations += augmentations.load(Ordering::Relaxed);

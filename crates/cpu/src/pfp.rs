@@ -56,12 +56,29 @@ pub fn pothen_fan(g: &BipartiteCsr, initial: &Matching) -> CpuRunResult {
     let start = std::time::Instant::now();
     let mut stats = CpuStats { algorithm: "PFP", ..Default::default() };
     let mut matching = initial.clone();
+    stats.phases = augment_in_passes(g, &mut matching, &mut stats);
+    stats.seconds = start.elapsed().as_secs_f64();
+    CpuRunResult { matching, stats }
+}
+
+/// PF+'s pass loop, which also finishes P-DBFS: each pass searches from
+/// every free column in turn, its searches sharing one set of visited rows,
+/// and passes repeat until one augments nothing.  A pass that augments
+/// nothing ran on one matching, so a row its searches visited reaches no
+/// free row, and no free column roots an augmenting path: the matching is
+/// maximum (Berge).  Counts augmentations and scanned edges in `stats` and
+/// returns the number of passes.
+pub(crate) fn augment_in_passes(
+    g: &BipartiteCsr,
+    matching: &mut Matching,
+    stats: &mut CpuStats,
+) -> u64 {
     let mut search = Search::default();
     let mut pass =
         Pass { visited_row: EpochMarks::default(), lookahead_ptr: vec![0; g.num_cols()] };
-
+    let mut passes = 0;
     loop {
-        stats.phases += 1;
+        passes += 1;
         // Disjointness and the lookahead pointers hold within one pass only
         // (edges may have been re-matched since).
         pass.visited_row.begin(g.num_rows());
@@ -69,18 +86,15 @@ pub fn pothen_fan(g: &BipartiteCsr, initial: &Matching) -> CpuRunResult {
         let before = stats.augmentations;
         for c in 0..g.num_cols() as VertexId {
             if !matching.is_col_matched(c)
-                && search.augment(g, &mut matching, Side::Cols, c, &mut pass, &mut stats)
+                && search.augment(g, matching, Side::Cols, c, &mut pass, stats)
             {
                 stats.augmentations += 1;
             }
         }
         if stats.augmentations == before {
-            break;
+            return passes;
         }
     }
-
-    stats.seconds = start.elapsed().as_secs_f64();
-    CpuRunResult { matching, stats }
 }
 
 #[cfg(test)]

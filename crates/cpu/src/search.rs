@@ -26,8 +26,8 @@ use gpm_graph::{BipartiteCsr, Matching, VertexId};
 /// the set in O(1) by advancing the epoch, and clears the stamps only when
 /// the epoch wraps.
 ///
-/// The CPU baselines' visited marks (PF+ per pass, HKDW's sweep per phase,
-/// P-DBFS's cleanup per column) and G-HK's path kernels and commit pass in
+/// The CPU baselines' visited marks (PF+ and P-DBFS's cleanup per pass,
+/// HKDW's sweep per phase) and G-HK's path kernels and commit pass in
 /// `gpm-core` all use it.
 #[derive(Debug, Default)]
 pub struct EpochMarks {

@@ -63,3 +63,30 @@ fn hkdw_sweeps_the_whole_chain_in_one_augmentation() {
     assert!(is_maximum(&g, &r.matching));
     assert_eq!(r.stats.pushes, 1, "one sweep augmentation");
 }
+
+/// P-DBFS's cleanup shares its visited rows across the free columns of a
+/// pass: `M` extra columns on the dead-end chain's row 0 each root an
+/// alternating path through the whole chain, and a cleanup that walked it
+/// once per column would scan about `M · K_SHORT` edges.
+#[test]
+fn pdbfs_cleanup_walks_the_dead_end_chain_once_per_pass() {
+    const K_SHORT: usize = 10_000;
+    const M: usize = 100;
+    let chain = dead_end_chain(K_SHORT);
+    let mut edges: Vec<(u32, u32)> = (0..chain.num_cols() as u32)
+        .flat_map(|c| chain.col_neighbors(c).iter().map(move |&r| (r, c)))
+        .collect();
+    edges.extend((0..M as u32).map(|j| (0, (K_SHORT + 1) as u32 + j)));
+    let g = BipartiteCsr::from_edges(K_SHORT, K_SHORT + 1 + M, &edges).expect("in-bounds edges");
+    let maximum = reference_maximum_matching(&g).cardinality();
+    assert_eq!(maximum, K_SHORT);
+    for threads in [1, 8] {
+        let r = pdbfs(&g, &cheap_matching(&g), PdbfsConfig { threads });
+        assert_eq!(r.matching.cardinality(), maximum, "P-DBFS@{threads}");
+        assert!(
+            r.stats.edges_scanned < 8 * (K_SHORT + M) as u64,
+            "P-DBFS@{threads} scanned {} edges",
+            r.stats.edges_scanned
+        );
+    }
+}

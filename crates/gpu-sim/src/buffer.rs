@@ -14,8 +14,8 @@
 //! The matching kernels never use read-modify-write operations, preserving
 //! the paper's "atomic-free" claim (relaxed loads/stores are not the CUDA
 //! `atomicAdd`-style operations the paper avoids); the RMWs below serve the
-//! worklist only: its append queues, and the host membership bitmap of its
-//! dense frontiers.
+//! worklist only: its append queues, and the host bitmaps of its dense
+//! frontiers' members and its slot lists' live slots.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -204,6 +204,14 @@ impl DeviceBuffer<u64> {
     #[inline]
     pub(crate) fn fetch_or(&self, i: usize, bits: u64) {
         self.cells[i].fetch_or(bits, Ordering::Relaxed);
+    }
+
+    /// Atomically ANDs `bits` into word `i`, relaxed.  Not a device
+    /// operation either: it clears bits of a slot list's host bitmap of live
+    /// slots.
+    #[inline]
+    pub(crate) fn fetch_and(&self, i: usize, bits: u64) {
+        self.cells[i].fetch_and(bits, Ordering::Relaxed);
     }
 
     /// A stable identifier of word `i` for contention accounting

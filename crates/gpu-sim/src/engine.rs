@@ -21,7 +21,10 @@ pub enum Backend {
     Sequential,
     /// Logical threads run truly concurrently on `workers` persistent host
     /// threads, so the benign races the paper's kernels allow actually
-    /// happen.  This is the default for benchmarks.
+    /// happen.  This is the default for benchmarks.  A launch runs inline
+    /// instead when the threads it runs — for a dense BFS level or a slot
+    /// list, only its members or live slots — number fewer than
+    /// [`ExecutorConfig::parallel_threshold`].
     Parallel {
         /// Number of host threads a pooled launch runs on: the thread that
         /// issues it plus `workers − 1` persistent pool threads.  0 and 1
@@ -122,9 +125,10 @@ pub struct ExecutorConfig {
     /// the device and their cost is dominated by launch overhead.  The two
     /// halves of that rule look at different counts when a launch runs
     /// fewer threads than it prices — a dense BFS level, which runs only its
-    /// frontier's members: the host's choice between inline and the pool
-    /// follows the threads that run, while the price of a pooled launch
-    /// (its chunk-cursor claims) follows the grid.
+    /// frontier's members, and a slot-list round (`G-PR-INITKRNL`,
+    /// `G-PR-PUSHKRNL`), which runs only its live slots: the host's choice
+    /// between inline and the pool counts the threads that run, while the
+    /// price of a pooled launch (its chunk-cursor claims) follows the grid.
     pub parallel_threshold: usize,
     /// Grid indices per chunk that the threads of a pooled launch claim
     /// from its shared cursor.  Smaller chunks balance divergent kernels better;
@@ -346,18 +350,19 @@ pub(crate) struct LaunchTotals {
 }
 
 impl LaunchTotals {
-    /// Folds one finished thread's counters in.  Most threads report no
-    /// atomics, and theirs is the hot path: it skips the word slots.
+    /// Folds one finished thread's counters in and zeroes them for the next
+    /// logical thread of the chunk.  Most threads report no atomics, and
+    /// theirs is the hot path: it skips the word slots.
     pub(crate) fn absorb_thread(&mut self, ctx: &ThreadCtx) {
-        let work = ctx.work();
+        let work = ctx.work.take();
         self.work += work;
         self.max_thread_work = self.max_thread_work.max(work);
-        let atomics = ctx.atomics.get();
+        let atomics = ctx.atomics.take();
         if atomics == 0 {
             return;
         }
         self.atomics += atomics;
-        for (word, count) in ctx.atomic_words.get() {
+        for (word, count) in ctx.atomic_words.take() {
             if count > 0 {
                 self.add_word(word, count);
             }
@@ -597,14 +602,19 @@ impl VirtualGpu {
 
     /// Launches `kernel` as a launch of `grid` threads of which only the
     /// `count` members set in the bitmap `members` (bit `id % 64` of word
-    /// `id / 64`, each id below `grid`) run on the host, in increasing id
-    /// order.  The launch is recorded exactly as the full grid in which
-    /// every other thread reported one work unit and nothing else — the
-    /// stamp-reading threads of a dense frontier scan — so its record, price
-    /// and statistics equal those of the full-grid launch whose non-member
-    /// threads behave that way.  Only the host's choice between running
-    /// inline and on the pool looks at `count`; the pooled price (the chunk
-    /// cursor's claims) follows `grid`.
+    /// `id / 64`, each id below `grid`; words from `grid.div_ceil(64)` on
+    /// are not read) run on the host, in increasing id order.  The launch is
+    /// recorded exactly as the full grid in which every other thread
+    /// reported one work unit and nothing else — the stamp-reading threads
+    /// of a dense frontier scan, the empty slots of a slot list — so its
+    /// record, price and statistics equal those of the full-grid launch
+    /// whose non-member threads behave that way.  Only the host's choice
+    /// between running inline and on the pool looks at `count`; the pooled
+    /// price (the chunk cursor's claims) follows `grid`.
+    ///
+    /// Each word is read once, just before its members run, so a member may
+    /// clear its own bit during the launch without changing which threads
+    /// run.
     pub(crate) fn launch_members<F>(
         &self,
         name: &'static str,
@@ -631,7 +641,7 @@ impl VirtualGpu {
             });
             run_threads(ids, grid, &kernel)
         };
-        self.launch_inner(name, grid, members.len(), count, &chunks, false)
+        self.launch_inner(name, grid, grid.div_ceil(64), count, &chunks, false)
     }
 
     /// Opens a **persistent (megakernel) scope**: one resident launch named
@@ -831,7 +841,9 @@ impl VirtualGpu {
 
 /// The one thread loop of every launch, inline or one pooled chunk at a
 /// time: runs logical threads `ids` of a `grid`-sized launch and returns
-/// their aggregated [`LaunchTotals`].
+/// their aggregated [`LaunchTotals`].  The chunk's threads share one
+/// context, zeroed between them; a kernel cannot keep the reference, so
+/// each thread still sees a fresh one.
 pub(crate) fn run_threads<F>(
     ids: impl Iterator<Item = usize>,
     grid: usize,
@@ -841,8 +853,9 @@ where
     F: Fn(&ThreadCtx) + ?Sized,
 {
     let mut totals = LaunchTotals::default();
+    let mut ctx = ThreadCtx::new(0, grid);
     for id in ids {
-        let ctx = ThreadCtx::new(id, grid);
+        ctx.global_id = id;
         kernel(&ctx);
         totals.absorb_thread(&ctx);
     }

@@ -56,9 +56,11 @@
 //! atomic-append queue, and a blocked-claim variant of that queue that
 //! amortizes the contended tail `fetch_add` over cache-line-sized slot
 //! blocks.  A dense BFS level is priced as the paper's full grid but runs
-//! only its frontier's members on the host.  See that module's docs for the
-//! round protocols, the dense frontier's host bookkeeping, and the queue
-//! memory model under the pooled executor.
+//! only its frontier's members on the host, and a slot round is priced as
+//! its full list but runs only the slots that still hold an item.  See that
+//! module's docs for the round protocols, the host bookkeeping of dense
+//! frontiers and slot lists, and the queue memory model under the pooled
+//! executor.
 //!
 //! Executor tuning (inline threshold, chunk size, pool tag)
 //! lives in [`ExecutorConfig`] and is plumbed upward through `gpm-core`'s

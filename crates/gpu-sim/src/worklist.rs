@@ -13,17 +13,19 @@
 //!   paper's `iA` array); iteration scans the whole slot list (or domain)
 //!   every round.  Zero device bookkeeping between rounds, full-width
 //!   launches.  This is the representation behind `G-PR-NoShr` and the
-//!   paper's dense level-synchronous BFS kernels.  A dense BFS level is
-//!   *priced* as its full grid but *executed* over its members only (see
-//!   [Dense frontiers on the host](#dense-frontiers-on-the-host)).
+//!   paper's dense level-synchronous BFS kernels.  A dense BFS level and a
+//!   slot round are *priced* as their full grid but *executed* over their
+//!   members and live slots only (see [Dense frontiers and slot lists on
+//!   the host](#dense-frontiers-and-slot-lists-on-the-host)).
 //! * [`WorklistMode::Compacted`] — `G-PR-Shr`'s representation.  The slot
 //!   list is rebuilt on request by the paper's `G-PR-SHRKRNL` pattern (a
 //!   count pass, a device
 //!   [exclusive prefix sum](crate::primitives::exclusive_prefix_sum), and a
 //!   scatter into private regions), so later launches cover only live
-//!   entries.  BFS frontiers advance by the per-item device-side append of
-//!   [`WorklistMode::AtomicQueue`], so a level costs work and launches in
-//!   proportion to its frontier, never a domain scan.
+//!   entries; between compactions its rounds run their live slots only, as
+//!   the dense list's do.  BFS frontiers advance by the per-item
+//!   device-side append of [`WorklistMode::AtomicQueue`], so a level costs
+//!   work and launches in proportion to its frontier, never a domain scan.
 //! * [`WorklistMode::AtomicQueue`] — vertices for the next round are
 //!   **appended device-side** with an atomic fetch-add
 //!   ([`DeviceQueue`]), the worklist-centric design of the GPU BFS
@@ -69,7 +71,7 @@
 //! monotonically across rounds **and across re-seeds**, so a recycled
 //! worklist never needs its stamps cleared.
 //!
-//! # Dense frontiers on the host
+//! # Dense frontiers and slot lists on the host
 //!
 //! On the device a [`WorklistMode::DenseStamp`] BFS level is one thread per
 //! domain vertex, and almost every thread only reads its stamp and exits.
@@ -92,6 +94,30 @@
 //! full-grid scan then skips it; so does the member launch.  The sequential
 //! backend therefore visits the members in the full scan's order and leaves
 //! the same memory image.
+//!
+//! The slot protocol's list modes ([`WorklistMode::DenseStamp`] and
+//! [`WorklistMode::Compacted`]) launch `G-PR-INITKRNL` and the round's
+//! processing kernel over every slot of the list, which keeps its length
+//! from the last seed or compaction: in a late round most slots are empty,
+//! and their threads read an empty entry and exit.  A slot is *live* while
+//! its `current` or `pending` entry holds an item.  The worklist keeps a
+//! host bitmap of its live slots, acquired from the scratch arena on first
+//! slot-protocol use: seeding and compaction set it to every listed slot,
+//! and a processing thread clears its own slot's bit when it leaves both
+//! entries empty (its `current` entry was empty, or it reported
+//! [`SlotAction::Retire`]).  Both launches run the live slots only, in
+//! increasing order, and are recorded exactly as the full list in which
+//! every other slot reported its one unit of work.  That is exact:
+//!
+//! * only slot `i`'s own thread writes slot `i`;
+//! * a dead slot's `G-PR-INITKRNL` thread writes nothing, and its
+//!   processing thread writes `WL_EMPTY` over `WL_EMPTY`;
+//! * so a dead slot has no effect beyond its work unit, and nothing revives
+//!   it before the next seed or compaction.
+//!
+//! As for dense levels, the sequential backend runs the live slots in the
+//! full sweep's order and leaves its memory image, and only the host's
+//! choice between running inline and on the pool looks at the live count.
 //!
 //! # AtomicQueue memory model
 //!
@@ -167,12 +193,16 @@ pub enum WorklistMode {
     /// Stamp-guarded slots scanned in full every round (the paper's
     /// `iA`-array scheme; no compaction ever runs).  A BFS level is priced
     /// as the full domain but runs only its members on the host, listed by
-    /// an uncharged host bitmap; each member re-checks its stamp (see
-    /// [Dense frontiers on the host](self#dense-frontiers-on-the-host)).
+    /// an uncharged host bitmap; each member re-checks its stamp.  A slot
+    /// round is priced as the full list but runs only its live slots (see
+    /// [Dense frontiers and slot lists on the
+    /// host](self#dense-frontiers-and-slot-lists-on-the-host)).
     DenseStamp,
     /// Slots compacted with the count / prefix-sum / scatter pattern of
-    /// `G-PR-SHRKRNL` when the engine asks for it; BFS frontiers advance by
-    /// per-item append.
+    /// `G-PR-SHRKRNL` when the engine asks for it, and between compactions
+    /// run over their live slots only, priced as the full list, as in
+    /// [`WorklistMode::DenseStamp`]; BFS frontiers advance by per-item
+    /// append.
     Compacted,
     /// Device-side atomic-append queue: each round launches over exactly
     /// the items pushed by the previous round, with no scan in between.
@@ -364,14 +394,33 @@ impl FrontierView<'_> {
     }
 }
 
-/// Sets `v`'s bit in a dense frontier's membership bitmap.
+/// Sets bit `v` of a host bitmap: a dense frontier's members.
 #[inline]
 fn mark(marks: &DeviceBuffer<u64>, v: usize) {
     marks.fetch_or(v / 64, 1 << (v % 64));
 }
 
+/// Clears bit `i` of a host bitmap: a slot list's live slots.
+#[inline]
+fn unmark(marks: &DeviceBuffer<u64>, i: usize) {
+    marks.fetch_and(i / 64, !(1 << (i % 64)));
+}
+
+/// Sets bits `0..len` of `marks` and clears the rest of their last word:
+/// every word a launch over `len` slots reads.
+fn mark_prefix(marks: &DeviceBuffer<u64>, len: usize) {
+    for word in 0..len / 64 {
+        marks.set(word, u64::MAX);
+    }
+    let rest = len % 64;
+    if rest > 0 {
+        marks.set(len / 64, (1 << rest) - 1);
+    }
+}
+
 /// The host's membership record of a [`WorklistMode::DenseStamp`] frontier
-/// (see [Dense frontiers on the host](self#dense-frontiers-on-the-host)):
+/// (see [Dense frontiers and slot lists on the
+/// host](self#dense-frontiers-and-slot-lists-on-the-host)):
 /// two bitmaps of one bit per domain vertex, drawn from the device's scratch
 /// arena so warm sessions reuse them across levels and solves.
 struct DenseMembers<'gpu> {
@@ -432,6 +481,11 @@ pub struct Worklist<'gpu> {
     pending: OnceCell<ScratchBuffer<'gpu>>,
     stamp: OnceCell<ScratchBuffer<'gpu>>,
     members: OnceCell<DenseMembers<'gpu>>,
+    /// The slot list's live slots, one bit per slot (see [Dense frontiers
+    /// and slot lists on the host](self#dense-frontiers-and-slot-lists-on-the-host)),
+    /// relisted by [`Worklist::seed`] and compaction, the two ways a slot
+    /// list is filled.
+    live: OnceCell<ScratchBuffer<'gpu>>,
     tail: ScratchBuffer<'gpu>,
     nonempty: ScratchBuffer<'gpu>,
     overflow: ScratchBuffer<'gpu>,
@@ -465,6 +519,7 @@ impl<'gpu> Worklist<'gpu> {
             pending: OnceCell::new(),
             stamp: OnceCell::new(),
             members: OnceCell::new(),
+            live: OnceCell::new(),
             tail: gpu.scratch().acquire(1, 0),
             nonempty: gpu.scratch().acquire(1, 0),
             overflow: gpu.scratch().acquire(1, 0),
@@ -527,6 +582,34 @@ impl<'gpu> Worklist<'gpu> {
         let marks = &self.members().marks;
         marks.fill(0);
         marks
+    }
+
+    /// The slot list's live slots, acquired on first slot-protocol use with
+    /// every listed slot live: until a processing thread empties a slot, it
+    /// holds the item a seed or compaction put there.
+    fn live_slots(&self) -> &DeviceBuffer<u64> {
+        self.live.get_or_init(|| {
+            let live = self.gpu.scratch().acquire(self.domain.div_ceil(64), 0);
+            mark_prefix(&live, self.len);
+            live
+        })
+    }
+
+    /// Marks every listed slot live again once a seed or compaction has
+    /// refilled the list, if the slot protocol has run.
+    fn relist_slots(&self) {
+        if let Some(live) = self.live.get() {
+            mark_prefix(live, self.len);
+        }
+    }
+
+    /// Launches `kernel` over the slot list, priced as all `len` slots and
+    /// run over the live ones only; every other slot's thread would read two
+    /// empty entries and report its one work unit.
+    fn launch_slots(&self, name: &'static str, kernel: impl Fn(&ThreadCtx) + Sync) -> LaunchRecord {
+        let live = self.live_slots();
+        let count = (0..self.len.div_ceil(64)).map(|w| live.get(w).count_ones() as usize).sum();
+        self.gpu.launch_members(name, self.len, live, count, kernel)
     }
 
     /// The representation this worklist runs with.
@@ -613,6 +696,7 @@ impl<'gpu> Worklist<'gpu> {
             self.members().gather();
         }
         self.len = k;
+        self.relist_slots();
         self.tail.set(0, 0);
         self.nonempty.set(0, 0);
         self.overflow.set(0, 0);
@@ -670,8 +754,10 @@ impl<'gpu> Worklist<'gpu> {
     /// active list, and returns `true` iff any item is active.
     ///
     /// * list modes run the resolve/stamp pass (the paper's `G-PR-INITKRNL`),
-    ///   or — in [`WorklistMode::Compacted`] with `compact` requested — the
-    ///   `G-PR-SHRKRNL` count / prefix-sum / scatter rebuild instead;
+    ///   priced as the full list and run over its live slots only, or — in
+    ///   [`WorklistMode::Compacted`] with `compact` requested — the
+    ///   `G-PR-SHRKRNL` count / prefix-sum / scatter rebuild instead, which
+    ///   lists every surviving item in a live slot;
     /// * [`WorklistMode::AtomicQueue`] swaps in the queue appended by the
     ///   previous round (no kernel launch at all), rebuilding it from
     ///   `predicate` only when it drained or overflowed.
@@ -725,11 +811,24 @@ impl<'gpu> Worklist<'gpu> {
     /// paper's kernels) and applies the returned [`SlotAction`] in the
     /// representation's terms; `f` may consult
     /// [`ActiveView::in_current_round`] for the duplicate-processing guard.
+    /// In the list modes the launch is priced as the full list but runs its
+    /// live slots only, and a slot whose thread leaves both of its entries
+    /// empty stops being live (see [Dense frontiers and slot lists on the
+    /// host](self#dense-frontiers-and-slot-lists-on-the-host)).
     pub fn for_each_active(
         &self,
         name: &'static str,
         f: impl Fn(&ThreadCtx, usize, &ActiveView<'_>) -> SlotAction + Sync,
     ) {
+        self.active_launch(name, f);
+    }
+
+    /// [`Worklist::for_each_active`], returning the round's launch record.
+    fn active_launch(
+        &self,
+        name: &'static str,
+        f: impl Fn(&ThreadCtx, usize, &ActiveView<'_>) -> SlotAction + Sync,
+    ) -> LaunchRecord {
         let current = self.current_buf();
         let pending = self.pending_buf();
         let view = ActiveView {
@@ -739,12 +838,14 @@ impl<'gpu> Worklist<'gpu> {
         };
         match self.mode {
             WorklistMode::DenseStamp | WorklistMode::Compacted => {
-                self.gpu.launch(name, self.len, |ctx| {
+                let live = self.live_slots();
+                self.launch_slots(name, |ctx| {
                     let i = ctx.global_id;
                     ctx.add_work(1);
                     let v = current.get(i);
                     if v == WL_EMPTY {
                         pending.set(i, WL_EMPTY);
+                        unmark(live, i);
                         return;
                     }
                     match f(ctx, v as usize, &view) {
@@ -753,9 +854,10 @@ impl<'gpu> Worklist<'gpu> {
                         SlotAction::Retire => {
                             current.set(i, WL_EMPTY);
                             pending.set(i, WL_EMPTY);
+                            unmark(live, i);
                         }
                     }
-                });
+                })
             }
             WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
                 self.gpu.launch(name, self.len, |ctx| {
@@ -770,7 +872,7 @@ impl<'gpu> Worklist<'gpu> {
                         SlotAction::Defer => view.queue_push(ctx, v as usize),
                         SlotAction::Finish | SlotAction::Retire => {}
                     }
-                });
+                })
             }
         }
     }
@@ -1081,13 +1183,15 @@ impl<'gpu> Worklist<'gpu> {
 
     /// `G-PR-INITKRNL` (Algorithm 8): resolve each slot's retry memory,
     /// stamp the live items with the current epoch, raise the activity flag.
+    /// A slot stays live or dead through it: it only ever copies one of the
+    /// slot's items over the other entry.
     fn init_slots(&self, predicate: &(impl Fn(usize) -> bool + Sync)) {
         let current = self.current_buf();
         let pending = self.pending_buf();
         let stamp = self.stamp_buf();
         let nonempty = &*self.nonempty;
         let epoch = self.epoch;
-        self.gpu.launch(self.names.init, self.len, |ctx| {
+        self.launch_slots(self.names.init, |ctx| {
             let i = ctx.global_id;
             ctx.add_work(1);
             let prev = pending.get(i);
@@ -1156,6 +1260,7 @@ impl<'gpu> Worklist<'gpu> {
             self.pending_buf().set(i, self.current_buf().get(i));
         }
         self.len = total;
+        self.relist_slots();
     }
 
     /// Rebuilds the current list from the stamp array (`stamp == epoch`):
@@ -1827,13 +1932,6 @@ mod tests {
         ) {
             let in_domain = |items: Vec<usize>| items.into_iter().map(|v| v % domain).collect::<Vec<_>>();
             let (seeds, reseeds) = (in_domain(seeds), in_domain(reseeds));
-            let pooled_3 = || {
-                let exec = crate::ExecutorConfig::default().with_parallel_threshold(1);
-                VirtualGpu::new(
-                    crate::GpuConfig::tesla_c2050(crate::Backend::Parallel { workers: 3 })
-                        .with_executor(exec),
-                )
-            };
             for pooled in [false, true] {
                 let device = || if pooled { pooled_3() } else { VirtualGpu::sequential() };
                 let (gpu_m, gpu_f) = (device(), device());
@@ -1882,6 +1980,245 @@ mod tests {
         let stats = gpu.stats();
         assert_eq!(stats.kernels["wl_bfs"].total_threads, n as u64);
         assert_eq!(stats.kernels["wl_bfs"].total_work, n as u64);
+    }
+
+    /// A pooled device of three threads on which every launch of at least
+    /// one running thread goes to the pool.
+    fn pooled_3() -> VirtualGpu {
+        let exec = crate::ExecutorConfig::default().with_parallel_threshold(1);
+        VirtualGpu::new(
+            crate::GpuConfig::tesla_c2050(crate::Backend::Parallel { workers: 3 })
+                .with_executor(exec),
+        )
+    }
+
+    /// [`Worklist::begin_round`] in a list mode as it ran before slot rounds
+    /// ran their live slots only: `G-PR-INITKRNL` over every listed slot.
+    fn full_list_begin_round(
+        wl: &mut Worklist<'_>,
+        predicate: impl Fn(usize) -> bool + Sync,
+        compact: bool,
+    ) -> bool {
+        wl.epoch += 1;
+        wl.nonempty.set(0, 0);
+        if wl.mode == WorklistMode::Compacted && compact {
+            wl.compact_slots(&predicate);
+        } else {
+            let (current, pending, stamp) = (wl.current_buf(), wl.pending_buf(), wl.stamp_buf());
+            let (nonempty, epoch) = (&*wl.nonempty, wl.epoch);
+            wl.gpu.launch(wl.names.init, wl.len, |ctx| {
+                let i = ctx.global_id;
+                ctx.add_work(1);
+                let prev = pending.get(i);
+                if prev != WL_EMPTY && predicate(prev as usize) {
+                    current.set(i, prev);
+                }
+                let v = current.get(i);
+                if v != WL_EMPTY {
+                    stamp.set(v as usize, epoch);
+                    nonempty.set(0, 1);
+                }
+            });
+        }
+        wl.nonempty.get(0) != 0
+    }
+
+    /// The list modes' processing launch over every listed slot, which a
+    /// slot round replaced.
+    fn full_list_launch(
+        wl: &Worklist<'_>,
+        name: &'static str,
+        f: impl Fn(&ThreadCtx, usize, &ActiveView<'_>) -> SlotAction + Sync,
+    ) -> LaunchRecord {
+        let (current, pending) = (wl.current_buf(), wl.pending_buf());
+        let view = ActiveView { stamp: wl.stamp_buf(), epoch: wl.epoch, queue: None };
+        wl.gpu.launch(name, wl.len, |ctx| {
+            let i = ctx.global_id;
+            ctx.add_work(1);
+            let v = current.get(i);
+            if v == WL_EMPTY {
+                pending.set(i, WL_EMPTY);
+                return;
+            }
+            match f(ctx, v as usize, &view) {
+                SlotAction::Push(w) => pending.set(i, w as u64),
+                SlotAction::Defer | SlotAction::Finish => pending.set(i, WL_EMPTY),
+                SlotAction::Retire => {
+                    current.set(i, WL_EMPTY);
+                    pending.set(i, WL_EMPTY);
+                }
+            }
+        })
+    }
+
+    /// A slot kernel with varied work, one contended word, and actions read
+    /// from `script` by item and round.  With `seen`, an item listed in two
+    /// slots defers in the second one to run, which only a fixed thread
+    /// order decides.
+    fn slot_kernel<'a>(
+        hot: &'a DeviceBuffer<u64>,
+        seen: Option<&'a DeviceBuffer<u64>>,
+        script: &'a [u8],
+        round: usize,
+    ) -> impl Fn(&ThreadCtx, usize, &ActiveView<'_>) -> SlotAction + Sync + 'a {
+        move |ctx, v, view| {
+            ctx.add_work(1 + v as u64 % 3);
+            if v % 4 == 0 {
+                hot.fetch_add(0, 1);
+                ctx.add_atomic(hot.word_id(0));
+            }
+            if seen.is_some_and(|seen| seen.swap(v, round as u64 + 1) == round as u64 + 1) {
+                return SlotAction::Defer;
+            }
+            let code = script[(v + 3 * round) % script.len()];
+            match code % 4 {
+                0 => {
+                    let w = (5 * v + code as usize) % view.stamp.len();
+                    if code & 8 != 0 && view.in_current_round(w) {
+                        SlotAction::Defer
+                    } else {
+                        SlotAction::Push(w)
+                    }
+                }
+                1 => SlotAction::Defer,
+                2 => SlotAction::Finish,
+                _ => SlotAction::Retire,
+            }
+        }
+    }
+
+    /// Every counter of every kernel a device recorded, with the modelled
+    /// time as bits.
+    fn stats_bits(gpu: &VirtualGpu) -> Vec<(String, [u64; 6])> {
+        let kernels = gpu.stats().kernels.into_iter();
+        kernels
+            .map(|(name, k)| {
+                let time = k.modelled_time_ns.to_bits();
+                let (threads, work, atomics) = (k.total_threads, k.total_work, k.total_atomics);
+                (name, [k.launches, threads, work, atomics, k.hot_word_atomics, time])
+            })
+            .collect()
+    }
+
+    /// Both slot arrays and the stamps.
+    fn slot_image(wl: &Worklist<'_>) -> [Vec<u64>; 3] {
+        [wl.current_buf().to_vec(), wl.pending_buf().to_vec(), wl.stamp_buf().to_vec()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A slot round over its live slots records the same launches,
+        /// leaves the same slot arrays and stamps and gives the same verdict
+        /// as the full-list round it replaces, in both list modes, with
+        /// compactions and a re-seed, and its live bitmap marks exactly the
+        /// slots that hold an item.  On the pooled backend no item defers
+        /// for being listed twice, so that no race decides an action.
+        #[test]
+        fn slot_member_rounds_match_the_full_list_launch(
+            domain in 1usize..300,
+            seeds in vec(0usize..1000, 0..48),
+            reseeds in vec(0usize..1000, 0..48),
+            script in vec(0u8..16, 1..64),
+            compacts in vec(0u8..2, 1..8),
+            reseed_after in 0usize..10,
+        ) {
+            let in_domain = |items: &[usize]| items.iter().map(|v| v % domain).collect::<Vec<_>>();
+            let (seeds, reseeds) = (in_domain(&seeds), in_domain(&reseeds));
+            for (mode, pooled) in [WorklistMode::DenseStamp, WorklistMode::Compacted]
+                .into_iter()
+                .flat_map(|mode| [(mode, false), (mode, true)])
+            {
+                let device = || if pooled { pooled_3() } else { VirtualGpu::sequential() };
+                let (gpu_m, gpu_f) = (device(), device());
+                let mut members = Worklist::new(&gpu_m, mode, domain, NAMES);
+                let mut full = Worklist::new(&gpu_f, mode, domain, NAMES);
+                members.seed(seeds.iter().copied());
+                full.seed(seeds.iter().copied());
+                let mut reseeded = false;
+                for round in 0..10 {
+                    let active = |v: usize| script[(2 * v + round) % script.len()] & 4 != 0;
+                    let compact = compacts[round % compacts.len()] == 1;
+                    let verdict = members.begin_round(active, compact);
+                    prop_assert_eq!(verdict, full_list_begin_round(&mut full, active, compact));
+                    prop_assert_eq!(stats_bits(&gpu_m), stats_bits(&gpu_f), "{} round {}", mode, round);
+                    prop_assert_eq!(slot_image(&members), slot_image(&full));
+                    if verdict {
+                        let (hot_m, hot_f) = (DeviceBuffer::<u64>::new(1, 0), DeviceBuffer::<u64>::new(1, 0));
+                        let (seen_m, seen_f) = (DeviceBuffer::<u64>::new(domain, 0), DeviceBuffer::<u64>::new(domain, 0));
+                        let seen = |buf| (!pooled).then_some(buf);
+                        let got = members.active_launch("wl_push", slot_kernel(&hot_m, seen(&seen_m), &script, round));
+                        let want = full_list_launch(&full, "wl_push", slot_kernel(&hot_f, seen(&seen_f), &script, round));
+                        prop_assert_eq!(record_bits(&got), record_bits(&want), "{} round {}", mode, round);
+                        prop_assert_eq!(slot_image(&members), slot_image(&full));
+                    }
+                    let [current, pending, _] = slot_image(&members);
+                    let bits = members.live_slots();
+                    for i in 0..members.len() {
+                        let marked = bits.get(i / 64) >> (i % 64) & 1 == 1;
+                        prop_assert_eq!(marked, current[i] != WL_EMPTY || pending[i] != WL_EMPTY);
+                    }
+                    members.end_round();
+                    full.end_round();
+                    if !reseeded && (round == reseed_after || !verdict) {
+                        members.seed(reseeds.iter().copied());
+                        full.seed(reseeds.iter().copied());
+                        reseeded = true;
+                    } else if !verdict {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// On a pooled device whose threshold a million slots pass and three do
+    /// not, a round with three live slots runs them, and only them, inline
+    /// on the calling thread, yet is priced as the full list on the pool.
+    #[test]
+    fn slot_rounds_run_only_their_live_slots_on_the_host() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let n = 1_000_000;
+        let keep = [7, 500_000, 999_999];
+        let gpu = VirtualGpu::tesla_c2050(crate::Backend::Parallel { workers: 2 });
+        let mut wl = Worklist::new(&gpu, WorklistMode::DenseStamp, n, NAMES);
+        wl.seed(0..n);
+        assert!(wl.begin_round(|_| true, false));
+        wl.for_each_active("wl_push", |_ctx, v, _view| {
+            if keep.contains(&v) {
+                SlotAction::Defer
+            } else {
+                SlotAction::Retire
+            }
+        });
+        wl.end_round();
+        let (inits, pushes) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let caller = std::thread::current().id();
+        let count = |runs: &AtomicUsize| {
+            assert_eq!(std::thread::current().id(), caller, "ran on the pool");
+            runs.fetch_add(1, Relaxed);
+        };
+        let retry = |_v| {
+            count(&inits);
+            true
+        };
+        let mark = gpu.stats_mark();
+        assert!(wl.begin_round(retry, false));
+        wl.for_each_active("wl_push", |_ctx, _v, _view| {
+            count(&pushes);
+            SlotAction::Finish
+        });
+        assert_eq!((inits.into_inner(), pushes.into_inner()), (3, 3));
+        // Priced as the full list: a million threads, each with its unit of
+        // slot-reading work, and the pool's chunk claims over them.
+        let exec = gpu.config().executor;
+        let claims = n.div_ceil(crate::exec::effective_chunk(exec.chunk_size, n, 2)) as u64;
+        let round = gpu.stats_since(&mark);
+        for kernel in ["wl_init", "wl_push"] {
+            let k = &round.kernels[kernel];
+            assert_eq!((k.total_threads, k.total_work), (n as u64, n as u64), "{kernel}");
+            assert_eq!(k.total_atomics, claims, "{kernel}");
+        }
     }
 
     #[test]
