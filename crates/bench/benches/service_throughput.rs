@@ -15,13 +15,22 @@
 //! `pool/N` beating `cold` is the subsystem's reason to exist; the margin
 //! between `pool/1` and `pool/N` is the scaling headroom on this host.
 //!
+//! `parse_inline_gl7d19_small` times the ingest half of an inline request
+//! on its own: `proto::parse_request`, CSR build included, on the inline
+//! `solve` line of GL7d19 at Small scale (1.66 MB, the largest the
+//! `upload-inline` workload sends), written as the bundled client and the
+//! wall-clock benchmark write it: compact, edges in row-major order.
+//!
 //! Run with `cargo bench -p gpm-bench --bench service_throughput`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm_core::solver::{Algorithm, DevicePolicy, Solver};
 use gpm_graph::instances::{mini_suite, Scale};
 use gpm_graph::BipartiteCsr;
+use gpm_service::proto::parse_request;
 use gpm_service::{GraphSource, JobSpec, Service};
+use std::fmt::Write;
+use std::hint::black_box;
 use std::sync::Arc;
 
 fn corpus() -> Vec<Arc<BipartiteCsr>> {
@@ -118,5 +127,29 @@ fn bench_service_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_service_throughput);
+/// The inline `solve` line of GL7d19 at Small scale.
+fn gl7d19_inline_line() -> String {
+    let spec = mini_suite().into_iter().find(|s| s.name == "GL7d19").expect("in the mini suite");
+    let g = spec.generate(Scale::Small).expect("generate");
+    let mut line = format!(
+        "{{\"op\":\"solve\",\"algorithm\":\"G-PR-Shr@adaptive:0.7+blocked\",\"rows\":{},\"cols\":{},\"edges\":[",
+        g.num_rows(),
+        g.num_cols()
+    );
+    for (i, (r, c)) in g.edges().enumerate() {
+        let comma = if i > 0 { "," } else { "" };
+        write!(line, "{comma}[{r},{c}]").expect("writing to a String cannot fail");
+    }
+    line.push_str("]}");
+    line
+}
+
+fn bench_parse_inline(c: &mut Criterion) {
+    let line = gl7d19_inline_line();
+    c.bench_function("parse_inline_gl7d19_small", |b| {
+        b.iter(|| parse_request(black_box(&line)).expect("parses"))
+    });
+}
+
+criterion_group!(benches, bench_parse_inline, bench_service_throughput);
 criterion_main!(benches);

@@ -43,13 +43,21 @@ impl BipartiteCsr {
     ///
     /// Duplicate edges are collapsed; the adjacency lists of the result are
     /// sorted.  Returns an error if a side has more vertices than
-    /// [`VertexId`] can name, or if any endpoint is out of bounds.
+    /// [`VertexId`] can name, or if any endpoint is out of bounds (the
+    /// first such edge in list order).  A list already strictly increasing
+    /// in `(row, col)` order, the form [`Self::edges`] yields and the wire
+    /// clients send, is built from as it stands, without a sorted copy.
     pub fn from_edges(
         num_rows: usize,
         num_cols: usize,
         edges: &[(VertexId, VertexId)],
     ) -> Result<Self> {
         Self::check_shape(num_rows, num_cols)?;
+        // The smallest `(row, col)` key, packed into a `u64`, that keeps the
+        // list strictly increasing; an in-bounds row is below `u32::MAX`, so
+        // the key plus one cannot overflow.
+        let mut next_key = 0u64;
+        let mut increasing = true;
         for &(r, c) in edges {
             if (r as usize) >= num_rows {
                 return Err(GraphError::RowOutOfBounds { row: r, num_rows });
@@ -57,6 +65,12 @@ impl BipartiteCsr {
             if (c as usize) >= num_cols {
                 return Err(GraphError::ColOutOfBounds { col: c, num_cols });
             }
+            let key = u64::from(r) << 32 | u64::from(c);
+            increasing &= key >= next_key;
+            next_key = key + 1;
+        }
+        if increasing {
+            return Ok(Self::from_sorted_dedup_edges(num_rows, num_cols, edges));
         }
         let mut sorted: Vec<(VertexId, VertexId)> = edges.to_vec();
         sorted.sort_unstable();
@@ -83,7 +97,6 @@ impl BipartiteCsr {
         num_cols: usize,
         edges: &[(VertexId, VertexId)],
     ) -> Self {
-        let num_edges = edges.len();
         let mut row_ptr = vec![0usize; num_rows + 1];
         let mut col_ptr = vec![0usize; num_cols + 1];
         for &(r, c) in edges {
@@ -96,22 +109,18 @@ impl BipartiteCsr {
         for i in 0..num_cols {
             col_ptr[i + 1] += col_ptr[i];
         }
-        let mut col_idx = vec![0 as VertexId; num_edges];
-        let mut row_idx = vec![0 as VertexId; num_edges];
-        // Row-oriented fill: edges are sorted by row already, so a simple
-        // cursor per row keeps lists sorted by column.
-        let mut next_row_slot = row_ptr.clone();
+        // The edges are in row-major order, so the row-oriented adjacency
+        // is their columns in list order.
+        let col_idx: Vec<VertexId> = edges.iter().map(|&(_, c)| c).collect();
+        // Column-oriented lists are filled in row order, i.e. already sorted
+        // by row index — no per-list sort needed.
+        let mut row_idx = vec![0 as VertexId; edges.len()];
         let mut next_col_slot = col_ptr.clone();
         for &(r, c) in edges {
-            let rs = &mut next_row_slot[r as usize];
-            col_idx[*rs] = c;
-            *rs += 1;
             let cs = &mut next_col_slot[c as usize];
             row_idx[*cs] = r;
             *cs += 1;
         }
-        // Column-oriented lists are filled in row order, i.e. already sorted
-        // by row index — no per-list sort needed.
         Self { num_rows, num_cols, row_ptr, col_idx, col_ptr, row_idx }
     }
 

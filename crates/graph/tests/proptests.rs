@@ -11,9 +11,10 @@ use gpm_graph::verify::{
     is_maximal, is_maximum, is_valid_matching, koenig_cover, maximum_matching_cardinality,
     reference_maximum_matching,
 };
-use gpm_graph::{BipartiteCsr, GraphBuilder, GraphDelta, VertexId};
+use gpm_graph::{BipartiteCsr, GraphBuilder, GraphDelta, GraphError, VertexId};
 use gpm_testutil::arb_bipartite;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Raw material for an arbitrary [`GraphDelta`]: coordinate lists that the
 /// test clamps into the (graph-dependent) valid range before applying.
@@ -92,6 +93,43 @@ fn rebuild_oracle(g: &BipartiteCsr, d: &GraphDelta) -> BipartiteCsr {
     edges.extend_from_slice(d.inserts());
     BipartiteCsr::from_edges(g.num_rows() + d.added_rows(), g.num_cols() + d.added_cols(), &edges)
         .unwrap()
+}
+
+/// A graph's four CSR arrays: `row_ptr`, `col_idx`, `col_ptr`, `row_idx`.
+type CsrArrays = (Vec<usize>, Vec<VertexId>, Vec<usize>, Vec<VertexId>);
+
+fn csr_arrays(g: &BipartiteCsr) -> CsrArrays {
+    (g.row_ptr().to_vec(), g.col_idx().to_vec(), g.col_ptr().to_vec(), g.row_idx().to_vec())
+}
+
+/// Oracle for `from_edges`: the CSR arrays of the edge set alone, or the
+/// error of the first out-of-bounds edge in list order.
+fn reference_csr(
+    rows: usize,
+    cols: usize,
+    edges: &[(VertexId, VertexId)],
+) -> Result<CsrArrays, GraphError> {
+    for &(r, c) in edges {
+        if r as usize >= rows {
+            return Err(GraphError::RowOutOfBounds { row: r, num_rows: rows });
+        }
+        if c as usize >= cols {
+            return Err(GraphError::ColOutOfBounds { col: c, num_cols: cols });
+        }
+    }
+    let orient = |n: usize, pairs: BTreeSet<(VertexId, VertexId)>| {
+        let mut ptr = vec![0usize; n + 1];
+        for &(a, _) in &pairs {
+            ptr[a as usize + 1] += 1;
+        }
+        for i in 0..n {
+            ptr[i + 1] += ptr[i];
+        }
+        (ptr, pairs.into_iter().map(|(_, b)| b).collect::<Vec<_>>())
+    };
+    let (row_ptr, col_idx) = orient(rows, edges.iter().copied().collect());
+    let (col_ptr, row_idx) = orient(cols, edges.iter().map(|&(r, c)| (c, r)).collect());
+    Ok((row_ptr, col_idx, col_ptr, row_idx))
 }
 
 /// Strategy: an arbitrary small bipartite graph (≤ 40×40, ≤ 200 edge
@@ -239,5 +277,38 @@ proptest! {
         unique.sort_unstable();
         unique.dedup();
         prop_assert_eq!(g.num_edges(), unique.len());
+    }
+
+    #[test]
+    fn from_edges_builds_the_same_csr_from_any_order(
+        rows in 1usize..12,
+        cols in 1usize..12,
+        raw in proptest::collection::vec((0u32..14, 0u32..14), 0..60),
+        swaps in proptest::collection::vec(0usize..60, 0..60),
+    ) {
+        let in_bounds: Vec<(VertexId, VertexId)> = raw
+            .iter()
+            .copied()
+            .filter(|&(r, c)| (r as usize) < rows && (c as usize) < cols)
+            .collect();
+        let mut sorted = in_bounds.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut shuffled = sorted.clone();
+        let len = shuffled.len();
+        for (i, &j) in swaps.iter().enumerate().filter(|&(i, _)| i < len) {
+            shuffled.swap(i, j % len);
+        }
+        let doubled: Vec<_> = sorted.iter().flat_map(|&e| [e, e]).collect();
+        let mut sorted_then_out = sorted.clone();
+        sorted_then_out.push((rows as VertexId, 0));
+        let mut sorted_then_out_col = sorted.clone();
+        sorted_then_out_col.push((rows as VertexId - 1, cols as VertexId));
+        for edges in
+            [&sorted, &shuffled, &doubled, &in_bounds, &raw, &sorted_then_out, &sorted_then_out_col]
+        {
+            let built = BipartiteCsr::from_edges(rows, cols, edges).map(|g| csr_arrays(&g));
+            prop_assert_eq!(built, reference_csr(rows, cols, edges), "{:?}", edges);
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! A minimal blocking client for the JSON-lines protocol, used by the
 //! in-repo example, the TCP integration tests, and the CI smoke run.
 
-use crate::proto::{delta_to_fields, fingerprint_from_hex, fingerprint_to_hex, graph_to_fields};
+use crate::proto::{
+    fingerprint_from_hex, fingerprint_to_hex, push_delta_fields, push_graph_fields, request_line,
+};
 use gpm_core::{Algorithm, InitHeuristic};
 use gpm_graph::{BipartiteCsr, GraphDelta};
 use serde::Value;
@@ -32,8 +34,18 @@ impl Client {
     /// Protocol-level failures (`"ok":false`) become `io::Error`s carrying
     /// the server's message.
     pub fn request(&mut self, fields: Vec<(String, Value)>) -> std::io::Result<Value> {
-        let mut line =
-            serde_json::to_string(&Value::Map(fields)).expect("JSON emission cannot fail");
+        self.request_with(fields, |_| {})
+    }
+
+    /// [`Client::request`] with further fields that `tail` writes straight
+    /// into the line, after `fields`: a graph's or a delta's pair arrays,
+    /// which would cost a [`Value`] per pair and per endpoint otherwise.
+    fn request_with(
+        &mut self,
+        fields: Vec<(String, Value)>,
+        tail: impl FnOnce(&mut String),
+    ) -> std::io::Result<Value> {
+        let mut line = request_line(fields, tail);
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         let mut response = String::new();
@@ -60,9 +72,8 @@ impl Client {
 
     /// Uploads `graph` into the server's cache, returning its fingerprint.
     pub fn put_graph(&mut self, graph: &BipartiteCsr) -> std::io::Result<u64> {
-        let mut fields = vec![("op".to_string(), Value::Str("put_graph".to_string()))];
-        fields.extend(graph_to_fields(graph));
-        let response = self.request(fields)?;
+        let fields = vec![("op".to_string(), Value::Str("put_graph".to_string()))];
+        let response = self.request_with(fields, |line| push_graph_fields(line, graph))?;
         let hex = response.get("fingerprint").and_then(Value::as_str).ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "no fingerprint")
         })?;
@@ -75,12 +86,11 @@ impl Client {
     /// then name either fingerprint, and a solve of the child warm-starts
     /// from the parent's last matching when the server has one on file.
     pub fn patch_graph(&mut self, parent: u64, delta: &GraphDelta) -> std::io::Result<u64> {
-        let mut fields = vec![
+        let fields = vec![
             ("op".to_string(), Value::Str("patch_graph".to_string())),
             ("parent".to_string(), Value::Str(fingerprint_to_hex(parent))),
         ];
-        fields.extend(delta_to_fields(delta));
-        let response = self.request(fields)?;
+        let response = self.request_with(fields, |line| push_delta_fields(line, delta))?;
         let hex = response.get("fingerprint").and_then(Value::as_str).ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "no fingerprint")
         })?;
@@ -141,8 +151,7 @@ impl Client {
             ("init".to_string(), Value::Str(init.to_string())),
         ];
         options.extend_fields(&mut fields);
-        fields.extend(graph_to_fields(graph));
-        self.request(fields)
+        self.request_with(fields, |line| push_graph_fields(line, graph))
     }
 
     /// Cancels the in-flight solve with this server-assigned job id.

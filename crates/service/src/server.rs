@@ -194,10 +194,15 @@ fn serve_inner<A: Accept>(
 }
 
 /// The longest request line a connection may send, in bytes before its
-/// newline.  It sits well above the largest line an in-repo client ships
-/// (a 24 MiB inline R-MAT solve); a longer line gets one error response
+/// newline.  It sits above the largest line an in-repo client ships (a
+/// 51 MiB scale-18 R-MAT upload); a longer line gets one error response
 /// naming this limit, and then its connection closes.
 pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
+/// The read buffer of one connection.  Inline graphs arrive as lines of up
+/// to megabytes (1.66 MB for GL7d19 at Small scale), which an 8 KiB buffer
+/// would take in hundreds of `read` calls.
+const READ_BUFFER_BYTES: usize = 64 << 10;
 
 fn handle_connection(
     stream: TcpStream,
@@ -206,7 +211,7 @@ fn handle_connection(
     local_addr: SocketAddr,
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
     // One buffer per connection, reused for every line.
     let mut line = Vec::new();
     loop {
