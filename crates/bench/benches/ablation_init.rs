@@ -4,7 +4,7 @@
 //! Run with `cargo bench -p gpm-bench --bench ablation_init`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpm_core::solver::{Algorithm, Solver};
+use gpm_core::solver::{Algorithm, SolveRequest, Solver, Start};
 use gpm_graph::heuristics::{cheap_matching, karp_sipser};
 use gpm_graph::instances::{by_name, Scale};
 use gpm_graph::Matching;
@@ -26,11 +26,10 @@ fn bench_initialization(c: &mut Criterion) {
                 BenchmarkId::new(algorithm.label(), init_name),
                 init,
                 |b, init| {
+                    let start = Start::Matching(init);
                     b.iter(|| {
-                        solver
-                            .solve_with_initial(&graph, init, algorithm)
-                            .expect("solve")
-                            .cardinality
+                        let request = SolveRequest { start, ..SolveRequest::new(algorithm) };
+                        solver.run(&graph, request).expect("solve").cardinality
                     })
                 },
             );

@@ -10,9 +10,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm_core::device::DeviceState;
 use gpm_core::ggr::global_relabel;
-use gpm_core::ghk::{self, GhkVariant, GhkWorkspace};
-use gpm_core::{Algorithm, DevicePolicy, Solver};
-use gpm_gpu::{primitives, DeviceBuffer, VirtualGpu};
+use gpm_core::ghk::{self, GhkConfig, GhkVariant, GhkWorkspace};
+use gpm_core::{Algorithm, DevicePolicy, SolveRequest, Solver, Start};
+use gpm_gpu::{primitives, DeviceBuffer, ExecMode, StopCheck, VirtualGpu, WorklistMode};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{by_name, Scale};
 
@@ -49,7 +49,8 @@ fn bench_global_relabel(c: &mut Criterion) {
     c.bench_function("global_relabel_roadnet_tiny", |b| {
         b.iter(|| {
             let state = DeviceState::upload(&graph, &matching);
-            global_relabel(&gpu, &graph, &state).max_level
+            let (mode, exec) = (WorklistMode::DenseStamp, ExecMode::LaunchPerRound);
+            global_relabel(&gpu, &graph, &state, mode, exec, &StopCheck::never()).max_level
         })
     });
 }
@@ -64,7 +65,8 @@ fn bench_ghkdw_solve(c: &mut Criterion) {
     let mut workspace = GhkWorkspace::new();
     c.bench_function("ghkdw_kron_small_sequential", |b| {
         b.iter(|| {
-            ghk::run_with(&gpu, &graph, &matching, GhkVariant::Hkdw, &mut workspace)
+            let config = GhkConfig::new(GhkVariant::Hkdw);
+            ghk::run(&gpu, &graph, &matching, config, &mut workspace, &StopCheck::never())
                 .matching
                 .cardinality()
         })
@@ -82,7 +84,8 @@ fn bench_ghkdw_dense_bfs(c: &mut Criterion) {
     let mut workspace = GhkWorkspace::new();
     c.bench_function("ghkdw_hugetrace_small_sequential", |b| {
         b.iter(|| {
-            ghk::run_with(&gpu, &graph, &matching, GhkVariant::Hkdw, &mut workspace)
+            let config = GhkConfig::new(GhkVariant::Hkdw);
+            ghk::run(&gpu, &graph, &matching, config, &mut workspace, &StopCheck::never())
                 .matching
                 .cardinality()
         })
@@ -101,9 +104,11 @@ fn bench_gpr_dense_pooled(c: &mut Criterion) {
     let algorithm: Algorithm = "G-PR-Shr@adaptive:0.7+dense".parse().expect("known label");
     let mut solver =
         Solver::builder().device_policy(DevicePolicy::Parallel(2)).build().expect("valid config");
+    let start = Start::Matching(&matching);
     c.bench_function("gpr_dense_hugetrace_small_pooled", |b| {
         b.iter(|| {
-            solver.solve_with_initial(&graph, &matching, algorithm).expect("solve").cardinality
+            let request = SolveRequest { start, ..SolveRequest::new(algorithm) };
+            solver.run(&graph, request).expect("solve").cardinality
         })
     });
 }

@@ -14,8 +14,8 @@
 //! Run with `cargo bench -p gpm-bench --bench launch_overhead`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpm_core::gpr::{self, GprConfig};
-use gpm_gpu::{Backend, DeviceBuffer, ExecutorConfig, GpuConfig, VirtualGpu};
+use gpm_core::gpr::{self, GprConfig, GprWorkspace};
+use gpm_gpu::{Backend, DeviceBuffer, ExecutorConfig, GpuConfig, StopCheck, VirtualGpu};
 use gpm_graph::gen;
 use gpm_graph::heuristics::cheap_matching;
 
@@ -54,7 +54,16 @@ fn bench_launch_overhead(c: &mut Criterion) {
     let gpu = pooled(256);
     group.bench_function("pooled", |b| {
         b.iter(|| {
-            gpr::run(&gpu, &graph, &initial, GprConfig::paper_default()).matching.cardinality()
+            gpr::run(
+                &gpu,
+                &graph,
+                &initial,
+                GprConfig::paper_default(),
+                &mut GprWorkspace::new(),
+                &StopCheck::never(),
+            )
+            .matching
+            .cardinality()
         })
     });
     group.finish();

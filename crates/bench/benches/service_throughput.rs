@@ -24,7 +24,7 @@
 //! Run with `cargo bench -p gpm-bench --bench service_throughput`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpm_core::solver::{Algorithm, DevicePolicy, Solver};
+use gpm_core::solver::{Algorithm, DevicePolicy, SolveRequest, Solver};
 use gpm_graph::instances::{mini_suite, Scale};
 use gpm_graph::BipartiteCsr;
 use gpm_service::proto::parse_request;
@@ -87,7 +87,7 @@ fn bench_service_throughput(c: &mut Criterion) {
                     .device_policy(DevicePolicy::Sequential)
                     .build()
                     .expect("valid solver config");
-                total += solver.solve(&graph, *alg).expect("solve").cardinality;
+                total += solver.run(&graph, SolveRequest::new(*alg)).expect("solve").cardinality;
             }
             total
         })

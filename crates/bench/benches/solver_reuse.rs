@@ -9,7 +9,7 @@
 //! Run with `cargo bench -p gpm-bench --bench solver_reuse`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpm_core::solver::{Algorithm, DevicePolicy, Solver};
+use gpm_core::solver::{Algorithm, DevicePolicy, SolveRequest, Solver, Start};
 use gpm_core::GhkVariant;
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{by_name, Scale};
@@ -18,6 +18,7 @@ fn bench_solver_reuse(c: &mut Criterion) {
     let spec = by_name("kron_g500-logn20").expect("known instance");
     let graph = spec.generate(Scale::Tiny).expect("generation");
     let initial = cheap_matching(&graph);
+    let start = Start::Matching(&initial);
     let algorithms = [
         Algorithm::gpr_default(),
         Algorithm::ghk(GhkVariant::Hkdw),
@@ -33,7 +34,8 @@ fn bench_solver_reuse(c: &mut Criterion) {
                     .device_policy(DevicePolicy::Sequential)
                     .build()
                     .expect("valid solver config");
-                solver.solve_with_initial(&graph, &initial, alg).expect("solve").cardinality
+                let request = SolveRequest { start, ..SolveRequest::new(alg) };
+                solver.run(&graph, request).expect("solve").cardinality
             })
         });
         group.bench_with_input(BenchmarkId::new("warm", alg.label()), &alg, |b, &alg| {
@@ -42,8 +44,11 @@ fn bench_solver_reuse(c: &mut Criterion) {
                 .build()
                 .expect("valid solver config");
             // Prime the session so the measured solves reuse warm buffers.
-            solver.solve_with_initial(&graph, &initial, alg).expect("solve");
-            b.iter(|| solver.solve_with_initial(&graph, &initial, alg).expect("solve").cardinality)
+            solver.run(&graph, SolveRequest { start, ..SolveRequest::new(alg) }).expect("solve");
+            b.iter(|| {
+                let request = SolveRequest { start, ..SolveRequest::new(alg) };
+                solver.run(&graph, request).expect("solve").cardinality
+            })
         });
     }
     group.finish();

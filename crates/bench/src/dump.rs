@@ -37,8 +37,8 @@
 //! the gate.
 
 use crate::runner::{measure, prepare_instance};
-use gpm_core::solver::{self, Algorithm, DevicePolicy, Solver};
-use gpm_core::{ExecMode, SolveCtx, WorklistMode};
+use gpm_core::solver::{self, Algorithm, DevicePolicy, SolveRequest, Solver, Start};
+use gpm_core::{ExecMode, InitHeuristic, WorklistMode};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{mini_suite, InstanceSpec, Scale};
 use gpm_graph::{BipartiteCsr, GraphDelta};
@@ -122,7 +122,7 @@ pub struct ServiceComparison {
 
 /// One delta-vs-cold comparison: the same patched graph solved cold (from
 /// the cheap initial matching) and warm (the parent's matching repaired
-/// through the delta by [`Solver::resolve`]), in one worklist mode.
+/// through the delta by a [`Start::Warm`] solve), in one worklist mode.
 #[derive(Clone, Debug, Serialize)]
 pub struct DeltaComparison {
     /// Parent instance name (a Table I family representative).
@@ -144,7 +144,7 @@ pub struct DeltaComparison {
     /// the JSON stays finite.
     pub speedup: f64,
     /// `true` when the churn bound tripped the fallback and the "warm"
-    /// measurement is really a cold solve under the resolve API.
+    /// measurement is really a cold solve from the fallback heuristic.
     pub fell_back_to_cold: bool,
 }
 
@@ -244,7 +244,7 @@ pub fn sweep_delta(specs: &[InstanceSpec], scale: Scale) -> (Vec<BenchCell>, Vec
         // The state a live service holds: the parent's last (maximum)
         // matching, computed once with the same engine family.
         let base = solver
-            .solve(&parent, algorithm_base)
+            .run(&parent, SolveRequest::new(algorithm_base))
             .unwrap_or_else(|e| panic!("base solve on {}: {e}", spec.name));
         let edges: Vec<(u32, u32)> = parent.edges().collect();
         for (fraction, churn_label) in DELTA_FRACTIONS {
@@ -262,26 +262,22 @@ pub fn sweep_delta(specs: &[InstanceSpec], scale: Scale) -> (Vec<BenchCell>, Vec
             for mode in WorklistMode::all() {
                 let worklist = mode.label();
                 let algorithm = algorithm_base.with_worklist(mode);
+                let start = Start::Matching(&child_initial);
                 let cold = solver
-                    .solve_with_initial(&child, &child_initial, algorithm)
+                    .run(&child, SolveRequest { start, ..SolveRequest::new(algorithm) })
                     .unwrap_or_else(|e| panic!("cold {} on {instance}: {e}", algorithm));
                 assert_eq!(cold.cardinality, child_max, "cold solve wrong on {instance}");
+                let previous = &base.matching;
+                let start = Start::Warm { previous, delta: &delta, fallback: InitHeuristic::Cheap };
                 let warm = solver
-                    .resolve_prepared_ctx(
-                        &child,
-                        &base.matching,
-                        &delta,
-                        algorithm,
-                        &SolveCtx::unbounded(),
-                    )
+                    .run(&child, SolveRequest { start, ..SolveRequest::new(algorithm) })
                     .unwrap_or_else(|e| panic!("resolve {} on {instance}: {e}", algorithm));
-                assert_eq!(warm.report.cardinality, child_max, "warm resolve wrong on {instance}");
+                assert_eq!(warm.cardinality, child_max, "warm resolve wrong on {instance}");
                 let cold_seconds = cold.modelled_device_seconds.expect("GPU cell is modelled");
-                let warm_seconds =
-                    warm.report.modelled_device_seconds.expect("GPU cell is modelled");
+                let warm_seconds = warm.modelled_device_seconds.expect("GPU cell is modelled");
                 for (tag, seconds, wall) in [
                     ("cold", cold_seconds, cold.wall_seconds),
-                    ("resolve", warm_seconds, warm.report.wall_seconds),
+                    ("resolve", warm_seconds, warm.wall_seconds),
                 ] {
                     cells.push(BenchCell {
                         instance: instance.clone(),

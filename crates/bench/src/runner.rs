@@ -1,7 +1,7 @@
 //! Instance preparation and measurement plumbing shared by all figure/table
 //! binaries and the Criterion benches.
 
-use gpm_core::solver::{self, Algorithm, Solver};
+use gpm_core::solver::{self, Algorithm, SolveRequest, Solver, Start};
 use gpm_core::{GhkVariant, SolveError};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{InstanceSpec, Scale};
@@ -84,7 +84,10 @@ pub fn measure(
     algorithm: Algorithm,
     solver: &mut Solver,
 ) -> Result<Measurement, SolveError> {
-    let report = solver.solve_with_initial(&instance.graph, &instance.initial, algorithm)?;
+    let report = solver.run(
+        &instance.graph,
+        SolveRequest { start: Start::Matching(&instance.initial), ..SolveRequest::new(algorithm) },
+    )?;
     assert_eq!(
         report.cardinality, instance.maximum_cardinality,
         "{} returned a non-maximum matching on {} ({} vs {})",

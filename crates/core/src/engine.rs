@@ -1,19 +1,18 @@
-//! The [`Engine`] abstraction: one uniform, fallible interface over every
-//! algorithm family in the workspace.
+//! The warm engines behind [`crate::solver::Solver`]: one per algorithm a
+//! session has run, each owning the working memory it reuses between
+//! solves.
 //!
 //! Each of the paper's seven families — the three G-PR variants, G-HK /
-//! G-HKDW, sequential PR, PF+, HK, HKDW, and P-DBFS — is wrapped in an
-//! engine that owns its **warm workspace** (device state, label arrays,
-//! active-list staging).  The two GPU families have an engine type each;
-//! the five CPU baselines share one, which holds the baseline's solve as a
-//! closure owning its warm state.  A [`crate::solver::Solver`] session keeps
-//! one engine per [`Algorithm`] it has run, so repeated solves on
-//! same-shaped graphs skip the setup cost the paper excludes from its
-//! reported runtimes.
+//! G-HKDW, sequential PR, PF+, HK, HKDW, and P-DBFS — runs behind one
+//! [`Engine`].  The two GPU families keep their device workspaces; the five
+//! CPU baselines share one arm, which holds the baseline's solve as a
+//! closure owning its warm state.  Repeated solves on same-shaped graphs
+//! therefore skip the setup cost the paper excludes from its reported
+//! runtimes.
 
 use crate::cancel::SolveCtx;
 use crate::error::SolveError;
-use crate::ghk::{self, GhkVariant, GhkWorkspace};
+use crate::ghk::{self, GhkConfig, GhkWorkspace};
 use crate::gpr::{self, GprConfig, GprWorkspace};
 use crate::solver::Algorithm;
 use gpm_cpu::{
@@ -23,208 +22,109 @@ use gpm_cpu::{
 use gpm_gpu::{DeviceStats, VirtualGpu};
 use gpm_graph::{BipartiteCsr, Matching};
 
-/// Per-solve context handed to an engine: the (optional) virtual device the
-/// solver session resolved for this call, plus the cancellation/deadline
-/// signals the round loops poll.
-pub struct EngineCtx<'a> {
-    /// The device GPU engines run on; `None` under a CPU-only policy.
-    pub device: Option<&'a VirtualGpu>,
-    /// Cancellation and deadline for this solve (default: unbounded).
-    pub stop: SolveCtx,
-}
-
-impl EngineCtx<'_> {
-    /// The device, or [`SolveError::DeviceRequired`] for `algorithm`.
-    pub fn require_device(&self, algorithm: &Algorithm) -> Result<&VirtualGpu, SolveError> {
-        self.device.ok_or_else(|| SolveError::DeviceRequired { algorithm: algorithm.label() })
-    }
-}
-
-/// What every engine returns: the matching plus the measurements the
+/// What an engine returns: the matching plus the measurements the
 /// [`crate::solver::SolveReport`] is assembled from.
 #[derive(Debug)]
-pub struct EngineOutput {
+pub(crate) struct EngineOutput {
     /// The computed (consistent, maximum) matching.
-    pub matching: Matching,
+    pub(crate) matching: Matching,
     /// Host wall-clock seconds spent inside the engine.
-    pub wall_seconds: f64,
+    pub(crate) wall_seconds: f64,
     /// Per-kernel device statistics (GPU engines only).
-    pub device_stats: Option<DeviceStats>,
-}
-
-/// A matching algorithm behind the uniform, fallible solve interface.
-///
-/// `solve` takes `&mut self` so the engine can reuse its warm workspace
-/// across calls; engines are cheap to create cold via [`engine_for`].
-pub trait Engine {
-    /// The algorithm this engine runs.
-    fn algorithm(&self) -> Algorithm;
-
-    /// Solves one instance, reusing any warm state from previous calls.
-    fn solve(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        ctx: &mut EngineCtx<'_>,
-    ) -> Result<EngineOutput, SolveError>;
-}
-
-/// Builds the engine for `algorithm` with the paper's default tuning,
-/// validating the algorithm's parameters first
-/// ([`SolveError::InvalidConfig`] on NaN/negative global-relabel factors or
-/// zero thread counts).
-pub fn engine_for(algorithm: Algorithm) -> Result<Box<dyn Engine + Send>, SolveError> {
-    engine_for_tuned(algorithm, &GprConfig::paper_default())
-}
-
-/// Builds the engine for `algorithm` over a caller-supplied G-PR tuning
-/// template (`Solver::builder().gpr_config(..)`): the template's shrink
-/// threshold and loop cap apply, while the variant, strategy, and worklist
-/// representation come from the algorithm itself.
-pub fn engine_for_tuned(
-    algorithm: Algorithm,
-    gpr_base: &GprConfig,
-) -> Result<Box<dyn Engine + Send>, SolveError> {
-    algorithm.validate()?;
-    Ok(match algorithm {
-        Algorithm::GpuPushRelabel(variant, strategy, worklist, exec) => Box::new(GprEngine {
-            algorithm,
-            config: GprConfig { variant, strategy, worklist, exec, ..*gpr_base },
-            workspace: GprWorkspace::new(),
-        }),
-        Algorithm::GpuHopcroftKarp(variant, worklist, exec) => Box::new(GhkEngine {
-            algorithm,
-            variant,
-            worklist,
-            exec,
-            workspace: GhkWorkspace::new(),
-        }),
-        Algorithm::SequentialPushRelabel(k) => {
-            let config = PrConfig { global_relabel_k: k, ..PrConfig::default() };
-            let mut workspace = PrWorkspace::new();
-            cpu_engine(algorithm, move |g, m| sequential_pr_with(g, m, config, &mut workspace))
-        }
-        Algorithm::PothenFan => cpu_engine(algorithm, pothen_fan),
-        Algorithm::HopcroftKarp => cpu_engine(algorithm, hopcroft_karp),
-        Algorithm::Hkdw => cpu_engine(algorithm, hkdw),
-        Algorithm::Pdbfs(threads) => {
-            cpu_engine(algorithm, move |g, m| pdbfs(g, m, PdbfsConfig { threads }))
-        }
-    })
-}
-
-/// The engine of a CPU baseline that `run` solves.
-fn cpu_engine(
-    algorithm: Algorithm,
-    run: impl FnMut(&BipartiteCsr, &Matching) -> CpuRunResult + Send + 'static,
-) -> Box<dyn Engine + Send> {
-    Box::new(CpuEngine { algorithm, run: Box::new(run) })
-}
-
-/// G-PR (all three kernel variants) with a warm device workspace.
-struct GprEngine {
-    algorithm: Algorithm,
-    config: GprConfig,
-    workspace: GprWorkspace,
-}
-
-impl Engine for GprEngine {
-    fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    fn solve(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        ctx: &mut EngineCtx<'_>,
-    ) -> Result<EngineOutput, SolveError> {
-        let device = ctx.require_device(&self.algorithm)?;
-        let stop = ctx.stop.stop_check();
-        let r = gpr::run_with_stop(device, graph, initial, self.config, &mut self.workspace, &stop);
-        if r.stats.stopped {
-            return Err(ctx.stop.stop_error(r.stats.loops, r.matching.cardinality()));
-        }
-        Ok(EngineOutput {
-            matching: r.matching,
-            wall_seconds: r.stats.seconds,
-            device_stats: Some(r.stats.device),
-        })
-    }
-}
-
-/// G-HK / G-HKDW with a warm device workspace.
-struct GhkEngine {
-    algorithm: Algorithm,
-    variant: GhkVariant,
-    worklist: gpm_gpu::WorklistMode,
-    exec: gpm_gpu::ExecMode,
-    workspace: GhkWorkspace,
-}
-
-impl Engine for GhkEngine {
-    fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    fn solve(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        ctx: &mut EngineCtx<'_>,
-    ) -> Result<EngineOutput, SolveError> {
-        let device = ctx.require_device(&self.algorithm)?;
-        let stop = ctx.stop.stop_check();
-        let r = ghk::run_with_exec_stop(
-            device,
-            graph,
-            initial,
-            self.variant,
-            self.worklist,
-            self.exec,
-            &mut self.workspace,
-            &stop,
-        );
-        if r.stats.stopped {
-            return Err(ctx.stop.stop_error(r.stats.phases, r.matching.cardinality()));
-        }
-        Ok(EngineOutput {
-            matching: r.matching,
-            wall_seconds: r.stats.seconds,
-            device_stats: Some(r.stats.device),
-        })
-    }
+    pub(crate) device_stats: Option<DeviceStats>,
 }
 
 /// One solve of a CPU baseline, owning whatever warm state the baseline
 /// keeps between solves (sequential PR's label arrays; the others none).
 type CpuSolve = dyn FnMut(&BipartiteCsr, &Matching) -> CpuRunResult + Send;
 
-/// A CPU baseline.
-struct CpuEngine {
-    algorithm: Algorithm,
-    run: Box<CpuSolve>,
+/// An algorithm with its warm working memory.
+pub(crate) enum Engine {
+    /// G-PR (all three kernel variants).
+    Gpr(GprConfig, GprWorkspace),
+    /// G-HK / G-HKDW.
+    Ghk(GhkConfig, GhkWorkspace),
+    /// A CPU baseline.
+    Cpu(Box<CpuSolve>),
 }
 
-impl Engine for CpuEngine {
-    fn algorithm(&self) -> Algorithm {
-        self.algorithm
+impl Engine {
+    /// A cold engine for `algorithm` with the paper's default tuning,
+    /// validating the algorithm's parameters first
+    /// ([`SolveError::InvalidConfig`] on NaN/negative global-relabel factors
+    /// or zero thread counts).
+    pub(crate) fn new(algorithm: Algorithm) -> Result<Self, SolveError> {
+        algorithm.validate()?;
+        Ok(match algorithm {
+            Algorithm::GpuPushRelabel(variant, strategy, worklist, exec) => Engine::Gpr(
+                GprConfig { variant, strategy, worklist, exec, ..GprConfig::paper_default() },
+                GprWorkspace::new(),
+            ),
+            Algorithm::GpuHopcroftKarp(variant, worklist, exec) => {
+                Engine::Ghk(GhkConfig { variant, worklist, exec }, GhkWorkspace::new())
+            }
+            Algorithm::SequentialPushRelabel(k) => {
+                let config = PrConfig { global_relabel_k: k, ..PrConfig::default() };
+                let mut workspace = PrWorkspace::new();
+                cpu(move |g, m| sequential_pr_with(g, m, config, &mut workspace))
+            }
+            Algorithm::PothenFan => cpu(pothen_fan),
+            Algorithm::HopcroftKarp => cpu(hopcroft_karp),
+            Algorithm::Hkdw => cpu(hkdw),
+            Algorithm::Pdbfs(threads) => cpu(move |g, m| pdbfs(g, m, PdbfsConfig { threads })),
+        })
     }
 
-    fn solve(
+    /// Solves one instance from `initial`, reusing any warm state from
+    /// earlier solves.  GPU engines run on `device`
+    /// ([`SolveError::DeviceRequired`] without one) and stop at a round
+    /// boundary when `ctx` fires; CPU engines run to completion.
+    pub(crate) fn solve(
         &mut self,
         graph: &BipartiteCsr,
         initial: &Matching,
-        _ctx: &mut EngineCtx<'_>,
+        device: Option<&VirtualGpu>,
+        ctx: &SolveCtx,
     ) -> Result<EngineOutput, SolveError> {
-        let r = (self.run)(graph, initial);
-        Ok(EngineOutput { matching: r.matching, wall_seconds: r.stats.seconds, device_stats: None })
+        let require = |label: &str| {
+            device.ok_or_else(|| SolveError::DeviceRequired { algorithm: label.to_string() })
+        };
+        // `stopped_after`: the rounds a GPU run completed before its stop
+        // check fired.
+        let (matching, wall_seconds, device_stats, stopped_after) = match self {
+            Engine::Gpr(config, workspace) => {
+                let gpu = require(config.variant.label())?;
+                let r = gpr::run(gpu, graph, initial, *config, workspace, &ctx.stop_check());
+                let stopped_after = r.stats.stopped.then_some(r.stats.loops);
+                (r.matching, r.stats.seconds, Some(r.stats.device), stopped_after)
+            }
+            Engine::Ghk(config, workspace) => {
+                let gpu = require(config.variant.label())?;
+                let r = ghk::run(gpu, graph, initial, *config, workspace, &ctx.stop_check());
+                let stopped_after = r.stats.stopped.then_some(r.stats.phases);
+                (r.matching, r.stats.seconds, Some(r.stats.device), stopped_after)
+            }
+            Engine::Cpu(solve) => {
+                let r = solve(graph, initial);
+                (r.matching, r.stats.seconds, None, None)
+            }
+        };
+        if let Some(rounds) = stopped_after {
+            return Err(ctx.stop_error(rounds, matching.cardinality()));
+        }
+        Ok(EngineOutput { matching, wall_seconds, device_stats })
     }
+}
+
+/// The engine of a CPU baseline that `solve` runs.
+fn cpu(solve: impl FnMut(&BipartiteCsr, &Matching) -> CpuRunResult + Send + 'static) -> Engine {
+    Engine::Cpu(Box::new(solve))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ghk::GhkVariant;
     use crate::strategy::GrStrategy;
     use gpm_graph::gen;
     use gpm_graph::heuristics::cheap_matching;
@@ -248,15 +148,14 @@ mod tests {
         let initial = cheap_matching(&g);
         let opt = maximum_matching_cardinality(&g);
         let gpu = VirtualGpu::sequential();
+        let ctx = SolveCtx::default();
         for alg in seven_families() {
-            let mut engine = engine_for(alg).unwrap();
-            assert_eq!(engine.algorithm(), alg);
-            let mut ctx = EngineCtx { device: Some(&gpu), stop: SolveCtx::default() };
-            let out = engine.solve(&g, &initial, &mut ctx).unwrap();
+            let mut engine = Engine::new(alg).unwrap();
+            let out = engine.solve(&g, &initial, Some(&gpu), &ctx).unwrap();
             assert_eq!(out.matching.cardinality(), opt, "{alg}");
             assert_eq!(out.device_stats.is_some(), alg.is_gpu(), "{alg}");
             // A second call on the same engine (now warm) agrees.
-            let again = engine.solve(&g, &initial, &mut ctx).unwrap();
+            let again = engine.solve(&g, &initial, Some(&gpu), &ctx).unwrap();
             assert_eq!(again.matching.cardinality(), opt, "{alg} warm");
         }
     }
@@ -269,18 +168,17 @@ mod tests {
             Algorithm::gpr(crate::gpr::GprVariant::First, GrStrategy::paper_default()),
             Algorithm::ghk(GhkVariant::Hk),
         ] {
-            let mut engine = engine_for(alg).unwrap();
-            let mut ctx = EngineCtx { device: None, stop: SolveCtx::default() };
-            let err = engine.solve(&g, &initial, &mut ctx).unwrap_err();
+            let mut engine = Engine::new(alg).unwrap();
+            let err = engine.solve(&g, &initial, None, &SolveCtx::default()).unwrap_err();
             assert!(matches!(err, SolveError::DeviceRequired { .. }), "{alg}");
         }
     }
 
     #[test]
     fn engine_for_rejects_invalid_parameters() {
-        assert!(matches!(engine_for(Algorithm::Pdbfs(0)), Err(SolveError::InvalidConfig { .. })));
+        assert!(matches!(Engine::new(Algorithm::Pdbfs(0)), Err(SolveError::InvalidConfig { .. })));
         assert!(matches!(
-            engine_for(Algorithm::SequentialPushRelabel(f64::NAN)),
+            Engine::new(Algorithm::SequentialPushRelabel(f64::NAN)),
             Err(SolveError::InvalidConfig { .. })
         ));
     }

@@ -165,85 +165,59 @@ impl GhkWorkspace {
     }
 }
 
-/// Runs G-HK or G-HKDW on the virtual GPU, starting from `initial`, with a
-/// cold workspace and the default dense BFS frontier.
+/// Configuration of a G-HK / G-HKDW run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GhkConfig {
+    /// Which baseline to run.
+    pub variant: GhkVariant,
+    /// How the BFS frontier is represented on the device (see
+    /// [`WorklistMode`]); all representations locate the same shortest
+    /// augmenting paths.
+    pub worklist: WorklistMode,
+    /// How the phase loop is priced.  Under [`ExecMode::Persistent`] the
+    /// whole loop — BFS levels, DFS kernels, commit charges, and the
+    /// Duff–Wiberg sweep — executes inside one
+    /// [`gpm_gpu::VirtualGpu::resident`] scope, so every per-phase kernel is
+    /// priced as a global-barrier crossing instead of a fresh launch.
+    pub exec: ExecMode,
+}
+
+impl GhkConfig {
+    /// `variant` with its default dense BFS frontier, one kernel launch per
+    /// round.
+    pub fn new(variant: GhkVariant) -> Self {
+        Self { variant, worklist: variant.default_worklist(), exec: ExecMode::LaunchPerRound }
+    }
+
+    /// Same configuration but with an explicit BFS-frontier representation.
+    pub fn with_worklist(mut self, worklist: WorklistMode) -> Self {
+        self.worklist = worklist;
+        self
+    }
+
+    /// Same configuration but with an explicit execution mode.
+    pub fn with_exec(mut self, exec: ExecMode) -> Self {
+        self.exec = exec;
+        self
+    }
+}
+
+/// Runs G-HK or G-HKDW on the virtual GPU, starting from `initial`, reusing
+/// `workspace` buffers from previous solves wherever the graph shape
+/// allows (pass a fresh [`GhkWorkspace`] for a cold run).
+///
+/// `stop` is polled at every phase and between BFS levels.  G-HK keeps µ
+/// consistent at all times, so a stopped run simply downloads the matching
+/// as it stands and returns with [`GhkRunStats::stopped`] set.
 pub fn run(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
     initial: &Matching,
-    variant: GhkVariant,
-) -> GhkResult {
-    run_with(gpu, graph, initial, variant, &mut GhkWorkspace::new())
-}
-
-/// Runs G-HK or G-HKDW reusing `workspace` buffers from previous solves
-/// wherever the graph shape allows, with the default dense BFS frontier.
-pub fn run_with(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    workspace: &mut GhkWorkspace,
-) -> GhkResult {
-    run_with_mode(gpu, graph, initial, variant, variant.default_worklist(), workspace)
-}
-
-/// Runs G-HK or G-HKDW with an explicit BFS-frontier representation (see
-/// [`WorklistMode`]); all representations locate the same shortest
-/// augmenting paths.
-pub fn run_with_mode(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    mode: WorklistMode,
-    workspace: &mut GhkWorkspace,
-) -> GhkResult {
-    run_with_mode_stop(gpu, graph, initial, variant, mode, workspace, &StopCheck::never())
-}
-
-/// Runs G-HK / G-HKDW like [`run_with_mode`], polling `stop` at every phase
-/// and between BFS levels.  G-HK keeps µ consistent at all times, so a
-/// stopped run simply downloads the matching as it stands and returns with
-/// [`GhkRunStats::stopped`] set.
-pub fn run_with_mode_stop(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    mode: WorklistMode,
+    config: GhkConfig,
     workspace: &mut GhkWorkspace,
     stop: &StopCheck,
 ) -> GhkResult {
-    run_with_exec_stop(
-        gpu,
-        graph,
-        initial,
-        variant,
-        mode,
-        ExecMode::LaunchPerRound,
-        workspace,
-        stop,
-    )
-}
-
-/// Runs G-HK / G-HKDW like [`run_with_mode_stop`] under an explicit
-/// [`ExecMode`].  Under [`ExecMode::Persistent`] the whole phase loop —
-/// BFS levels, DFS kernels, commit charges, and the Duff–Wiberg sweep —
-/// executes inside one [`gpm_gpu::VirtualGpu::resident`] scope, so every
-/// per-phase kernel is priced as a global-barrier crossing instead of a
-/// fresh launch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_exec_stop(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    mode: WorklistMode,
-    exec: ExecMode,
-    workspace: &mut GhkWorkspace,
-    stop: &StopCheck,
-) -> GhkResult {
+    let GhkConfig { variant, worklist: mode, exec } = config;
     let start = std::time::Instant::now();
     let mark = gpu.stats_mark();
     let GhkWorkspace {
@@ -672,6 +646,11 @@ mod tests {
         });
     }
 
+    /// A run that never stops, on a cold workspace.
+    fn cold(gpu: &VirtualGpu, g: &BipartiteCsr, init: &Matching, config: GhkConfig) -> GhkResult {
+        run(gpu, g, init, config, &mut GhkWorkspace::new(), &StopCheck::never())
+    }
+
     /// Runs `f`, returning its result and the tentative paths it committed.
     fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Path>) {
         TENTATIVE.with_borrow_mut(|log| *log = Some(Vec::new()));
@@ -730,18 +709,8 @@ mod tests {
                 for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
                     for exec in ExecMode::all() {
                         let tag = format!("{} {exec} {:?}", variant.label(), gpu.config().backend);
-                        let (r, paths) = recording(|| {
-                            run_with_exec_stop(
-                                gpu,
-                                &g,
-                                &init,
-                                variant,
-                                variant.default_worklist(),
-                                exec,
-                                &mut GhkWorkspace::new(),
-                                &StopCheck::never(),
-                            )
-                        });
+                        let config = GhkConfig::new(variant).with_exec(exec);
+                        let (r, paths) = recording(|| cold(gpu, &g, &init, config));
                         for path in &paths {
                             let mut rows: Vec<usize> = path.iter().map(|&(u, _)| u).collect();
                             let mut cols: Vec<usize> = path.iter().map(|&(_, c)| c).collect();
@@ -774,10 +743,12 @@ mod tests {
             let mut ws = GhkWorkspace::new();
             for g in [&large, &small, &large] {
                 let init = cheap_matching(g);
-                let (reused, reused_paths) =
-                    recording(|| run_with(&gpu, g, &init, variant, &mut ws));
+                let (reused, reused_paths) = recording(|| {
+                    run(&gpu, g, &init, GhkConfig::new(variant), &mut ws, &StopCheck::never())
+                });
+                let config = GhkConfig::new(variant);
                 let (fresh, fresh_paths) = std::thread::scope(|s| {
-                    s.spawn(|| recording(|| run(&VirtualGpu::sequential(), g, &init, variant)))
+                    s.spawn(|| recording(|| cold(&VirtualGpu::sequential(), g, &init, config)))
                         .join()
                         .unwrap()
                 });
@@ -806,7 +777,8 @@ mod tests {
                         });
                     }
                     let gpu = VirtualGpu::sequential();
-                    let (r, paths) = recording(|| run(&gpu, &g, &init, GhkVariant::Hkdw));
+                    let (r, paths) =
+                        recording(|| cold(&gpu, &g, &init, GhkConfig::new(GhkVariant::Hkdw)));
                     (outcome(&r), paths, SCRATCH.with_borrow_mut(|s| *s.visited.raw_parts_mut().1))
                 })
                 .join()
@@ -825,7 +797,7 @@ mod tests {
         let opt = maximum_matching_cardinality(g);
         let init = cheap_matching(g);
         for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
-            let r = run(gpu, g, &init, variant);
+            let r = cold(gpu, g, &init, GhkConfig::new(variant));
             assert_eq!(
                 r.matching.cardinality(),
                 opt,
@@ -878,12 +850,12 @@ mod tests {
     fn empty_graph_and_perfect_initial() {
         let gpu = VirtualGpu::sequential();
         let g = BipartiteCsr::empty(5, 5);
-        let r = run(&gpu, &g, &Matching::empty_for(&g), GhkVariant::Hkdw);
+        let r = cold(&gpu, &g, &Matching::empty_for(&g), GhkConfig::new(GhkVariant::Hkdw));
         assert_eq!(r.matching.cardinality(), 0);
 
         let g = gen::planted_perfect(64, 0, 7).unwrap();
         let init = cheap_matching(&g);
-        let r = run(&gpu, &g, &init, GhkVariant::Hk);
+        let r = cold(&gpu, &g, &init, GhkConfig::new(GhkVariant::Hk));
         assert_eq!(r.matching.cardinality(), 64);
         assert_eq!(r.stats.phases, 0);
     }
@@ -897,15 +869,17 @@ mod tests {
         for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
             for g in [&g1, &g2] {
                 let init = cheap_matching(g);
-                let warm = run_with(&gpu, g, &init, variant, &mut ws);
-                let cold = run(&gpu, g, &init, variant);
-                assert_eq!(warm.matching.cardinality(), cold.matching.cardinality());
+                let warm =
+                    run(&gpu, g, &init, GhkConfig::new(variant), &mut ws, &StopCheck::never());
+                let fresh = cold(&gpu, g, &init, GhkConfig::new(variant));
+                assert_eq!(warm.matching.cardinality(), fresh.matching.cardinality());
             }
             assert!(ws.is_warm_for(&g1));
         }
         let g3 = gen::uniform_random(20, 30, 100, 23).unwrap();
         assert!(!ws.is_warm_for(&g3));
-        let r = run_with(&gpu, &g3, &cheap_matching(&g3), GhkVariant::Hk, &mut ws);
+        let config = GhkConfig::new(GhkVariant::Hk);
+        let r = run(&gpu, &g3, &cheap_matching(&g3), config, &mut ws, &StopCheck::never());
         assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g3));
     }
 
@@ -918,8 +892,7 @@ mod tests {
                 let init = cheap_matching(&g);
                 for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
                     for mode in WorklistMode::all() {
-                        let mut ws = GhkWorkspace::new();
-                        let r = run_with_mode(&gpu, &g, &init, variant, mode, &mut ws);
+                        let r = cold(&gpu, &g, &init, GhkConfig::new(variant).with_worklist(mode));
                         assert_eq!(
                             r.matching.cardinality(),
                             opt,
@@ -948,8 +921,7 @@ mod tests {
                 let runs: Vec<GhkRunStats> = WorklistMode::all()
                     .into_iter()
                     .map(|mode| {
-                        run_with_mode(&gpu, &g, &init, variant, mode, &mut GhkWorkspace::new())
-                            .stats
+                        cold(&gpu, &g, &init, GhkConfig::new(variant).with_worklist(mode)).stats
                     })
                     .collect();
                 for r in &runs[1..] {
@@ -975,18 +947,9 @@ mod tests {
             let init = cheap_matching(&g);
             for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
                 for mode in WorklistMode::all() {
-                    let lpr =
-                        run_with_mode(&gpu, &g, &init, variant, mode, &mut GhkWorkspace::new());
-                    let per = run_with_exec_stop(
-                        &gpu,
-                        &g,
-                        &init,
-                        variant,
-                        mode,
-                        ExecMode::Persistent,
-                        &mut GhkWorkspace::new(),
-                        &StopCheck::never(),
-                    );
+                    let base = GhkConfig::new(variant).with_worklist(mode);
+                    let lpr = cold(&gpu, &g, &init, base);
+                    let per = cold(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
                     let tag = format!("{} + {mode}, seed {seed}", variant.label());
                     assert_eq!(per.matching.cardinality(), opt, "{tag}");
                     per.matching.validate_against(&g).unwrap();
@@ -1004,16 +967,10 @@ mod tests {
         let gpu = VirtualGpu::parallel();
         let g = gen::uniform_random(200, 200, 900, 31).unwrap();
         let init = cheap_matching(&g);
-        let r = run_with_exec_stop(
-            &gpu,
-            &g,
-            &init,
-            GhkVariant::Hkdw,
-            WorklistMode::BlockedQueue,
-            ExecMode::Persistent,
-            &mut GhkWorkspace::new(),
-            &StopCheck::never(),
-        );
+        let config = GhkConfig::new(GhkVariant::Hkdw)
+            .with_worklist(WorklistMode::BlockedQueue)
+            .with_exec(ExecMode::Persistent);
+        let r = cold(&gpu, &g, &init, config);
         assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
         // One resident entry launch; every per-phase kernel became a round.
         assert_eq!(r.stats.device.total_launches(), 1);
@@ -1028,23 +985,10 @@ mod tests {
         let g = gen::uniform_random(400, 400, 2000, 9).unwrap();
         let init = cheap_matching(&g);
         let dense_gpu = VirtualGpu::sequential();
-        let dense = run_with_mode(
-            &dense_gpu,
-            &g,
-            &init,
-            GhkVariant::Hk,
-            WorklistMode::DenseStamp,
-            &mut GhkWorkspace::new(),
-        );
+        let dense = cold(&dense_gpu, &g, &init, GhkConfig::new(GhkVariant::Hk));
         let queue_gpu = VirtualGpu::sequential();
-        let queue = run_with_mode(
-            &queue_gpu,
-            &g,
-            &init,
-            GhkVariant::Hk,
-            WorklistMode::AtomicQueue,
-            &mut GhkWorkspace::new(),
-        );
+        let config = GhkConfig::new(GhkVariant::Hk).with_worklist(WorklistMode::AtomicQueue);
+        let queue = cold(&queue_gpu, &g, &init, config);
         assert_eq!(dense.matching.cardinality(), queue.matching.cardinality());
         let dense_threads = dense.stats.device.kernels["G-HK-BFS-KRNL"].total_threads;
         let queue_threads = queue.stats.device.kernels["G-HK-BFS-KRNL"].total_threads;
@@ -1065,15 +1009,7 @@ mod tests {
             let polls = Arc::new(AtomicU64::new(0));
             let p = Arc::clone(&polls);
             let stop = StopCheck::from_fn(move || p.fetch_add(1, Ordering::Relaxed) >= 2);
-            let r = run_with_mode_stop(
-                &gpu,
-                &g,
-                &init,
-                variant,
-                variant.default_worklist(),
-                &mut GhkWorkspace::new(),
-                &stop,
-            );
+            let r = run(&gpu, &g, &init, GhkConfig::new(variant), &mut GhkWorkspace::new(), &stop);
             assert!(r.stats.stopped, "{}", variant.label());
             // Every phase polls at least twice (phase head + first BFS
             // level), so a signal tripped at poll 2 stops within phase 1.
@@ -1085,15 +1021,8 @@ mod tests {
 
         // A pre-tripped stop performs no phase at all.
         let stop = StopCheck::from_fn(|| true);
-        let r = run_with_mode_stop(
-            &gpu,
-            &g,
-            &init,
-            GhkVariant::Hk,
-            WorklistMode::DenseStamp,
-            &mut GhkWorkspace::new(),
-            &stop,
-        );
+        let config = GhkConfig::new(GhkVariant::Hk);
+        let r = run(&gpu, &g, &init, config, &mut GhkWorkspace::new(), &stop);
         assert!(r.stats.stopped);
         assert_eq!(r.stats.phases, 0);
         assert_eq!(r.matching.cardinality(), init.cardinality());
@@ -1103,7 +1032,7 @@ mod tests {
     fn stats_record_bfs_kernels() {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(150, 150, 700, 4).unwrap();
-        let r = run(&gpu, &g, &cheap_matching(&g), GhkVariant::Hkdw);
+        let r = cold(&gpu, &g, &cheap_matching(&g), GhkConfig::new(GhkVariant::Hkdw));
         assert!(r.stats.device.launches_of("G-HK-BFS-KRNL") >= 1);
         assert!(r.stats.device.launches_of("G-HK-DFS-KRNL") >= r.stats.phases);
         assert_eq!(r.stats.variant, "G-HKDW");

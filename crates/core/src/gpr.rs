@@ -34,7 +34,7 @@
 //! [`GprConfig::worklist`].
 
 use crate::device::{DeviceState, MU_UNMATCHABLE, MU_UNMATCHED};
-use crate::ggr::global_relabel_with_stop;
+use crate::ggr::global_relabel;
 use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
 use crate::strategy::GrStrategy;
 use gpm_gpu::{
@@ -250,34 +250,16 @@ impl GprWorkspace {
 }
 
 /// Runs G-PR on the given virtual GPU, starting from `initial` (normally the
-/// cheap greedy matching, as in the paper), with a cold workspace.
+/// cheap greedy matching, as in the paper), reusing `workspace` buffers from
+/// previous solves wherever the graph shape allows (pass a fresh
+/// [`GprWorkspace`] for a cold run).
+///
+/// `stop` is polled at every main-loop round (and between global-relabeling
+/// BFS levels).  When it fires, the run finishes its current round, repairs
+/// the matching with `FIXMATCHING`, and returns with
+/// [`GprRunStats::stopped`] set — the matching is a valid partial matching
+/// of whatever cardinality was reached.
 pub fn run(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    config: GprConfig,
-) -> GprResult {
-    run_with(gpu, graph, initial, config, &mut GprWorkspace::new())
-}
-
-/// Runs G-PR reusing `workspace` buffers from previous solves wherever the
-/// graph shape allows.
-pub fn run_with(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    config: GprConfig,
-    workspace: &mut GprWorkspace,
-) -> GprResult {
-    run_with_stop(gpu, graph, initial, config, workspace, &StopCheck::never())
-}
-
-/// Runs G-PR like [`run_with`], polling `stop` at every main-loop round
-/// (and between global-relabeling BFS levels).  When the check fires, the
-/// run finishes its current round, repairs the matching with `FIXMATCHING`,
-/// and returns with [`GprRunStats::stopped`] set — the matching is a valid
-/// partial matching of whatever cardinality was reached.
-pub fn run_with_stop(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
     initial: &Matching,
@@ -414,7 +396,9 @@ fn run_first(
             "G-PR-First exceeded the safety iteration cap ({max_loops}); this indicates a bug"
         );
         if loop_iter == iter_gr {
-            let outcome = global_relabel_with_stop(gpu, graph, state, config.worklist, stop);
+            // Inside a persistent solve the relabeling inherits its scope.
+            let outcome =
+                global_relabel(gpu, graph, state, config.worklist, ExecMode::LaunchPerRound, stop);
             stats.global_relabels += 1;
             if outcome.stopped {
                 return RoundOutcome::Stopped;
@@ -453,7 +437,7 @@ fn run_active_list(
     // queue mode) the append queue; seeding stages the unmatched columns to
     // the device as part of the one-time setup transfer, so it costs no
     // kernel launch.  Under a warm start (an almost-complete initial
-    // matching, e.g. an incremental `Solver::resolve`) this filter selects
+    // matching repaired after a graph delta) this filter selects
     // only the columns whose matching state the graph change disturbed, so
     // the first round's frontier is proportional to the delta, not to `n`.
     let mut worklist = Worklist::new(gpu, config.worklist, n, GPR_WORKLIST_KERNELS);
@@ -475,7 +459,9 @@ fn run_active_list(
             "G-PR active-list variant exceeded the safety iteration cap ({max_loops}); this indicates a bug"
         );
         if loop_iter == iter_gr {
-            let outcome = global_relabel_with_stop(gpu, graph, state, config.worklist, stop);
+            // Inside a persistent solve the relabeling inherits its scope.
+            let outcome =
+                global_relabel(gpu, graph, state, config.worklist, ExecMode::LaunchPerRound, stop);
             stats.global_relabels += 1;
             if outcome.stopped {
                 return RoundOutcome::Stopped;
@@ -543,6 +529,11 @@ mod tests {
     use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
     use gpm_graph::{gen, Matching};
 
+    /// A run that never stops, on a cold workspace.
+    fn cold(gpu: &VirtualGpu, g: &BipartiteCsr, init: &Matching, config: GprConfig) -> GprResult {
+        run(gpu, g, init, config, &mut GprWorkspace::new(), &StopCheck::never())
+    }
+
     fn all_variants() -> Vec<GprVariant> {
         vec![GprVariant::First, GprVariant::ActiveList, GprVariant::Shrink]
     }
@@ -551,7 +542,7 @@ mod tests {
         let opt = maximum_matching_cardinality(g);
         let init = cheap_matching(g);
         for variant in all_variants() {
-            let result = run(gpu, g, &init, GprConfig::with_variant(variant));
+            let result = cold(gpu, g, &init, GprConfig::with_variant(variant));
             assert_eq!(
                 result.matching.cardinality(),
                 opt,
@@ -610,7 +601,7 @@ mod tests {
         let g = gen::planted_perfect(256, 768, 11).unwrap();
         let init = cheap_matching(&g);
         for variant in all_variants() {
-            let r = run(&gpu, &g, &init, GprConfig::with_variant(variant));
+            let r = cold(&gpu, &g, &init, GprConfig::with_variant(variant));
             assert_eq!(r.matching.cardinality(), 256, "{}", variant.label());
         }
     }
@@ -621,7 +612,7 @@ mod tests {
         let g = gen::uniform_random(50, 50, 250, 5).unwrap();
         let opt = maximum_matching_cardinality(&g);
         for variant in all_variants() {
-            let r = run(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
+            let r = cold(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
             assert_eq!(r.matching.cardinality(), opt, "{}", variant.label());
         }
     }
@@ -639,7 +630,7 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = BipartiteCsr::empty(6, 6);
         for variant in all_variants() {
-            let r = run(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
+            let r = cold(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
             assert_eq!(r.matching.cardinality(), 0);
         }
         // A graph whose cheap matching is already perfect: the active-list
@@ -647,7 +638,7 @@ mod tests {
         let g = gen::planted_perfect(64, 0, 1).unwrap();
         let init = cheap_matching(&g);
         assert_eq!(init.cardinality(), 64);
-        let r = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::Shrink));
+        let r = cold(&gpu, &g, &init, GprConfig::with_variant(GprVariant::Shrink));
         assert_eq!(r.matching.cardinality(), 64);
     }
 
@@ -660,7 +651,7 @@ mod tests {
         for strategy in crate::strategy::figure1_strategies() {
             for variant in all_variants() {
                 let config = GprConfig { variant, strategy, ..GprConfig::paper_default() };
-                let r = run(&gpu, &g, &init, config);
+                let r = cold(&gpu, &g, &init, config);
                 assert_eq!(
                     r.matching.cardinality(),
                     opt,
@@ -677,7 +668,7 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(200, 200, 900, 14).unwrap();
         let init = cheap_matching(&g);
-        let r = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
+        let r = cold(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
         assert!(r.stats.global_relabels >= 1);
         assert!(r.stats.loops >= 1);
         assert!(r.stats.device.launches_of("G-PR-KRNL") >= 1);
@@ -685,7 +676,7 @@ mod tests {
         assert!(r.stats.device.modelled_time_secs() > 0.0);
         assert_eq!(r.stats.variant, "G-PR-First");
 
-        let r = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
+        let r = cold(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
         assert!(r.stats.device.launches_of("G-PR-PUSHKRNL") >= 1);
         assert!(r.stats.device.launches_of("G-PR-INITKRNL") >= 1);
         assert_eq!(r.stats.device.launches_of("G-PR-SHRKRNL_count"), 0);
@@ -699,7 +690,7 @@ mod tests {
         let g = gen::rmat(gen::RmatParams::graph500(11, 4), 4).unwrap();
         let init = cheap_matching(&g);
         let config = GprConfig::with_variant(GprVariant::Shrink);
-        let r = run(&gpu, &g, &init, config);
+        let r = cold(&gpu, &g, &init, config);
         assert!(r.stats.shrinks >= 1, "expected at least one shrink pass");
         assert!(r.stats.device.launches_of("G-PR-SHRKRNL_count") >= 1);
         assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
@@ -710,8 +701,8 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::rmat(gen::RmatParams::web_like(10, 4), 6).unwrap();
         let init = cheap_matching(&g);
-        let first = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
-        let active = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
+        let first = cold(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
+        let active = cold(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
         let first_threads = first.stats.device.kernels["G-PR-KRNL"].total_threads;
         let active_threads = active.stats.device.kernels["G-PR-PUSHKRNL"].total_threads;
         assert!(
@@ -730,7 +721,7 @@ mod tests {
                 for variant in [GprVariant::ActiveList, GprVariant::Shrink] {
                     for mode in WorklistMode::all() {
                         let config = GprConfig::with_variant(variant).with_worklist(mode);
-                        let r = run(&gpu, &g, &init, config);
+                        let r = cold(&gpu, &g, &init, config);
                         assert_eq!(
                             r.matching.cardinality(),
                             opt,
@@ -752,7 +743,7 @@ mod tests {
             let g = gen::rmat(gen::RmatParams::web_like(9, 4), 17).unwrap();
             let init = cheap_matching(&g);
             let config = GprConfig::with_variant(GprVariant::Shrink).with_worklist(mode);
-            let r = run(&gpu, &g, &init, config);
+            let r = cold(&gpu, &g, &init, config);
             assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g), "{mode}");
             // No per-iteration scan of any kind: neither INITKRNL nor the
             // shrink kernels ever launch, and the drained-queue termination
@@ -776,13 +767,13 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(600, 600, 3600, 5).unwrap();
         let init = cheap_matching(&g);
-        let dense = run(
+        let dense = cold(
             &gpu,
             &g,
             &init,
             GprConfig::with_variant(GprVariant::ActiveList).with_worklist(WorklistMode::DenseStamp),
         );
-        let queue = run(
+        let queue = cold(
             &gpu,
             &g,
             &init,
@@ -809,8 +800,8 @@ mod tests {
             for variant in all_variants() {
                 for mode in WorklistMode::all() {
                     let base = GprConfig::with_variant(variant).with_worklist(mode);
-                    let lpr = run(&gpu, &g, &init, base);
-                    let per = run(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
+                    let lpr = cold(&gpu, &g, &init, base);
+                    let per = cold(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
                     let tag = format!("{} + {mode}, seed {seed}", variant.label());
                     assert_eq!(per.matching.cardinality(), lpr.matching.cardinality(), "{tag}");
                     per.matching.validate_against(&g).unwrap();
@@ -832,7 +823,7 @@ mod tests {
             let g = gen::rmat(gen::RmatParams::graph500(9, 4), 4).unwrap();
             let init = cheap_matching(&g);
             let config = GprConfig::paper_default().with_exec(ExecMode::Persistent);
-            let r = run(&gpu, &g, &init, config);
+            let r = cold(&gpu, &g, &init, config);
             assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
             // The whole solve is one resident launch plus FIXMATCHING; every
             // round loop kernel is priced as a barrier crossing instead.
@@ -854,8 +845,8 @@ mod tests {
         let g = gen::road_network(40, 40, 0.1, 5).unwrap();
         let init = cheap_matching(&g);
         let base = GprConfig::paper_default().with_worklist(WorklistMode::BlockedQueue);
-        let lpr = run(&gpu, &g, &init, base);
-        let per = run(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
+        let lpr = cold(&gpu, &g, &init, base);
+        let per = cold(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
         assert_eq!(lpr.matching.cardinality(), per.matching.cardinality());
         assert!(
             per.stats.device.modelled_time_secs() < lpr.stats.device.modelled_time_secs(),
@@ -877,7 +868,7 @@ mod tests {
             let p = Arc::clone(&polls);
             let stop = StopCheck::from_fn(move || p.fetch_add(1, Ordering::Relaxed) >= 3);
             let config = GprConfig::with_variant(variant).with_exec(ExecMode::Persistent);
-            let r = run_with_stop(&gpu, &g, &init, config, &mut GprWorkspace::new(), &stop);
+            let r = run(&gpu, &g, &init, config, &mut GprWorkspace::new(), &stop);
             assert!(r.stats.stopped, "{}", variant.label());
             assert!(r.stats.loops <= 3, "{}: {} rounds", variant.label(), r.stats.loops);
             r.matching.validate_against(&g).unwrap();
@@ -911,24 +902,31 @@ mod tests {
         for variant in all_variants() {
             let config = GprConfig::with_variant(variant);
             let init1 = cheap_matching(&g1);
-            let warm1 = run_with(&gpu, &g1, &init1, config, &mut ws);
+            let warm1 = run(&gpu, &g1, &init1, config, &mut ws, &StopCheck::never());
             assert_eq!(
                 warm1.matching.cardinality(),
-                run(&gpu, &g1, &init1, config).matching.cardinality()
+                cold(&gpu, &g1, &init1, config).matching.cardinality()
             );
             // Same shape: the second solve reuses the workspace buffers.
             assert!(ws.is_warm_for(&g2));
             let init2 = cheap_matching(&g2);
-            let warm2 = run_with(&gpu, &g2, &init2, config, &mut ws);
+            let warm2 = run(&gpu, &g2, &init2, config, &mut ws, &StopCheck::never());
             assert_eq!(
                 warm2.matching.cardinality(),
-                run(&gpu, &g2, &init2, config).matching.cardinality()
+                cold(&gpu, &g2, &init2, config).matching.cardinality()
             );
         }
         // Shape change: the workspace transparently re-allocates.
         let g3 = gen::uniform_random(30, 45, 200, 3).unwrap();
         assert!(!ws.is_warm_for(&g3));
-        let r3 = run_with(&gpu, &g3, &cheap_matching(&g3), GprConfig::paper_default(), &mut ws);
+        let r3 = run(
+            &gpu,
+            &g3,
+            &cheap_matching(&g3),
+            GprConfig::paper_default(),
+            &mut ws,
+            &StopCheck::never(),
+        );
         assert_eq!(r3.matching.cardinality(), maximum_matching_cardinality(&g3));
         assert!(ws.is_warm_for(&g3));
     }
@@ -948,7 +946,7 @@ mod tests {
             let polls = Arc::new(AtomicU64::new(0));
             let p = Arc::clone(&polls);
             let stop = StopCheck::from_fn(move || p.fetch_add(1, Ordering::Relaxed) >= 3);
-            let r = run_with_stop(
+            let r = run(
                 &gpu,
                 &g,
                 &init,
@@ -981,7 +979,7 @@ mod tests {
         let init = cheap_matching(&g);
         for variant in all_variants() {
             let stop = StopCheck::from_fn(|| true);
-            let r = run_with_stop(
+            let r = run(
                 &gpu,
                 &g,
                 &init,
@@ -1000,8 +998,8 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(80, 80, 400, 7).unwrap();
         let init = cheap_matching(&g);
-        let plain = run(&gpu, &g, &init, GprConfig::paper_default());
-        let stopped = run_with_stop(
+        let plain = cold(&gpu, &g, &init, GprConfig::paper_default());
+        let stopped = run(
             &gpu,
             &g,
             &init,
@@ -1020,8 +1018,8 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(80, 80, 400, 3).unwrap();
         let init = cheap_matching(&g);
-        let a = run(&gpu, &g, &init, GprConfig::paper_default());
-        let b = run(&gpu, &g, &init, GprConfig::paper_default());
+        let a = cold(&gpu, &g, &init, GprConfig::paper_default());
+        let b = cold(&gpu, &g, &init, GprConfig::paper_default());
         // Same work both times: the second run's stats must not include the
         // first run's launches.
         assert_eq!(

@@ -13,16 +13,17 @@
 //!   intervals and the adaptive `k × maxLevel` rule the paper introduces.
 //! * [`ghk`] — **G-HK / G-HKDW**, the GPU augmenting-path baselines the paper
 //!   compares against.
-//! * [`engine`] — the uniform, fallible [`engine::Engine`] interface every
-//!   algorithm family (GPU and CPU) implements, with warm per-engine
-//!   workspaces.
 //! * [`solver`] — the session-style front-end: [`solver::Solver`] built via
-//!   `Solver::builder()`, used by the examples and the benchmark harness.
+//!   `Solver::builder()`, with one way into a solve, [`Solver::run`] of a
+//!   [`SolveRequest`].  The session keeps one warm engine per algorithm, so
+//!   repeated solves skip the setup cost.
+//! * [`resolve`] — warm starts: re-solving a patched graph from its
+//!   parent's matching ([`Start::Warm`]).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use gpm_core::solver::{Algorithm, Solver};
+//! use gpm_core::{Algorithm, InitHeuristic, SolveRequest, Solver, Start};
 //! use gpm_graph::gen;
 //!
 //! // One session, many solves: the solver owns the virtual device and a
@@ -31,35 +32,33 @@
 //! let mut solver = Solver::builder().build().unwrap();
 //!
 //! let graph = gen::planted_perfect(500, 2_000, 7).unwrap();
-//! let report = solver.solve(&graph, Algorithm::gpr_default()).unwrap();
+//! let report = solver.run(&graph, SolveRequest::new(Algorithm::gpr_default())).unwrap();
 //! assert_eq!(report.cardinality, 500);
 //! println!("{} matched {} pairs using {:.3} ms of modelled device time",
 //!     report.algorithm, report.cardinality,
 //!     report.modelled_device_seconds.unwrap() * 1e3);
 //!
-//! // Batch solving returns one Result per job instead of panicking:
+//! // Every solve returns a Result instead of panicking; a request names
+//! // its start (here an empty matching) and may carry a deadline or a
+//! // cancellation token in `ctx`:
 //! let other = gen::planted_perfect(200, 800, 8).unwrap();
-//! let results = solver.solve_batch(vec![
-//!     (&graph, Algorithm::HopcroftKarp),
-//!     (&other, "P-DBFS@4".parse().unwrap()),
-//! ]);
-//! assert!(results.iter().all(|r| r.is_ok()));
+//! let request = SolveRequest {
+//!     start: Start::Heuristic(InitHeuristic::Empty),
+//!     ..SolveRequest::new("P-DBFS@4".parse().unwrap())
+//! };
+//! assert_eq!(solver.run(&other, request).unwrap().initial_cardinality, 0);
 //! ```
 //!
-//! ### Migrating from the pre-session API
-//!
-//! The free functions `solve` / `solve_with_initial` still exist as shims
-//! over a throwaway [`solver::Solver`], but now return
-//! `Result<SolveReport, SolveError>` instead of panicking on misuse; append
-//! `?` or `.unwrap()` to old call sites, or better, build one `Solver` and
-//! reuse it.
+//! Each engine also has one entry point of its own for callers that drive
+//! a [`gpm_gpu::VirtualGpu`] directly: [`gpr::run`], [`ghk::run`] and
+//! [`ggr::global_relabel`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod device;
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod ggr;
 pub mod ghk;
@@ -70,14 +69,13 @@ pub mod solver;
 pub mod strategy;
 
 pub use cancel::{CancelToken, SolveCtx, StopReason};
-pub use engine::{Engine, EngineCtx, EngineOutput};
 pub use error::{ParseAlgorithmError, ParseInitHeuristicError, SolveError};
-pub use ghk::{GhkVariant, GhkWorkspace};
+pub use ghk::{GhkConfig, GhkVariant, GhkWorkspace};
 pub use gpm_gpu::{ExecMode, ExecutorConfig, WorklistMode};
 pub use gpr::{GprConfig, GprResult, GprVariant, GprWorkspace};
-pub use resolve::{ResolveOutcome, ResolveReport, WARM_START_CHURN_LIMIT};
+pub use resolve::WARM_START_CHURN_LIMIT;
 pub use roundloop::{drive_rounds, resident_scope, RoundOutcome};
 pub use solver::{
-    solve, solve_with_initial, Algorithm, DevicePolicy, InitHeuristic, SolveReport, Solver,
+    Algorithm, DevicePolicy, InitHeuristic, SolveReport, SolveRequest, Solver, Start,
 };
 pub use strategy::GrStrategy;

@@ -2,41 +2,48 @@
 //!
 //! The center of the API is [`Solver`], built via [`Solver::builder`]: a
 //! reusable session that owns the device policy (which [`VirtualGpu`] GPU
-//! algorithms run on), the initialization heuristic, and one warm
-//! [`Engine`] per algorithm it has executed — so
-//! repeated solves on same-shaped graphs reuse the warm working buffers, the
-//! setup cost the paper excludes from its reported runtimes.  Every solve is
-//! fallible and returns `Result<SolveReport, SolveError>`; batch pipelines
-//! use [`Solver::solve_batch`] to keep going past bad jobs.
+//! algorithms run on) and one warm engine per algorithm it has executed —
+//! so repeated solves on same-shaped graphs reuse the warm working buffers,
+//! the setup cost the paper excludes from its reported runtimes.
+//!
+//! Every solve goes through [`Solver::run`] with a [`SolveRequest`]: the
+//! algorithm, where the solve [`Start`]s (an init heuristic, a given
+//! matching, or a warm start from a parent graph's matching and the delta
+//! that made this graph), and the cancellation/deadline context.  Every
+//! solve is fallible and returns `Result<SolveReport, SolveError>`.
 //!
 //! ```
-//! use gpm_core::solver::{Algorithm, Solver};
+//! use gpm_core::solver::{Algorithm, SolveRequest, Solver, Start};
+//! use gpm_core::InitHeuristic;
 //! use gpm_graph::gen;
 //!
 //! let mut solver = Solver::builder().build().unwrap();
 //! let graph = gen::planted_perfect(300, 1_200, 7).unwrap();
-//! let report = solver.solve(&graph, Algorithm::gpr_default()).unwrap();
+//! let report = solver.run(&graph, SolveRequest::new(Algorithm::gpr_default())).unwrap();
 //! assert_eq!(report.cardinality, 300);
-//! // The same session solves again with warm buffers, any algorithm:
-//! let again = solver.solve(&graph, Algorithm::HopcroftKarp).unwrap();
-//! assert_eq!(again.cardinality, 300);
+//! // The same session solves again with warm buffers, any algorithm and
+//! // any start:
+//! let request = SolveRequest {
+//!     start: Start::Heuristic(InitHeuristic::KarpSipser),
+//!     ..SolveRequest::new(Algorithm::HopcroftKarp)
+//! };
+//! assert_eq!(solver.run(&graph, request).unwrap().cardinality, 300);
 //! ```
-//!
-//! The free functions [`solve`] and [`solve_with_initial`] of the original
-//! API remain as thin shims over a throwaway `Solver`.
 
 use crate::cancel::SolveCtx;
-use crate::engine::{engine_for, engine_for_tuned, Engine, EngineCtx};
+use crate::engine::Engine;
 use crate::error::{ParseAlgorithmError, ParseInitHeuristicError, SolveError};
 use crate::ghk::GhkVariant;
-use crate::gpr::{GprConfig, GprVariant};
+use crate::gpr::GprVariant;
+use crate::resolve::warm_start;
 use crate::strategy::GrStrategy;
 use gpm_gpu::{
     Backend, DeviceStats, ExecMode, ExecutorConfig, GpuConfig, VirtualGpu, WorklistMode,
 };
 use gpm_graph::heuristics::{cheap_matching, karp_sipser};
-use gpm_graph::{BipartiteCsr, Matching};
+use gpm_graph::{BipartiteCsr, GraphDelta, Matching};
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -389,6 +396,21 @@ pub struct SolveReport {
     pub cardinality: usize,
     /// Cardinality of the initial matching the solver started from.
     pub initial_cardinality: usize,
+    /// Columns the initial matching left unmatched (columns it marks
+    /// unmatchable excluded): the frontier the engines seed their worklists
+    /// from.  After a warm start it is proportional to the delta, not to
+    /// the graph.
+    pub seeded_frontier: usize,
+    /// Matched pairs of a warm start's previous matching that the delta
+    /// invalidated (0 for every other start, and when the warm start fell
+    /// back).
+    pub dropped_pairs: usize,
+    /// `true` when a warm start discarded its repaired matching and started
+    /// from its fallback heuristic instead: delta churn above
+    /// [`crate::WARM_START_CHURN_LIMIT`], or a repaired frontier not
+    /// [`crate::resolve::WARM_START_FRONTIER_ADVANTAGE`]× smaller than the
+    /// heuristic's.  `false` for every other start.
+    pub fell_back_to_cold: bool,
     /// Host wall-clock seconds spent in the solver (excluding the common
     /// initialization, matching the paper's methodology).
     pub wall_seconds: f64,
@@ -409,9 +431,9 @@ impl SolveReport {
 }
 
 /// Serialized with the scalar summary the report pipeline consumes: the
-/// algorithm label, cardinalities, and timings.  The matching itself and the
-/// per-kernel statistics are deliberately omitted (they are bulky and have
-/// dedicated accessors).
+/// algorithm label, cardinalities, and timings.  The matching itself, the
+/// per-kernel statistics, and the warm-start facts are deliberately omitted
+/// (they are bulky or have dedicated fields).
 impl Serialize for SolveReport {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -463,8 +485,8 @@ impl DevicePolicy {
     }
 }
 
-/// The initialization heuristic [`Solver::solve`] uses to build the starting
-/// matching (the paper's "common initialization").
+/// The initialization heuristic a [`Start`] builds the starting matching
+/// with (the paper's "common initialization").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InitHeuristic {
     /// Start from the empty matching.
@@ -513,25 +535,90 @@ impl FromStr for InitHeuristic {
     }
 }
 
+/// Where a solve starts.
+#[derive(Clone, Copy, Debug)]
+pub enum Start<'a> {
+    /// The matching an initialization heuristic builds.
+    Heuristic(InitHeuristic),
+    /// A given matching of the graph ([`SolveError::ShapeMismatch`] when
+    /// its shape differs from the graph's).
+    Matching(&'a Matching),
+    /// A warm start: `previous`, a matching of the graph `delta` was applied
+    /// to, projected onto this graph, dropping only the pairs the delta
+    /// invalidated.  The engines seed their worklists with the unmatched
+    /// columns, so the work is proportional to the change, not to the
+    /// graph.  The start falls back to the `fallback` heuristic when the
+    /// delta churned more than [`crate::WARM_START_CHURN_LIMIT`] of this
+    /// graph's edges, or when the repaired frontier is not
+    /// [`crate::resolve::WARM_START_FRONTIER_ADVANTAGE`]× smaller than the
+    /// heuristic's; see [`crate::resolve`].
+    Warm {
+        /// The last matching of the parent graph.
+        previous: &'a Matching,
+        /// The change that made this graph from the parent.
+        delta: &'a GraphDelta,
+        /// The heuristic of the cold start the warm start falls back to.
+        fallback: InitHeuristic,
+    },
+}
+
+impl<'a> Start<'a> {
+    /// The starting matching for `graph`, the pairs a warm start dropped,
+    /// and whether it fell back to its heuristic.
+    fn initial(self, graph: &BipartiteCsr) -> (Cow<'a, Matching>, usize, bool) {
+        match self {
+            Start::Heuristic(init) => (Cow::Owned(init.build(graph)), 0, false),
+            Start::Matching(initial) => (Cow::Borrowed(initial), 0, false),
+            Start::Warm { previous, delta, fallback } => {
+                let (initial, dropped, fell_back) = warm_start(graph, previous, delta, fallback);
+                (Cow::Owned(initial), dropped, fell_back)
+            }
+        }
+    }
+}
+
+/// One solve for [`Solver::run`]: build it with [`SolveRequest::new`] and
+/// struct-update syntax, e.g.
+/// `SolveRequest { start: Start::Matching(&m), ..SolveRequest::new(alg) }`.
+#[derive(Clone, Debug)]
+pub struct SolveRequest<'a> {
+    /// The algorithm to run.
+    pub algorithm: Algorithm,
+    /// Where the solve starts (default: the cheap greedy heuristic).
+    pub start: Start<'a>,
+    /// Cancellation and deadline signals (default: unbounded).  GPU engines
+    /// poll them at worklist-round granularity and fail with
+    /// [`SolveError::Cancelled`] / [`SolveError::DeadlineExceeded`], naming
+    /// the rounds completed and the cardinality of the consistent partial
+    /// matching they stopped at.  CPU engines are not round-interruptible;
+    /// for them (and for everything else) an already-tripped signal fails
+    /// fast before the engine runs, reporting zero rounds.
+    pub ctx: SolveCtx,
+}
+
+impl SolveRequest<'_> {
+    /// A request for `algorithm` from the cheap greedy matching (the
+    /// paper's common initialization), with no deadline or cancellation.
+    pub fn new(algorithm: Algorithm) -> Self {
+        Self {
+            algorithm,
+            start: Start::Heuristic(InitHeuristic::default()),
+            ctx: SolveCtx::unbounded(),
+        }
+    }
+}
+
 /// Configures and creates a [`Solver`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverBuilder {
     policy: DevicePolicy,
-    init: InitHeuristic,
     executor: ExecutorConfig,
-    gpr: GprConfig,
 }
 
 impl SolverBuilder {
     /// Sets the device policy (default: [`DevicePolicy::Auto`]).
     pub fn device_policy(mut self, policy: DevicePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the initialization heuristic (default: [`InitHeuristic::Cheap`]).
-    pub fn init_heuristic(mut self, init: InitHeuristic) -> Self {
-        self.init = init;
         self
     }
 
@@ -544,47 +631,31 @@ impl SolverBuilder {
         self
     }
 
-    /// Sets the session-wide G-PR tuning template (shrink threshold, loop
-    /// cap).  The variant, GR strategy, and worklist representation of each
-    /// solve still come from its [`Algorithm`]; this template supplies the
-    /// remaining knobs.  Validated by [`SolverBuilder::build`].
-    pub fn gpr_config(mut self, gpr: GprConfig) -> Self {
-        self.gpr = gpr;
-        self
-    }
-
-    /// Builds the solver session, validating the configuration first:
-    /// a zero executor chunk size or a zero G-PR shrink threshold is a
-    /// structured [`SolveError::InvalidConfig`] here instead of a surprise
-    /// inside the device loop.  No device or engine is allocated until the
-    /// first solve that needs it.
+    /// Builds the solver session, validating the configuration first: a
+    /// zero executor chunk size is a structured
+    /// [`SolveError::InvalidConfig`] here instead of a surprise inside the
+    /// device loop.  No device or engine is allocated until the first solve
+    /// that needs it.
     pub fn build(self) -> Result<Solver, SolveError> {
         if let Err(reason) = self.executor.validate() {
             return Err(SolveError::InvalidConfig { algorithm: "device executor".into(), reason });
         }
-        if let Err(reason) = self.gpr.validate() {
-            return Err(SolveError::InvalidConfig { algorithm: "G-PR".into(), reason });
-        }
         Ok(Solver {
             policy: self.policy,
-            init: self.init,
             executor: self.executor,
-            gpr: self.gpr,
             device: None,
             engines: HashMap::new(),
         })
     }
 }
 
-/// A reusable solve session: owns the device, the init heuristic, and one
-/// warm engine (with its buffer workspace) per algorithm it has run.
+/// A reusable solve session: owns the device and one warm engine (with its
+/// buffer workspace) per algorithm it has run.
 pub struct Solver {
     policy: DevicePolicy,
-    init: InitHeuristic,
     executor: ExecutorConfig,
-    gpr: GprConfig,
     device: Option<VirtualGpu>,
-    engines: HashMap<Algorithm, Box<dyn Engine + Send>>,
+    engines: HashMap<Algorithm, Engine>,
 }
 
 impl Solver {
@@ -593,8 +664,7 @@ impl Solver {
         SolverBuilder::default()
     }
 
-    /// A solver with the default policy (auto-parallel device, cheap
-    /// greedy initialization).
+    /// A solver with the default policy (auto-parallel device).
     pub fn new() -> Self {
         Self::builder().build().expect("default solver configuration is valid")
     }
@@ -604,20 +674,10 @@ impl Solver {
         self.policy
     }
 
-    /// The session's initialization heuristic.
-    pub fn init_heuristic(&self) -> InitHeuristic {
-        self.init
-    }
-
     /// The executor tuning the session's device is (or will be) created
     /// with.
     pub fn executor_config(&self) -> ExecutorConfig {
         self.executor
-    }
-
-    /// The session-wide G-PR tuning template.
-    pub fn gpr_config(&self) -> GprConfig {
-        self.gpr
     }
 
     /// The session's device, if one has been created by a GPU solve.
@@ -638,73 +698,66 @@ impl Solver {
         self.device = None;
     }
 
-    /// Solves `graph` with `algorithm`, starting from the matching produced
-    /// by the session's [`InitHeuristic`].
-    pub fn solve(
+    /// Solves `graph` as `request` asks: builds the starting matching,
+    /// runs the algorithm's warm engine from it, and reports the result.
+    pub fn run(
         &mut self,
         graph: &BipartiteCsr,
-        algorithm: Algorithm,
+        request: SolveRequest<'_>,
     ) -> Result<SolveReport, SolveError> {
-        // Validate before paying for the init heuristic.
+        let SolveRequest { algorithm, start, ctx } = request;
+        // Validate before paying for the start or creating a device, so an
+        // invalid GPU config is InvalidConfig even on a CPU-only session.
         algorithm.validate()?;
-        let initial = self.init.build(graph);
-        self.solve_with_initial(graph, &initial, algorithm)
-    }
-
-    /// Solves `graph` with `algorithm`, starting from `initial`.
-    pub fn solve_with_initial(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        algorithm: Algorithm,
-    ) -> Result<SolveReport, SolveError> {
-        self.solve_with_initial_ctx(graph, initial, algorithm, &SolveCtx::unbounded())
-    }
-
-    /// Solves `graph` with `algorithm`, starting from `initial`, under the
-    /// cancellation/deadline signals of `ctx`.
-    ///
-    /// GPU engines poll the signals at worklist-round granularity and return
-    /// [`SolveError::Cancelled`] / [`SolveError::DeadlineExceeded`] with the
-    /// rounds completed and the cardinality of the consistent partial
-    /// matching they stopped at.  CPU engines are not round-interruptible;
-    /// for them (and for everything else) an already-tripped signal fails
-    /// fast before the engine runs, reporting zero rounds.
-    pub fn solve_with_initial_ctx(
-        &mut self,
-        graph: &BipartiteCsr,
-        initial: &Matching,
-        algorithm: Algorithm,
-        ctx: &SolveCtx,
-    ) -> Result<SolveReport, SolveError> {
-        // Validate before creating a device, so an invalid GPU config is
-        // InvalidConfig even on a CPU-only session.
-        algorithm.validate()?;
+        let (initial, dropped_pairs, fell_back_to_cold) = start.initial(graph);
+        if initial.num_rows() != graph.num_rows() || initial.num_cols() != graph.num_cols() {
+            return Err(SolveError::ShapeMismatch {
+                graph: (graph.num_rows(), graph.num_cols()),
+                initial: (initial.num_rows(), initial.num_cols()),
+            });
+        }
+        // Fail fast on an already-tripped signal so even the CPU engines
+        // (which run uninterruptibly) honour a pre-start cancel or an
+        // expired deadline.
+        if let Some(reason) = ctx.check() {
+            return Err(reason.into_error(0, 0));
+        }
         if algorithm.is_gpu() && self.device.is_none() {
             self.device = self.policy.create_device(self.executor);
         }
-        let device = match (algorithm.is_gpu(), self.device.as_ref()) {
-            (true, Some(d)) => Some(d),
-            (true, None) => {
-                return Err(SolveError::DeviceRequired { algorithm: algorithm.label() })
-            }
-            (false, _) => None,
-        };
         let engine = match self.engines.entry(algorithm) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(engine_for_tuned(algorithm, &self.gpr)?),
+            Entry::Vacant(v) => v.insert(Engine::new(algorithm)?),
         };
-        run_engine(engine.as_mut(), graph, initial, device, ctx)
+        let out = engine.solve(graph, &initial, self.device.as_ref(), &ctx)?;
+        Ok(SolveReport {
+            algorithm: algorithm.label(),
+            cardinality: out.matching.cardinality(),
+            matching: out.matching,
+            initial_cardinality: initial.cardinality(),
+            seeded_frontier: initial.unmatched_cols(false).len(),
+            dropped_pairs,
+            fell_back_to_cold,
+            wall_seconds: out.wall_seconds,
+            modelled_device_seconds: out.device_stats.as_ref().map(|s| s.modelled_time_secs()),
+            device_stats: out.device_stats,
+        })
     }
 
-    /// Solves a batch of `(graph, algorithm)` jobs with warm state reuse
-    /// across the whole batch.  One failed job does not abort the rest —
-    /// each job gets its own `Result`.
-    pub fn solve_batch<'g, I>(&mut self, jobs: I) -> Vec<Result<SolveReport, SolveError>>
-    where
-        I: IntoIterator<Item = (&'g BipartiteCsr, Algorithm)>,
-    {
-        jobs.into_iter().map(|(graph, algorithm)| self.solve(graph, algorithm)).collect()
+    /// Solves `child` warm from `previous`, a matching of the graph `delta`
+    /// made it from, falling back to the cheap heuristic: a shim over
+    /// [`Solver::run`] with a [`Start::Warm`] request.
+    pub fn resolve_prepared_ctx(
+        &mut self,
+        child: &BipartiteCsr,
+        previous: &Matching,
+        delta: &GraphDelta,
+        algorithm: Algorithm,
+        ctx: &SolveCtx,
+    ) -> Result<SolveReport, SolveError> {
+        let fallback = InitHeuristic::Cheap;
+        let start = Start::Warm { previous, delta, fallback };
+        self.run(child, SolveRequest { algorithm, start, ctx: ctx.clone() })
     }
 }
 
@@ -718,74 +771,8 @@ impl fmt::Debug for Solver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Solver")
             .field("policy", &self.policy)
-            .field("init", &self.init)
             .field("warm_engines", &self.engines.len())
             .finish()
-    }
-}
-
-/// Shared solve path: shape-checks the initial matching, runs the engine,
-/// and assembles the report.
-fn run_engine(
-    engine: &mut (dyn Engine + Send),
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    device: Option<&VirtualGpu>,
-    stop: &SolveCtx,
-) -> Result<SolveReport, SolveError> {
-    if initial.num_rows() != graph.num_rows() || initial.num_cols() != graph.num_cols() {
-        return Err(SolveError::ShapeMismatch {
-            graph: (graph.num_rows(), graph.num_cols()),
-            initial: (initial.num_rows(), initial.num_cols()),
-        });
-    }
-    // Fail fast on an already-tripped signal so even the CPU engines (which
-    // run uninterruptibly) honour a pre-start cancel or an expired deadline.
-    if let Some(reason) = stop.check() {
-        return Err(reason.into_error(0, 0));
-    }
-    let initial_cardinality = initial.cardinality();
-    let mut ctx = EngineCtx { device, stop: stop.clone() };
-    let out = engine.solve(graph, initial, &mut ctx)?;
-    let cardinality = out.matching.cardinality();
-    let modelled_device_seconds = out.device_stats.as_ref().map(|s| s.modelled_time_secs());
-    Ok(SolveReport {
-        algorithm: engine.algorithm().label(),
-        matching: out.matching,
-        cardinality,
-        initial_cardinality,
-        wall_seconds: out.wall_seconds,
-        modelled_device_seconds,
-        device_stats: out.device_stats,
-    })
-}
-
-/// Solves with the given algorithm, starting from the cheap greedy matching
-/// (the paper's common initialization).
-///
-/// Thin shim over a throwaway [`Solver`] session; for repeated solves build
-/// one `Solver` and reuse it — its warm workspaces make this call's
-/// per-solve setup disappear.
-pub fn solve(graph: &BipartiteCsr, algorithm: Algorithm) -> Result<SolveReport, SolveError> {
-    Solver::new().solve(graph, algorithm)
-}
-
-/// Solves with the given algorithm and initial matching; GPU algorithms run
-/// on `gpu` when provided (otherwise on a fresh auto-sized parallel device).
-///
-/// Thin shim kept for the original free-function API; see [`Solver`].
-pub fn solve_with_initial(
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    algorithm: Algorithm,
-    gpu: Option<&VirtualGpu>,
-) -> Result<SolveReport, SolveError> {
-    match gpu {
-        None => Solver::new().solve_with_initial(graph, initial, algorithm),
-        Some(device) => {
-            let mut engine = engine_for(algorithm)?;
-            run_engine(engine.as_mut(), graph, initial, Some(device), &SolveCtx::unbounded())
-        }
     }
 }
 
@@ -806,6 +793,11 @@ mod tests {
     use gpm_graph::gen;
     use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
     use serde_json::to_string;
+
+    /// One solve on a throwaway session.
+    fn solve(graph: &BipartiteCsr, algorithm: Algorithm) -> Result<SolveReport, SolveError> {
+        Solver::new().run(graph, SolveRequest::new(algorithm))
+    }
 
     fn all_algorithms() -> Vec<Algorithm> {
         vec![
@@ -929,11 +921,11 @@ mod tests {
         let opt = maximum_matching_cardinality(&g);
         assert_eq!(solver.warm_engine_count(), 0);
         for _ in 0..3 {
-            let report = solver.solve(&g, Algorithm::gpr_default()).unwrap();
+            let report = solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap();
             assert_eq!(report.cardinality, opt);
         }
         assert_eq!(solver.warm_engine_count(), 1);
-        solver.solve(&g, Algorithm::HopcroftKarp).unwrap();
+        solver.run(&g, SolveRequest::new(Algorithm::HopcroftKarp)).unwrap();
         assert_eq!(solver.warm_engine_count(), 2);
         solver.clear();
         assert_eq!(solver.warm_engine_count(), 0);
@@ -947,10 +939,10 @@ mod tests {
             .build()
             .expect("valid solver config");
         let g = gen::uniform_random(30, 30, 120, 6).unwrap();
-        let err = solver.solve(&g, Algorithm::gpr_default()).unwrap_err();
+        let err = solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap_err();
         assert!(matches!(err, SolveError::DeviceRequired { .. }));
         // CPU algorithms still work.
-        let report = solver.solve(&g, Algorithm::PothenFan).unwrap();
+        let report = solver.run(&g, SolveRequest::new(Algorithm::PothenFan)).unwrap();
         assert_eq!(report.cardinality, maximum_matching_cardinality(&g));
     }
 
@@ -959,10 +951,12 @@ mod tests {
         let g = gen::uniform_random(10, 10, 40, 8).unwrap();
         let wrong = Matching::empty(9, 10);
         let mut solver = Solver::new();
-        let err = solver.solve_with_initial(&g, &wrong, Algorithm::HopcroftKarp).unwrap_err();
-        assert!(matches!(err, SolveError::ShapeMismatch { .. }));
-        let err = solve_with_initial(&g, &wrong, Algorithm::PothenFan, None).unwrap_err();
-        assert!(matches!(err, SolveError::ShapeMismatch { .. }));
+        for algorithm in [Algorithm::HopcroftKarp, Algorithm::PothenFan] {
+            let request =
+                SolveRequest { start: Start::Matching(&wrong), ..SolveRequest::new(algorithm) };
+            let err = solver.run(&g, request).unwrap_err();
+            assert!(matches!(err, SolveError::ShapeMismatch { .. }), "{algorithm}");
+        }
     }
 
     #[test]
@@ -978,7 +972,9 @@ mod tests {
             (&g2, Algorithm::Pdbfs(0)), // invalid: zero threads
             (&g2, Algorithm::HopcroftKarp),
         ];
-        let results = solver.solve_batch(jobs);
+        // One failed job does not abort the rest: each gets its own Result.
+        let results: Vec<_> =
+            jobs.into_iter().map(|(g, alg)| solver.run(g, SolveRequest::new(alg))).collect();
         assert_eq!(results.len(), 3);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(SolveError::InvalidConfig { .. })));
@@ -989,13 +985,15 @@ mod tests {
     fn init_heuristics_are_pluggable() {
         let g = gen::uniform_random(50, 50, 260, 4).unwrap();
         let opt = maximum_matching_cardinality(&g);
+        let mut solver = Solver::builder()
+            .device_policy(DevicePolicy::Sequential)
+            .build()
+            .expect("valid solver config");
         for init in [InitHeuristic::Empty, InitHeuristic::Cheap, InitHeuristic::KarpSipser] {
-            let mut solver = Solver::builder()
-                .device_policy(DevicePolicy::Sequential)
-                .init_heuristic(init)
-                .build()
-                .expect("valid solver config");
-            let report = solver.solve(&g, Algorithm::gpr_default()).unwrap();
+            let start = Start::Heuristic(init);
+            let report = solver
+                .run(&g, SolveRequest { start, ..SolveRequest::new(Algorithm::gpr_default()) });
+            let report = report.unwrap();
             assert_eq!(report.cardinality, opt, "{init:?}");
             if init == InitHeuristic::Empty {
                 assert_eq!(report.initial_cardinality, 0);
@@ -1025,14 +1023,16 @@ mod tests {
     #[test]
     fn shared_gpu_device_can_be_reused() {
         let g = gen::uniform_random(80, 80, 400, 5).unwrap();
-        let init = cheap_matching(&g);
-        let gpu = VirtualGpu::sequential();
-        let a = solve_with_initial(&g, &init, Algorithm::gpr_default(), Some(&gpu)).unwrap();
-        let b = solve_with_initial(&g, &init, Algorithm::ghk(GhkVariant::Hk), Some(&gpu)).unwrap();
+        let mut solver = Solver::builder()
+            .device_policy(DevicePolicy::Sequential)
+            .build()
+            .expect("valid solver config");
+        let a = solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap();
+        let b = solver.run(&g, SolveRequest::new(Algorithm::ghk(GhkVariant::Hk))).unwrap();
         assert_eq!(a.cardinality, b.cardinality);
-        // The device accumulated launches from both runs, but each report
-        // contains only its own.
-        let total = gpu.stats().total_launches();
+        // The session's device accumulated launches from both runs, but
+        // each report contains only its own.
+        let total = solver.device().unwrap().stats().total_launches();
         let sum =
             a.device_stats.unwrap().total_launches() + b.device_stats.unwrap().total_launches();
         assert_eq!(total, sum);

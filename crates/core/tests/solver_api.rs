@@ -1,13 +1,13 @@
 //! Tests of the session-style solve API: `Algorithm` label round-tripping
 //! (property-based), warm-session vs cold-solve agreement across every
-//! algorithm family, batch solving, and the structured error paths.
+//! algorithm family, many jobs on one session, and the structured error
+//! paths.
 
 use gpm_core::solver::{
-    paper_comparison_set, solve, Algorithm, DevicePolicy, InitHeuristic, Solver,
+    paper_comparison_set, Algorithm, DevicePolicy, InitHeuristic, SolveRequest, Solver, Start,
 };
 use gpm_core::{
-    CancelToken, ExecMode, ExecutorConfig, GhkVariant, GprConfig, GprVariant, GrStrategy, SolveCtx,
-    SolveError,
+    CancelToken, ExecMode, ExecutorConfig, GhkVariant, GprVariant, GrStrategy, SolveCtx, SolveError,
 };
 use gpm_gpu::primitives::QUEUE_BLOCK;
 use gpm_gpu::WorklistMode;
@@ -112,8 +112,8 @@ fn warm_solver_matches_cold_solves_across_all_algorithms() {
     for g in corpus() {
         let opt = maximum_matching_cardinality(&g);
         for alg in every_algorithm() {
-            let warm_report = warm.solve(&g, alg).unwrap();
-            let cold_report = solve(&g, alg).unwrap();
+            let warm_report = warm.run(&g, SolveRequest::new(alg)).unwrap();
+            let cold_report = Solver::new().run(&g, SolveRequest::new(alg)).unwrap();
             assert_eq!(warm_report.cardinality, opt, "warm {alg}");
             assert_eq!(cold_report.cardinality, opt, "cold {alg}");
             assert_eq!(warm_report.initial_cardinality, cold_report.initial_cardinality, "{alg}");
@@ -126,8 +126,8 @@ fn warm_solver_matches_cold_solves_across_all_algorithms() {
 #[test]
 fn one_session_batch_solves_the_full_comparison_over_a_corpus() {
     // The acceptance scenario: a single Solver runs the paper's comparison
-    // set plus all CPU baselines over a multi-graph corpus via solve_batch,
-    // returning per-job Results.
+    // set plus all CPU baselines over a multi-graph corpus, one run per
+    // job, returning per-job Results.
     let graphs = corpus();
     let mut solver = Solver::builder().build().expect("valid solver config");
     let jobs: Vec<(&BipartiteCsr, Algorithm)> = graphs
@@ -135,7 +135,8 @@ fn one_session_batch_solves_the_full_comparison_over_a_corpus() {
         .flat_map(|g| every_algorithm().into_iter().map(move |alg| (g, alg)))
         .collect();
     let expected_jobs = jobs.len();
-    let results = solver.solve_batch(jobs);
+    let results: Vec<_> =
+        jobs.into_iter().map(|(g, alg)| solver.run(g, SolveRequest::new(alg))).collect();
     assert_eq!(results.len(), expected_jobs);
     for (i, result) in results.iter().enumerate() {
         let report = result.as_ref().unwrap_or_else(|e| panic!("job {i} failed: {e}"));
@@ -149,7 +150,8 @@ fn invalid_pr_factor_is_a_structured_error() {
     let g = gen::uniform_random(20, 20, 80, 1).unwrap();
     let mut solver = Solver::new();
     for bad_k in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
-        let err = solver.solve(&g, Algorithm::SequentialPushRelabel(bad_k)).unwrap_err();
+        let err =
+            solver.run(&g, SolveRequest::new(Algorithm::SequentialPushRelabel(bad_k))).unwrap_err();
         match err {
             SolveError::InvalidConfig { algorithm, reason } => {
                 assert_eq!(algorithm, "PR");
@@ -158,9 +160,9 @@ fn invalid_pr_factor_is_a_structured_error() {
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
     }
-    // The shim propagates the same error.
+    // A fresh session reports the same error.
     assert!(matches!(
-        solve(&g, Algorithm::SequentialPushRelabel(f64::NAN)),
+        Solver::new().run(&g, SolveRequest::new(Algorithm::SequentialPushRelabel(f64::NAN))),
         Err(SolveError::InvalidConfig { .. })
     ));
 }
@@ -169,7 +171,7 @@ fn invalid_pr_factor_is_a_structured_error() {
 fn zero_thread_pdbfs_is_a_structured_error() {
     let g = gen::uniform_random(20, 20, 80, 2).unwrap();
     let mut solver = Solver::new();
-    match solver.solve(&g, Algorithm::Pdbfs(0)).unwrap_err() {
+    match solver.run(&g, SolveRequest::new(Algorithm::Pdbfs(0))).unwrap_err() {
         SolveError::InvalidConfig { algorithm, reason } => {
             assert_eq!(algorithm, "P-DBFS");
             assert!(reason.contains("thread count"), "{reason}");
@@ -177,7 +179,7 @@ fn zero_thread_pdbfs_is_a_structured_error() {
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
     // A failed job does not poison the session.
-    assert!(solver.solve(&g, Algorithm::Pdbfs(1)).is_ok());
+    assert!(solver.run(&g, SolveRequest::new(Algorithm::Pdbfs(1))).is_ok());
 }
 
 #[test]
@@ -185,14 +187,16 @@ fn device_required_instead_of_panic_on_cpu_only_sessions() {
     let g = gen::uniform_random(15, 15, 60, 3).unwrap();
     let mut solver = Solver::builder()
         .device_policy(DevicePolicy::CpuOnly)
-        .init_heuristic(InitHeuristic::KarpSipser)
         .build()
         .expect("valid solver config");
-    let results = solver.solve_batch(vec![
-        (&g, Algorithm::gpr_default()),
-        (&g, Algorithm::ghk(GhkVariant::Hkdw)),
-        (&g, Algorithm::HopcroftKarp),
-    ]);
+    let results: Vec<_> =
+        [Algorithm::gpr_default(), Algorithm::ghk(GhkVariant::Hkdw), Algorithm::HopcroftKarp]
+            .into_iter()
+            .map(|algorithm| {
+                let start = Start::Heuristic(InitHeuristic::KarpSipser);
+                solver.run(&g, SolveRequest { start, ..SolveRequest::new(algorithm) })
+            })
+            .collect();
     assert!(matches!(results[0], Err(SolveError::DeviceRequired { .. })));
     assert!(matches!(results[1], Err(SolveError::DeviceRequired { .. })));
     assert_eq!(results[2].as_ref().unwrap().cardinality, maximum_matching_cardinality(&g));
@@ -201,7 +205,10 @@ fn device_required_instead_of_panic_on_cpu_only_sessions() {
     // Parameter validation runs before device resolution: an invalid GPU
     // config on a CPU-only session is InvalidConfig, not DeviceRequired.
     let bad = Algorithm::gpr(GprVariant::Shrink, GrStrategy::Adaptive(f64::NAN));
-    assert!(matches!(solver.solve(&g, bad), Err(SolveError::InvalidConfig { .. })));
+    assert!(matches!(
+        solver.run(&g, SolveRequest::new(bad)),
+        Err(SolveError::InvalidConfig { .. })
+    ));
 }
 
 #[test]
@@ -209,7 +216,16 @@ fn shape_mismatch_is_reported_with_both_shapes() {
     let g = gen::uniform_random(12, 14, 50, 4).unwrap();
     let wrong = Matching::empty(12, 13);
     let mut solver = Solver::new();
-    match solver.solve_with_initial(&g, &wrong, Algorithm::HopcroftKarp).unwrap_err() {
+    match solver
+        .run(
+            &g,
+            SolveRequest {
+                start: Start::Matching(&wrong),
+                ..SolveRequest::new(Algorithm::HopcroftKarp)
+            },
+        )
+        .unwrap_err()
+    {
         SolveError::ShapeMismatch { graph, initial } => {
             assert_eq!(graph, (12, 14));
             assert_eq!(initial, (12, 13));
@@ -235,10 +251,12 @@ fn solver_and_components_are_send() {
         .build()
         .expect("valid solver config");
     let g = gen::uniform_random(10, 10, 40, 3).unwrap();
-    solver.solve(&g, Algorithm::gpr_default()).unwrap();
-    let report = std::thread::spawn(move || solver.solve(&g, Algorithm::HopcroftKarp).unwrap())
-        .join()
-        .unwrap();
+    solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap();
+    let report = std::thread::spawn(move || {
+        solver.run(&g, SolveRequest::new(Algorithm::HopcroftKarp)).unwrap()
+    })
+    .join()
+    .unwrap();
     assert!(report.cardinality > 0);
 }
 
@@ -365,7 +383,7 @@ fn all_worklist_modes_match_the_oracle_over_the_mini_suite() {
                     Algorithm::gpr_default().with_worklist(mode),
                     Algorithm::ghk(GhkVariant::Hkdw).with_worklist(mode),
                 ] {
-                    let report = solver.solve(g, alg).unwrap();
+                    let report = solver.run(g, SolveRequest::new(alg)).unwrap();
                     assert_eq!(report.cardinality, *opt, "{alg} on {name} under {policy:?}");
                     assert_eq!(
                         report.matching.validate_against(g),
@@ -397,8 +415,10 @@ fn persistent_exec_matches_launch_per_round_over_the_mini_suite() {
                     Algorithm::gpr_default().with_worklist(mode),
                     Algorithm::ghk(GhkVariant::Hkdw).with_worklist(mode),
                 ] {
-                    let launch = solver.solve(g, base).unwrap();
-                    let resident = solver.solve(g, base.with_exec(ExecMode::Persistent)).unwrap();
+                    let launch = solver.run(g, SolveRequest::new(base)).unwrap();
+                    let resident = solver
+                        .run(g, SolveRequest::new(base.with_exec(ExecMode::Persistent)))
+                        .unwrap();
                     for (report, exec) in [(&launch, "launch-per-round"), (&resident, "resident")] {
                         assert_eq!(
                             report.matching.validate_against(g),
@@ -468,8 +488,9 @@ fn resident_price_is_the_launch_price_with_barriers_for_launches() {
                 Algorithm::gpr_default().with_worklist(mode),
                 Algorithm::ghk(GhkVariant::Hkdw).with_worklist(mode),
             ] {
-                let launch = solver.solve(g, base).unwrap();
-                let resident = solver.solve(g, base.with_exec(ExecMode::Persistent)).unwrap();
+                let launch = solver.run(g, SolveRequest::new(base)).unwrap();
+                let resident =
+                    solver.run(g, SolveRequest::new(base.with_exec(ExecMode::Persistent))).unwrap();
                 assert_eq!(launch.matching, resident.matching, "{base} on {name}");
                 let (lpr, res) = (launch.device_stats.unwrap(), resident.device_stats.unwrap());
                 for (kernel, l) in &lpr.kernels {
@@ -529,7 +550,7 @@ fn pooled_resident_queue_solves_return_valid_matchings() {
         for mode in [WorklistMode::AtomicQueue, WorklistMode::BlockedQueue] {
             let alg = Algorithm::gpr_default().with_worklist(mode).with_exec(ExecMode::Persistent);
             for (name, g, opt) in &instances {
-                let report = solver.solve(g, alg).unwrap();
+                let report = solver.run(g, SolveRequest::new(alg)).unwrap();
                 assert_eq!(
                     report.matching.validate_against(g),
                     Ok(()),
@@ -554,8 +575,10 @@ fn pre_cancelled_solves_fail_fast_for_every_algorithm_family() {
         .device_policy(DevicePolicy::Sequential)
         .build()
         .expect("valid solver config");
+    let start = Start::Matching(&initial);
     for alg in every_algorithm() {
-        match solver.solve_with_initial_ctx(&g, &initial, alg, &ctx).unwrap_err() {
+        let request = SolveRequest { start, ctx: ctx.clone(), ..SolveRequest::new(alg) };
+        match solver.run(&g, request).unwrap_err() {
             SolveError::Cancelled { rounds_completed, partial_cardinality } => {
                 assert_eq!(rounds_completed, 0, "{alg}");
                 assert_eq!(partial_cardinality, 0, "{alg}");
@@ -564,7 +587,7 @@ fn pre_cancelled_solves_fail_fast_for_every_algorithm_family() {
         }
     }
     // The session is not poisoned: the same solver still solves.
-    let report = solver.solve(&g, Algorithm::HopcroftKarp).unwrap();
+    let report = solver.run(&g, SolveRequest::new(Algorithm::HopcroftKarp)).unwrap();
     assert_eq!(report.cardinality, maximum_matching_cardinality(&g));
 }
 
@@ -578,10 +601,12 @@ fn expired_deadline_is_deadline_exceeded_not_cancelled() {
         .device_policy(DevicePolicy::Sequential)
         .build()
         .expect("valid solver config");
+    let start = Start::Matching(&initial);
     for alg in [Algorithm::gpr_default(), Algorithm::HopcroftKarp] {
+        let request = SolveRequest { start, ctx: ctx.clone(), ..SolveRequest::new(alg) };
         assert!(
             matches!(
-                solver.solve_with_initial_ctx(&g, &initial, alg, &ctx).unwrap_err(),
+                solver.run(&g, request).unwrap_err(),
                 SolveError::DeadlineExceeded { rounds_completed: 0, partial_cardinality: 0 }
             ),
             "{alg}"
@@ -613,7 +638,9 @@ fn mid_solve_cancellation_reports_rounds_and_partial_progress() {
         .device_policy(DevicePolicy::Sequential)
         .build()
         .expect("valid solver config");
-    let result = solver.solve_with_initial_ctx(&g, &initial, Algorithm::gpr_default(), &ctx);
+    let start = Start::Matching(&initial);
+    let result =
+        solver.run(&g, SolveRequest { start, ctx, ..SolveRequest::new(Algorithm::gpr_default()) });
     trip.join().unwrap();
     match result {
         // The usual outcome at this scale: cancelled mid-run with a
@@ -626,7 +653,7 @@ fn mid_solve_cancellation_reports_rounds_and_partial_progress() {
         Err(other) => panic!("expected Cancelled or success, got {other:?}"),
     }
     // Either way the session keeps working afterwards.
-    let report = solver.solve(&g, Algorithm::gpr_default()).unwrap();
+    let report = solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap();
     assert_eq!(report.cardinality, opt);
 }
 
@@ -640,20 +667,6 @@ fn builder_rejects_zero_chunk_size_and_zero_shrink_threshold() {
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
-
-    let bad_gpr = GprConfig { shrink_threshold: 0, ..GprConfig::paper_default() };
-    match Solver::builder().gpr_config(bad_gpr).build() {
-        Err(SolveError::InvalidConfig { algorithm, reason }) => {
-            assert_eq!(algorithm, "G-PR");
-            assert!(reason.contains("shrink_threshold"), "{reason}");
-        }
-        other => panic!("expected InvalidConfig, got {other:?}"),
-    }
-
-    // Valid overrides pass through to the session.
-    let tuned = GprConfig { shrink_threshold: 64, ..GprConfig::paper_default() };
-    let solver = Solver::builder().gpr_config(tuned).build().expect("valid tuning");
-    assert_eq!(solver.gpr_config().shrink_threshold, 64);
 }
 
 #[test]
@@ -672,7 +685,7 @@ fn executor_config_reaches_the_session_device() {
     assert!(solver.device().is_none(), "device is created lazily");
 
     let g = gen::uniform_random(60, 60, 300, 17).unwrap();
-    let report = solver.solve(&g, Algorithm::gpr_default()).unwrap();
+    let report = solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap();
     assert_eq!(report.cardinality, maximum_matching_cardinality(&g));
 
     let device = solver.device().expect("GPU solve created the device");
@@ -683,7 +696,7 @@ fn executor_config_reaches_the_session_device() {
 
     // Warm solves on the same session keep the same device (and pool).
     let before = device as *const _;
-    solver.solve(&g, Algorithm::gpr_default()).unwrap();
+    solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap();
     assert!(std::ptr::eq(solver.device().unwrap(), before));
 }
 
@@ -702,14 +715,14 @@ fn a_reused_device_reports_each_solves_own_max_grid() {
             .expect("valid solver config")
     };
     let max_grids = |solver: &mut Solver, alg: Algorithm| -> Vec<(String, u64)> {
-        let report = solver.solve(&small, alg).unwrap();
+        let report = solver.run(&small, SolveRequest::new(alg)).unwrap();
         let stats = report.device_stats.expect("a GPU solve reports device stats");
         stats.kernels.into_iter().map(|(name, k)| (name, k.max_grid)).collect()
     };
     for label in ["G-PR-Shr@adaptive:0.7+dense@resident", "G-HKDW"] {
         let alg: Algorithm = label.parse().unwrap();
         let mut reused = sequential();
-        reused.solve(&big, alg).unwrap();
+        reused.run(&big, SolveRequest::new(alg)).unwrap();
         assert_eq!(max_grids(&mut reused, alg), max_grids(&mut sequential(), alg), "{label}");
     }
 }

@@ -129,9 +129,13 @@ pub(crate) struct JobSlot {
 
 impl JobSlot {
     pub(crate) fn complete(&self, result: Result<JobOutcome, ServiceError>) {
-        let mut slot = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(slot.is_none(), "job completed twice");
-        *slot = Some(result);
+        {
+            let mut slot = self.result.lock().unwrap_or_else(|e| e.into_inner());
+            debug_assert!(slot.is_none(), "job completed twice");
+            *slot = Some(result);
+        }
+        // Notify after the guard drops, so a waiter wakes into a free lock
+        // instead of blocking on this one and waiting to be woken again.
         self.ready.notify_all();
     }
 }

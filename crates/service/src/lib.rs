@@ -52,10 +52,10 @@
 //!   (placement keys descendants by their root fingerprint, so patch
 //!   chains stay with their warm state, and rebalance re-homes chains
 //!   together, whole cache entries at a time).  A later solve of the child
-//!   warm-starts from the parent's last matching via
-//!   [`gpm_core::Solver::resolve_prepared_ctx`] while the parent's entry
-//!   is cached on the child's shard; the `patched` / `resolved` stats
-//!   counters report how often.
+//!   warm-starts from the parent's last matching (a
+//!   [`gpm_core::Start::Warm`] request that falls back to the job's own
+//!   init heuristic) while the parent's entry is cached on the child's
+//!   shard; the `patched` / `resolved` stats counters report how often.
 //! * [`server`]/[`client`] — a JSON-lines protocol over
 //!   `std::net::TcpListener` (see [`proto`] for the grammar, including the
 //!   `patch_graph` op and the `shards`/`drain`/`rebalance` control ops)

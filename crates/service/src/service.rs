@@ -289,7 +289,7 @@ impl Service {
     /// chain's root fingerprint), its cache entry recording the parent and
     /// the delta itself, so a subsequent solve of the child on that shard
     /// warm-starts from the parent's last matching while the parent's entry
-    /// is cached ([`gpm_core::Solver::resolve`] semantics: repair, then
+    /// is cached (a [`gpm_core::Start::Warm`] solve: repair, then
     /// finish; counted in [`ServiceStats::resolved`]).  `rebalance` keeps
     /// whole chains together for the same reason.
     ///
@@ -828,6 +828,30 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.patched, 1);
         assert_eq!(stats.resolved, 1, "the child's solve must have warm-started");
+    }
+
+    #[test]
+    fn a_warm_start_that_falls_back_starts_from_the_jobs_own_init() {
+        let service = Service::builder().workers(1).build();
+        let g = gen::uniform_random(40, 40, 200, 23).unwrap();
+        let parent = service.put_graph(g.clone());
+        service
+            .submit(JobSpec::new(GraphSource::Cached(parent), Algorithm::HopcroftKarp))
+            .wait()
+            .unwrap();
+        // Remove more than half of the edges: past the churn limit, so the
+        // child's warm start falls back to a cold start.
+        let mut delta = gpm_graph::GraphDelta::new();
+        delta.extend_removes(g.edges().take(g.num_edges() * 3 / 5));
+        let child = service.patch_graph(parent, &delta).unwrap().child;
+        let spec = JobSpec::new(GraphSource::Cached(child), Algorithm::HopcroftKarp)
+            .with_init(InitHeuristic::Empty);
+        let outcome = service.submit(spec).wait().unwrap();
+        assert_eq!(outcome.report.initial_cardinality, 0, "the job's empty init, not cheap");
+        assert!(outcome.report.fell_back_to_cold);
+        let child_opt = maximum_matching_cardinality(&g.apply_delta(&delta).unwrap());
+        assert_eq!(outcome.report.cardinality, child_opt);
+        assert_eq!(service.stats().resolved, 1, "the solve went through the warm path");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::cache::GraphCache;
 use crate::error::ServiceError;
 use crate::job::{GraphSource, JobOutcome, JobSlot, JobSpec};
 use crate::stats::{AlgorithmStats, LatencyAgg, ServiceStats};
-use gpm_core::{DevicePolicy, ExecutorConfig, SolveCtx, Solver};
+use gpm_core::{DevicePolicy, ExecutorConfig, SolveCtx, SolveRequest, Solver, Start};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -363,9 +363,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Resolves the job's graph, builds the initial matching, and solves on the
-/// worker's warm session under the job's cancellation token and absolute
-/// deadline (both polled by the engines at worklist-round granularity).
+/// Resolves the job's graph and solves it with one request on the worker's
+/// warm session — from the job's init heuristic, or warm from its parent's
+/// matching — under the job's cancellation token and absolute deadline
+/// (both polled by the engines at worklist-round granularity).
 ///
 /// Graph resolution order for `Cached` sources: this shard's cache (counts
 /// a hit or a miss — the per-shard hit rate is the placement-quality
@@ -413,30 +414,21 @@ fn run_job(
             }
         }
     };
-    // Validate before paying for the O(E) init heuristic (solve_with_initial
-    // would reject the config anyway, but only after the init was built).
-    spec.algorithm.validate().map_err(ServiceError::Solve)?;
-    let ctx = SolveCtx { cancel: Some(spec.cancel.clone()), deadline: job.deadline };
     // Warm path: this graph came from `patch_graph` and its parent's
     // matching is cached — repair that matching through the delta instead
-    // of building the job's initial matching (the warm start supersedes
-    // `spec.init`; `resolve_prepared_ctx` still falls back to the solver's
-    // cold heuristic when the delta churned too much of the graph).
-    let report = match warm {
-        Some((delta, previous)) => {
-            let resolved = solver
-                .resolve_prepared_ctx(&graph, &previous, &delta, spec.algorithm, &ctx)
-                .map_err(ServiceError::from)?;
-            shard.counters.resolved.fetch_add(1, AtomicOrdering::Relaxed);
-            resolved.report
-        }
-        None => {
-            let initial = spec.init.build(&graph);
-            solver
-                .solve_with_initial_ctx(&graph, &initial, spec.algorithm, &ctx)
-                .map_err(ServiceError::from)?
-        }
+    // of building the job's initial matching.  A warm start that cannot help
+    // (the delta churned too much of the graph) starts from the job's own
+    // init heuristic instead.
+    let start = match &warm {
+        Some((delta, previous)) => Start::Warm { previous, delta, fallback: spec.init },
+        None => Start::Heuristic(spec.init),
     };
+    let ctx = SolveCtx { cancel: Some(spec.cancel.clone()), deadline: job.deadline };
+    let request = SolveRequest { algorithm: spec.algorithm, start, ctx };
+    let report = solver.run(&graph, request).map_err(ServiceError::from)?;
+    if warm.is_some() {
+        shard.counters.resolved.fetch_add(1, AtomicOrdering::Relaxed);
+    }
     // Whatever path ran, the result is the freshest matching for this
     // graph: its future children warm-start from it.  Copy it before
     // taking the lock.

@@ -9,7 +9,7 @@
 //! the cache, or a shared workspace shows up here as a corrupt or
 //! sub-optimal matching.
 
-use gpm_core::solver::{Algorithm, DevicePolicy, Solver};
+use gpm_core::solver::{Algorithm, DevicePolicy, SolveRequest, Solver};
 use gpm_core::{ExecutorConfig, InitHeuristic};
 use gpm_graph::gen;
 use gpm_graph::instances::{mini_suite, Scale};
@@ -47,7 +47,7 @@ fn eight_clients_agree_with_the_single_threaded_oracle() {
     for graph in &graphs {
         let mut per_graph = Vec::new();
         for &alg in algorithms().iter() {
-            let report = oracle.solve(graph, alg).expect("oracle solve");
+            let report = oracle.run(graph, SolveRequest::new(alg)).expect("oracle solve");
             verify::check_matching(graph, &report.matching).expect("oracle matching valid");
             per_graph.push(report.cardinality);
         }
@@ -136,7 +136,9 @@ fn oversubscribed_executor_config_is_honored_and_stays_correct() {
         .expect("valid solver config");
     let expected: Vec<usize> = graphs
         .iter()
-        .map(|g| oracle.solve(g, Algorithm::HopcroftKarp).expect("oracle").cardinality)
+        .map(|g| {
+            oracle.run(g, SolveRequest::new(Algorithm::HopcroftKarp)).expect("oracle").cardinality
+        })
         .collect();
 
     let service = Service::builder()
@@ -309,7 +311,9 @@ fn drain_mid_burst_keeps_the_ledger_balanced_and_results_exact() {
         .expect("valid solver config");
     let expected: Vec<usize> = graphs
         .iter()
-        .map(|g| oracle.solve(g, Algorithm::HopcroftKarp).expect("oracle").cardinality)
+        .map(|g| {
+            oracle.run(g, SolveRequest::new(Algorithm::HopcroftKarp)).expect("oracle").cardinality
+        })
         .collect();
 
     let service =

@@ -7,9 +7,9 @@
 //! cargo run --release --example gpu_stats [instance-name]
 //! ```
 
-use gpu_pr_matching::core::gpr::{self, GprConfig, GprVariant};
+use gpu_pr_matching::core::gpr::{self, GprConfig, GprVariant, GprWorkspace};
 use gpu_pr_matching::core::GrStrategy;
-use gpu_pr_matching::gpu::VirtualGpu;
+use gpu_pr_matching::gpu::{StopCheck, VirtualGpu};
 use gpu_pr_matching::graph::heuristics::cheap_matching;
 use gpu_pr_matching::graph::instances::{by_name, Scale};
 
@@ -35,7 +35,8 @@ fn main() {
             strategy: GrStrategy::paper_default(),
             ..GprConfig::paper_default()
         };
-        let result = gpr::run(&gpu, &graph, &initial, config);
+        let result =
+            gpr::run(&gpu, &graph, &initial, config, &mut GprWorkspace::new(), &StopCheck::never());
         println!(
             "\n=== {} ===  matching {}  loops {}  global relabels {}  shrinks {}",
             variant.label(),

@@ -5,7 +5,7 @@
 //! cargo run --release --example instance_sweep
 //! ```
 
-use gpu_pr_matching::core::solver::{paper_comparison_set, Solver};
+use gpu_pr_matching::core::solver::{paper_comparison_set, SolveRequest, Solver, Start};
 use gpu_pr_matching::graph::heuristics::cheap_matching;
 use gpu_pr_matching::graph::instances::{mini_suite, Scale};
 
@@ -24,7 +24,10 @@ fn main() {
         let mut times = Vec::new();
         let mut mm = 0;
         for alg in paper_comparison_set() {
-            let report = solver.solve_with_initial(&graph, &initial, alg).expect("solve");
+            let start = Start::Matching(&initial);
+            let report = solver
+                .run(&graph, SolveRequest { start, ..SolveRequest::new(alg) })
+                .expect("solve");
             mm = report.cardinality;
             times.push(report.comparable_seconds() * 1e3);
         }

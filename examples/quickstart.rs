@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gpu_pr_matching::core::solver::{Algorithm, Solver};
+use gpu_pr_matching::core::solver::{Algorithm, SolveRequest, Solver};
 use gpu_pr_matching::graph::verify;
 use gpu_pr_matching::graph::{gen, heuristics};
 
@@ -27,7 +27,7 @@ fn main() {
     // A solver session owns the virtual GPU and warm per-algorithm buffers;
     // run G-PR (shrinking active lists, adaptive global relabeling) on it.
     let mut solver = Solver::builder().build().expect("valid solver config");
-    let report = solver.solve(&graph, Algorithm::gpr_default()).expect("solve");
+    let report = solver.run(&graph, SolveRequest::new(Algorithm::gpr_default())).expect("solve");
     println!(
         "{}: maximum matching of {} pairs ({} found by the initializer)",
         report.algorithm, report.cardinality, report.initial_cardinality

@@ -13,7 +13,7 @@
 //!
 //! Without an argument a synthetic planted-transversal matrix is used.
 
-use gpu_pr_matching::core::solver::{Algorithm, Solver};
+use gpu_pr_matching::core::solver::{Algorithm, SolveRequest, Solver};
 use gpu_pr_matching::graph::{gen, io, BipartiteCsr};
 
 fn load_graph() -> BipartiteCsr {
@@ -42,10 +42,11 @@ fn main() {
     );
 
     let mut solver = Solver::builder().build().expect("valid solver config");
-    let report = solver.solve(&graph, Algorithm::gpr_default()).unwrap_or_else(|e| {
-        eprintln!("solve failed: {e}");
-        std::process::exit(1);
-    });
+    let report =
+        solver.run(&graph, SolveRequest::new(Algorithm::gpr_default())).unwrap_or_else(|e| {
+            eprintln!("solve failed: {e}");
+            std::process::exit(1);
+        });
     let matching = &report.matching;
     let structural_rank = report.cardinality;
     println!(

@@ -9,7 +9,7 @@
 //! cargo run --release --example task_assignment [workers] [tasks]
 //! ```
 
-use gpu_pr_matching::core::solver::{paper_comparison_set, Solver};
+use gpu_pr_matching::core::solver::{paper_comparison_set, SolveRequest, Solver};
 use gpu_pr_matching::graph::{heuristics, GraphBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,12 +42,11 @@ fn main() {
     // Reference upper bound from a plain generator-independent oracle (HK).
     let mut best: Option<usize> = None;
     println!("\n{:<10} {:>12} {:>14} {:>14}", "algorithm", "assignments", "host ms", "device ms");
-    // Batch-solve the whole comparison on one warm session: one Result per
-    // job, so a misconfigured algorithm would not abort the sweep.
+    // Solve the whole comparison on one warm session: one Result per job,
+    // so a misconfigured algorithm would not abort the sweep.
     let mut solver = Solver::builder().build().expect("valid solver config");
-    let jobs = paper_comparison_set().into_iter().map(|alg| (&graph, alg));
-    for result in solver.solve_batch(jobs) {
-        let report = result.expect("solve");
+    for algorithm in paper_comparison_set() {
+        let report = solver.run(&graph, SolveRequest::new(algorithm)).expect("solve");
         println!(
             "{:<10} {:>12} {:>14.3} {:>14.3}",
             report.algorithm,

@@ -17,7 +17,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use gpu_pr_matching::core::solver::{Algorithm, Solver};
+//! use gpu_pr_matching::core::solver::{Algorithm, SolveRequest, Solver, Start};
 //! use gpu_pr_matching::graph::{gen, verify};
 //!
 //! // A solver session: owns the virtual GPU and a warm workspace per
@@ -28,23 +28,24 @@
 //! let graph = gen::planted_perfect(300, 1_200, 7).unwrap();
 //!
 //! // The paper's headline algorithm: G-PR-Shr with the (adaptive, 0.7)
-//! // global-relabeling strategy, run on the virtual GPU.
-//! let report = solver.solve(&graph, Algorithm::gpr_default()).unwrap();
+//! // global-relabeling strategy, run on the virtual GPU from the cheap
+//! // greedy matching.
+//! let report = solver.run(&graph, SolveRequest::new(Algorithm::gpr_default())).unwrap();
 //!
 //! assert_eq!(report.cardinality, 300);
 //! assert!(verify::is_maximum(&graph, &report.matching));
 //!
-//! // Algorithms have round-trippable labels, and batches return one
-//! // Result per job:
-//! let alg: Algorithm = "G-PR-Shr@adaptive:0.7".parse().unwrap();
-//! let results = solver.solve_batch(vec![(&graph, alg), (&graph, Algorithm::HopcroftKarp)]);
-//! assert!(results.iter().all(|r| r.is_ok()));
+//! // Algorithms have round-trippable labels, and a request can start from
+//! // a matching of its own (or a heuristic, or warm from a parent graph's
+//! // matching); every solve returns a Result:
+//! let alg: Algorithm = "HK".parse().unwrap();
+//! let request = SolveRequest { start: Start::Matching(&report.matching), ..SolveRequest::new(alg) };
+//! assert_eq!(solver.run(&graph, request).unwrap().cardinality, 300);
 //! ```
 //!
-//! Migrating from the pre-session API: the free functions
-//! `core::solver::solve` / `solve_with_initial` still exist as shims over a
-//! throwaway `Solver`, but now return `Result` — append `?`/`.unwrap()`, or
-//! switch to a reusable `Solver::builder()` session.
+//! Every solve goes through [`core::Solver::run`]; the engines themselves
+//! are reachable one level down as `core::gpr::run`, `core::ghk::run` and
+//! `core::ggr::global_relabel`.
 
 pub use gpm_core as core;
 pub use gpm_cpu as cpu;

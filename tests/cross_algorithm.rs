@@ -3,13 +3,18 @@
 //! the independent oracle's — and a matching that passes the `gpm_graph`
 //! verification oracles, across a corpus of structurally diverse instances.
 
-use gpu_pr_matching::core::solver::{solve, solve_with_initial, Algorithm};
-use gpu_pr_matching::core::{GhkVariant, GprVariant, GrStrategy, WorklistMode};
+use gpu_pr_matching::core::solver::{Algorithm, SolveReport, SolveRequest, Solver, Start};
+use gpu_pr_matching::core::{GhkVariant, GprVariant, GrStrategy, SolveError, WorklistMode};
 use gpu_pr_matching::graph::heuristics::{cheap_matching, karp_sipser};
 use gpu_pr_matching::graph::verify::{
     is_maximum, is_valid_matching, koenig_cover, maximum_matching_cardinality,
 };
 use gpu_pr_matching::graph::{gen, BipartiteCsr, Matching};
+
+/// One solve from the cheap matching on a throwaway default session.
+fn solve(graph: &BipartiteCsr, algorithm: Algorithm) -> Result<SolveReport, SolveError> {
+    Solver::new().run(graph, SolveRequest::new(algorithm))
+}
 
 /// One configuration per `Algorithm` variant, plus extra G-PR coverage so
 /// all three kernel variants, both strategy families, and all three device
@@ -87,7 +92,8 @@ fn agreement_holds_from_every_initialization() {
     ];
     for (init_name, init) in &inits {
         for alg in every_algorithm() {
-            let report = solve_with_initial(&g, init, alg, None).unwrap();
+            let request = SolveRequest { start: Start::Matching(init), ..SolveRequest::new(alg) };
+            let report = Solver::new().run(&g, request).unwrap();
             assert_eq!(
                 report.cardinality, opt,
                 "{} from {init_name} init returned {} (oracle {opt})",

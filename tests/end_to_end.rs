@@ -2,14 +2,38 @@
 //! (or Matrix Market input) through the unified solver on both virtual-GPU
 //! backends, verified with the independent oracles.
 
-use gpu_pr_matching::core::solver::{paper_comparison_set, solve, solve_with_initial, Algorithm};
-use gpu_pr_matching::core::{GhkVariant, GprVariant, GrStrategy};
+use gpu_pr_matching::core::solver::{
+    paper_comparison_set, Algorithm, DevicePolicy, SolveReport, SolveRequest, Solver, Start,
+};
+use gpu_pr_matching::core::{GhkVariant, GprVariant, GrStrategy, SolveError};
 use gpu_pr_matching::cpu;
-use gpu_pr_matching::gpu::VirtualGpu;
 use gpu_pr_matching::graph::heuristics::cheap_matching;
 use gpu_pr_matching::graph::instances::{mini_suite, Scale};
 use gpu_pr_matching::graph::verify::{is_maximum, koenig_cover, maximum_matching_cardinality};
 use gpu_pr_matching::graph::{gen, io, BipartiteCsr, Matching};
+
+/// One solve from the cheap matching on a throwaway default session.
+fn solve(graph: &BipartiteCsr, algorithm: Algorithm) -> Result<SolveReport, SolveError> {
+    Solver::new().run(graph, SolveRequest::new(algorithm))
+}
+
+/// A session whose GPU algorithms run on a device of `policy`.
+fn session(policy: DevicePolicy) -> Solver {
+    Solver::builder().device_policy(policy).build().expect("valid solver config")
+}
+
+/// One solve from `initial` on `solver`.
+fn solve_from(
+    solver: &mut Solver,
+    graph: &BipartiteCsr,
+    initial: &Matching,
+    algorithm: Algorithm,
+) -> Result<SolveReport, SolveError> {
+    solver.run(
+        graph,
+        SolveRequest { start: Start::Matching(initial), ..SolveRequest::new(algorithm) },
+    )
+}
 
 fn all_algorithms() -> Vec<Algorithm> {
     vec![
@@ -33,7 +57,7 @@ fn every_algorithm_agrees_on_every_mini_suite_instance() {
         let initial = cheap_matching(&graph);
         let reference = cpu::hopcroft_karp(&graph, &initial).matching.cardinality();
         for alg in all_algorithms() {
-            let report = solve_with_initial(&graph, &initial, alg, None).unwrap();
+            let report = solve_from(&mut Solver::new(), &graph, &initial, alg).unwrap();
             assert_eq!(
                 report.cardinality, reference,
                 "{} disagrees on {}",
@@ -74,11 +98,11 @@ fn sequential_and_parallel_backends_agree_on_cardinality() {
     for seed in 0..3u64 {
         let graph = gen::uniform_random(300, 300, 2000, seed).unwrap();
         let initial = cheap_matching(&graph);
-        let seq_gpu = VirtualGpu::sequential();
-        let par_gpu = VirtualGpu::parallel();
+        let mut seq = session(DevicePolicy::Sequential);
+        let mut par = session(DevicePolicy::Auto);
         for alg in [Algorithm::gpr_default(), Algorithm::ghk(GhkVariant::Hkdw)] {
-            let s = solve_with_initial(&graph, &initial, alg, Some(&seq_gpu)).unwrap();
-            let p = solve_with_initial(&graph, &initial, alg, Some(&par_gpu)).unwrap();
+            let s = solve_from(&mut seq, &graph, &initial, alg).unwrap();
+            let p = solve_from(&mut par, &graph, &initial, alg).unwrap();
             assert_eq!(s.cardinality, p.cardinality, "seed {seed}");
         }
     }
@@ -89,10 +113,11 @@ fn repeated_runs_are_deterministic_on_the_sequential_backend() {
     let graph = gen::rmat(gen::RmatParams::web_like(9, 4), 23).unwrap();
     let initial = cheap_matching(&graph);
     let run = || {
-        let gpu = VirtualGpu::sequential();
-        let report =
-            solve_with_initial(&graph, &initial, Algorithm::gpr_default(), Some(&gpu)).unwrap();
-        (report.cardinality, report.matching.row_mates().to_vec(), gpu.stats().total_launches())
+        let mut solver = session(DevicePolicy::Sequential);
+        let report = solve_from(&mut solver, &graph, &initial, Algorithm::gpr_default()).unwrap();
+        let launches =
+            solver.device().expect("a GPU solve made the device").stats().total_launches();
+        (report.cardinality, report.matching.row_mates().to_vec(), launches)
     };
     let (card1, mates1, launches1) = run();
     let (card2, mates2, launches2) = run();
@@ -105,9 +130,8 @@ fn repeated_runs_are_deterministic_on_the_sequential_backend() {
 fn solver_statistics_are_consistent_with_the_strategy() {
     let graph = gen::rmat(gen::RmatParams::graph500(10, 6), 3).unwrap();
     let initial = cheap_matching(&graph);
-    let gpu = VirtualGpu::parallel();
-    let report =
-        solve_with_initial(&graph, &initial, Algorithm::gpr_default(), Some(&gpu)).unwrap();
+    let mut solver = session(DevicePolicy::Auto);
+    let report = solve_from(&mut solver, &graph, &initial, Algorithm::gpr_default()).unwrap();
     let stats = report.device_stats.expect("gpu stats");
     assert!(stats.launches_of("G-PR-PUSHKRNL") >= 1);
     assert!(stats.launches_of("G-GR-KRNL") >= 1);
@@ -150,7 +174,8 @@ fn initial_matching_is_respected_and_never_worsened() {
         }
     }
     let baseline = initial.cardinality();
-    let report = solve_with_initial(&graph, &initial, Algorithm::gpr_default(), None).unwrap();
+    let report =
+        solve_from(&mut Solver::new(), &graph, &initial, Algorithm::gpr_default()).unwrap();
     assert!(report.cardinality >= baseline);
     assert_eq!(report.cardinality, 300);
     assert_eq!(report.initial_cardinality, baseline);

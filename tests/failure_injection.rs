@@ -2,9 +2,17 @@
 //! produce errors (or correct trivial results), never panics or wrong
 //! matchings.
 
-use gpu_pr_matching::core::solver::{paper_comparison_set, solve};
+use gpu_pr_matching::core::solver::{
+    paper_comparison_set, Algorithm, SolveReport, SolveRequest, Solver,
+};
+use gpu_pr_matching::core::SolveError;
 use gpu_pr_matching::graph::{gen, io, BipartiteCsr, GraphBuilder, GraphError};
 use std::io::Cursor;
+
+/// One solve from the cheap matching on a throwaway default session.
+fn solve(graph: &BipartiteCsr, algorithm: Algorithm) -> Result<SolveReport, SolveError> {
+    Solver::new().run(graph, SolveRequest::new(algorithm))
+}
 
 #[test]
 fn malformed_matrix_market_inputs_are_rejected_with_errors() {
