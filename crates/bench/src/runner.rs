@@ -137,8 +137,9 @@ mod tests {
             assert_eq!(m.instance_id, 1);
             assert_eq!(m.algorithm_spec.parse::<Algorithm>().unwrap(), alg);
         }
-        // One warm engine per algorithm was retained by the session.
-        assert_eq!(solver.warm_engine_count(), paper_algorithms().len());
+        // One warm workspace per family that keeps state (G-PR, G-HKDW and
+        // PR; P-DBFS keeps none) was retained by the session.
+        assert_eq!(solver.warm_workspace_count(), 3);
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! The warm engines behind [`crate::solver::Solver`]: one per algorithm a
-//! session has run, each owning the working memory it reuses between
-//! solves.
+//! The warm working memory behind [`crate::solver::Solver`], and the one
+//! dispatch from an [`Algorithm`] to its engine.
 //!
-//! Each of the paper's seven families — the three G-PR variants, G-HK /
-//! G-HKDW, sequential PR, PF+, HK, HKDW, and P-DBFS — runs behind one
-//! [`Engine`].  The two GPU families keep their device workspaces; the five
-//! CPU baselines share one arm, which holds the baseline's solve as a
-//! closure owning its warm state.  Repeated solves on same-shaped graphs
-//! therefore skip the setup cost the paper excludes from its reported
-//! runtimes.
+//! Of the paper's seven families — the three G-PR variants, G-HK / G-HKDW,
+//! sequential PR, PF+, HK, HKDW, and P-DBFS — three keep working memory
+//! between solves: G-PR's device state, G-HK/G-HKDW's device state and
+//! path-kernel memory, and sequential PR's label arrays.  A session keeps
+//! one [`Workspaces`] entry per such family, created on the family's first
+//! solve and shared by every label of it: each solve builds its engine's
+//! configuration from its [`Algorithm`] (variant, strategy, worklist, exec
+//! mode, `PR@k` factor), and every engine re-initializes its workspace from
+//! the solve's graph and starting matching, so sharing changes no result.
+//! A session's warm memory is therefore bounded by its largest graph, not
+//! by the labels it has run.  PF+, HK, HKDW and P-DBFS keep no state.
+//! Repeated solves on same-shaped graphs skip the setup cost the paper
+//! excludes from its reported runtimes.
 
 use crate::cancel::SolveCtx;
 use crate::error::SolveError;
@@ -34,91 +39,77 @@ pub(crate) struct EngineOutput {
     pub(crate) device_stats: Option<DeviceStats>,
 }
 
-/// One solve of a CPU baseline, owning whatever warm state the baseline
-/// keeps between solves (sequential PR's label arrays; the others none).
-type CpuSolve = dyn FnMut(&BipartiteCsr, &Matching) -> CpuRunResult + Send;
-
-/// An algorithm with its warm working memory.
-pub(crate) enum Engine {
-    /// G-PR (all three kernel variants).
-    Gpr(GprConfig, GprWorkspace),
-    /// G-HK / G-HKDW.
-    Ghk(GhkConfig, GhkWorkspace),
-    /// A CPU baseline.
-    Cpu(Box<CpuSolve>),
+/// A session's warm workspaces: at most one per engine family that keeps
+/// state between solves.
+#[derive(Debug, Default)]
+pub(crate) struct Workspaces {
+    gpr: Option<GprWorkspace>,
+    ghk: Option<GhkWorkspace>,
+    pr: Option<PrWorkspace>,
 }
 
-impl Engine {
-    /// A cold engine for `algorithm` with the paper's default tuning,
-    /// validating the algorithm's parameters first
-    /// ([`SolveError::InvalidConfig`] on NaN/negative global-relabel factors
-    /// or zero thread counts).
-    pub(crate) fn new(algorithm: Algorithm) -> Result<Self, SolveError> {
-        algorithm.validate()?;
-        Ok(match algorithm {
-            Algorithm::GpuPushRelabel(variant, strategy, worklist, exec) => Engine::Gpr(
-                GprConfig { variant, strategy, worklist, exec, ..GprConfig::paper_default() },
-                GprWorkspace::new(),
-            ),
-            Algorithm::GpuHopcroftKarp(variant, worklist, exec) => {
-                Engine::Ghk(GhkConfig { variant, worklist, exec }, GhkWorkspace::new())
-            }
-            Algorithm::SequentialPushRelabel(k) => {
-                let config = PrConfig { global_relabel_k: k, ..PrConfig::default() };
-                let mut workspace = PrWorkspace::new();
-                cpu(move |g, m| sequential_pr_with(g, m, config, &mut workspace))
-            }
-            Algorithm::PothenFan => cpu(pothen_fan),
-            Algorithm::HopcroftKarp => cpu(hopcroft_karp),
-            Algorithm::Hkdw => cpu(hkdw),
-            Algorithm::Pdbfs(threads) => cpu(move |g, m| pdbfs(g, m, PdbfsConfig { threads })),
-        })
+impl Workspaces {
+    /// The number of families holding a warm workspace (at most 3).
+    pub(crate) fn len(&self) -> usize {
+        [self.gpr.is_some(), self.ghk.is_some(), self.pr.is_some()]
+            .into_iter()
+            .filter(|&warm| warm)
+            .count()
     }
 
-    /// Solves one instance from `initial`, reusing any warm state from
-    /// earlier solves.  GPU engines run on `device`
+    /// Solves one instance with `algorithm` from `initial`, validating the
+    /// algorithm's parameters first ([`SolveError::InvalidConfig`]) and
+    /// reusing its family's workspace.  GPU engines run on `device`
     /// ([`SolveError::DeviceRequired`] without one) and stop at a round
     /// boundary when `ctx` fires; CPU engines run to completion.
     pub(crate) fn solve(
         &mut self,
+        algorithm: Algorithm,
         graph: &BipartiteCsr,
         initial: &Matching,
         device: Option<&VirtualGpu>,
         ctx: &SolveCtx,
     ) -> Result<EngineOutput, SolveError> {
+        algorithm.validate()?;
         let require = |label: &str| {
             device.ok_or_else(|| SolveError::DeviceRequired { algorithm: label.to_string() })
         };
+        let cpu = |r: CpuRunResult| (r.matching, r.stats.seconds, None, None);
         // `stopped_after`: the rounds a GPU run completed before its stop
         // check fired.
-        let (matching, wall_seconds, device_stats, stopped_after) = match self {
-            Engine::Gpr(config, workspace) => {
-                let gpu = require(config.variant.label())?;
-                let r = gpr::run(gpu, graph, initial, *config, workspace, &ctx.stop_check());
+        let (matching, wall_seconds, device_stats, stopped_after) = match algorithm {
+            Algorithm::GpuPushRelabel(variant, strategy, worklist, exec) => {
+                let gpu = require(variant.label())?;
+                let config =
+                    GprConfig { variant, strategy, worklist, exec, ..GprConfig::paper_default() };
+                let workspace = self.gpr.get_or_insert_with(GprWorkspace::new);
+                let r = gpr::run(gpu, graph, initial, config, workspace, &ctx.stop_check());
                 let stopped_after = r.stats.stopped.then_some(r.stats.loops);
                 (r.matching, r.stats.seconds, Some(r.stats.device), stopped_after)
             }
-            Engine::Ghk(config, workspace) => {
-                let gpu = require(config.variant.label())?;
-                let r = ghk::run(gpu, graph, initial, *config, workspace, &ctx.stop_check());
+            Algorithm::GpuHopcroftKarp(variant, worklist, exec) => {
+                let gpu = require(variant.label())?;
+                let config = GhkConfig { variant, worklist, exec };
+                let workspace = self.ghk.get_or_insert_with(GhkWorkspace::new);
+                let r = ghk::run(gpu, graph, initial, config, workspace, &ctx.stop_check());
                 let stopped_after = r.stats.stopped.then_some(r.stats.phases);
                 (r.matching, r.stats.seconds, Some(r.stats.device), stopped_after)
             }
-            Engine::Cpu(solve) => {
-                let r = solve(graph, initial);
-                (r.matching, r.stats.seconds, None, None)
+            Algorithm::SequentialPushRelabel(k) => {
+                let config = PrConfig { global_relabel_k: k, ..PrConfig::default() };
+                let workspace = self.pr.get_or_insert_with(PrWorkspace::new);
+                cpu(sequential_pr_with(graph, initial, config, workspace))
             }
+            Algorithm::PothenFan => cpu(pothen_fan(graph, initial)),
+            Algorithm::HopcroftKarp => cpu(hopcroft_karp(graph, initial)),
+            Algorithm::Hkdw => cpu(hkdw(graph, initial)),
+            Algorithm::Pdbfs(threads) => cpu(pdbfs(graph, initial, PdbfsConfig { threads })),
         };
         if let Some(rounds) = stopped_after {
             return Err(ctx.stop_error(rounds, matching.cardinality()));
         }
         Ok(EngineOutput { matching, wall_seconds, device_stats })
     }
-}
-
-/// The engine of a CPU baseline that `solve` runs.
-fn cpu(solve: impl FnMut(&BipartiteCsr, &Matching) -> CpuRunResult + Send + 'static) -> Engine {
-    Engine::Cpu(Box::new(solve))
 }
 
 #[cfg(test)]
@@ -150,12 +141,12 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let ctx = SolveCtx::default();
         for alg in seven_families() {
-            let mut engine = Engine::new(alg).unwrap();
-            let out = engine.solve(&g, &initial, Some(&gpu), &ctx).unwrap();
+            let mut workspaces = Workspaces::default();
+            let out = workspaces.solve(alg, &g, &initial, Some(&gpu), &ctx).unwrap();
             assert_eq!(out.matching.cardinality(), opt, "{alg}");
             assert_eq!(out.device_stats.is_some(), alg.is_gpu(), "{alg}");
-            // A second call on the same engine (now warm) agrees.
-            let again = engine.solve(&g, &initial, Some(&gpu), &ctx).unwrap();
+            // A second call on the same workspaces (now warm) agrees.
+            let again = workspaces.solve(alg, &g, &initial, Some(&gpu), &ctx).unwrap();
             assert_eq!(again.matching.cardinality(), opt, "{alg} warm");
         }
     }
@@ -168,18 +159,25 @@ mod tests {
             Algorithm::gpr(crate::gpr::GprVariant::First, GrStrategy::paper_default()),
             Algorithm::ghk(GhkVariant::Hk),
         ] {
-            let mut engine = Engine::new(alg).unwrap();
-            let err = engine.solve(&g, &initial, None, &SolveCtx::default()).unwrap_err();
+            let mut workspaces = Workspaces::default();
+            let err = workspaces.solve(alg, &g, &initial, None, &SolveCtx::default()).unwrap_err();
             assert!(matches!(err, SolveError::DeviceRequired { .. }), "{alg}");
+            // A solve that never ran leaves no workspace behind.
+            assert_eq!(workspaces.len(), 0, "{alg}");
         }
     }
 
     #[test]
     fn engine_for_rejects_invalid_parameters() {
-        assert!(matches!(Engine::new(Algorithm::Pdbfs(0)), Err(SolveError::InvalidConfig { .. })));
-        assert!(matches!(
-            Engine::new(Algorithm::SequentialPushRelabel(f64::NAN)),
-            Err(SolveError::InvalidConfig { .. })
-        ));
+        let g = gen::uniform_random(10, 10, 40, 1).unwrap();
+        let initial = cheap_matching(&g);
+        let gpu = VirtualGpu::sequential();
+        for alg in [Algorithm::Pdbfs(0), Algorithm::SequentialPushRelabel(f64::NAN)] {
+            let mut workspaces = Workspaces::default();
+            let err =
+                workspaces.solve(alg, &g, &initial, Some(&gpu), &SolveCtx::default()).unwrap_err();
+            assert!(matches!(err, SolveError::InvalidConfig { .. }), "{alg}");
+            assert_eq!(workspaces.len(), 0, "{alg}");
+        }
     }
 }

@@ -12,14 +12,15 @@
 //!   labelling columns with their layer (like `G-GR-KRNL` but rooted at the
 //!   unmatched *columns*);
 //! * `G-HK-DFS-KRNL` — one thread per unmatched column builds a tentative
-//!   level-respecting augmenting path into its private slot of a path
-//!   buffer (no races: each thread writes only its own slot);
-//! * a commit pass applies the tentative paths, skipping any path that
-//!   conflicts with one already committed in this phase (those columns are
-//!   simply retried in the next phase).  The commit is executed on the host
-//!   because it is inherently sequential, but it is charged to the cost model
-//!   as a kernel (`G-HK-COMMIT`) whose work is the total committed path
-//!   length, so modelled device time accounts for it.
+//!   level-respecting augmenting path; a thread that finds one appends it,
+//!   tagged with its thread id, to the kernel's found-path list;
+//! * a commit pass applies the tentative paths in increasing thread id,
+//!   skipping any path that conflicts with one already committed in this
+//!   phase (those columns are simply retried in the next phase).  The
+//!   commit is executed on the host because it is inherently sequential,
+//!   but it is charged to the cost model as a kernel (`G-HK-COMMIT`) whose
+//!   work is the total committed path length, so modelled device time
+//!   accounts for it.
 //! * G-HKDW adds an extra sweep (`G-HKDW-DW-KRNL`) that builds unrestricted
 //!   augmenting paths from the remaining unmatched *rows* before the next
 //!   BFS, mirroring HKDW's extra DFS set.  Its paths go through the same
@@ -49,12 +50,23 @@
 //! re-enter a column already on its stack, and the committed path would
 //! match that column twice.
 //!
-//! The phase's host-side memory is recycled through [`GhkWorkspace`]: the
-//! path slots, the DFS dead-end flags, the kernels' root lists and the
-//! commit's row/column marks.  Each thread terminates its own slot with a
-//! `-1` word, and the host decodes the slots in place up to that word, so
-//! stale words from earlier phases are never read and the slots need no
-//! reset.
+//! # Found paths
+//!
+//! A path kernel's threads hand their paths to the commit through one host
+//! list, the found-path list of [`GhkWorkspace`]: a thread that finds a
+//! path appends it, tagged with its thread id, under a lock; a thread that
+//! finds none writes nothing.  Like the `PathScratch` stacks, the list lives
+//! on the host and is not charged to the cost model.  The threads of a
+//! pooled launch finish in any order, so the commit sorts the list by
+//! thread id and applies the paths in the order of the thread grid, which
+//! keeps every sequential-device result identical to per-thread slots read
+//! in thread order.  The list holds the paths found — two words per pair
+//! and a tag per path — not a slot of `2·depth+2` words for every thread:
+//! a Duff–Wiberg sweep that finds no path keeps nothing.
+//!
+//! The rest of the phase's host-side memory is recycled through the
+//! workspace too: the DFS dead-end flags, the kernels' root lists and the
+//! commit's row/column marks.
 
 use crate::device::{DeviceState, MU_UNMATCHED};
 use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
@@ -65,6 +77,8 @@ use gpm_gpu::{
 };
 use gpm_graph::{BipartiteCsr, Matching};
 use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 const INF: u32 = u32::MAX;
 
@@ -137,17 +151,18 @@ pub struct GhkResult {
 
 /// Reusable G-HK/G-HKDW working memory: the device matching/label state,
 /// the per-phase BFS level array and DFS dead-end flags, and the path
-/// kernels' slots, roots and commit marks.  Warm solver sessions reuse it
-/// across solves; the path memory is reused across every phase of a solve.
+/// kernels' roots, found-path list and commit marks.  Warm solver sessions
+/// reuse it across solves; the path memory is reused across every phase of
+/// a solve.
 #[derive(Debug, Default)]
 pub struct GhkWorkspace {
     state: Option<DeviceState>,
     dist_col: Option<DeviceBuffer<u32>>,
     dead: Option<DeviceBuffer<bool>>,
-    /// Tentative-path slots, grown to the largest `threads × stride` seen.
-    paths: Option<DeviceBuffer<i64>>,
     /// Roots of the current path kernel, one per thread.
     roots: Vec<usize>,
+    /// The paths the current path kernel found (see the module docs).
+    found: Mutex<FoundPaths>,
     commit: Commit,
 }
 
@@ -224,8 +239,8 @@ pub fn run(
         state: state_slot,
         dist_col: dist_slot,
         dead: dead_slot,
-        paths: path_slot,
         roots,
+        found,
         commit,
     } = workspace;
     let state = DeviceState::upload_into(state_slot, graph, initial);
@@ -286,13 +301,11 @@ pub fn run(
         stats.phases += 1;
 
         // ---- DFS kernel: tentative level-respecting paths ----
-        let max_path = (level as usize + 2).max(2);
         let dead = DeviceBuffer::recycle(dead_slot, n, false);
-        let (paths, stride) =
-            build_paths_kernel(gpu, graph, state, dist_col, dead, roots, max_path, path_slot);
+        build_paths_kernel(gpu, graph, state, dist_col, dead, roots, found);
 
         // ---- Commit pass ----
-        let (applied, conflicts, committed_work) = commit.apply(state, paths, roots.len(), stride);
+        let (applied, conflicts, committed_work) = commit.apply(state, found);
         gpu.launch("G-HK-COMMIT", applied.max(1), |ctx| {
             // The commit's cost is proportional to the total committed path
             // length; charge it to the thread representing each applied path.
@@ -306,7 +319,7 @@ pub fn run(
         // ---- Optional Duff–Wiberg extra sweep from unmatched rows ----
         let mut progress = applied as u64;
         if variant == GhkVariant::Hkdw {
-            let extra = dw_sweep(gpu, graph, state, roots, path_slot, commit);
+            let extra = dw_sweep(gpu, graph, state, roots, found, commit);
             stats.augmentations += extra;
             progress += extra;
         }
@@ -335,18 +348,18 @@ pub fn run(
 }
 
 /// One level of a path kernel's DFS: the vertex, the index of its next
-/// neighbour to try, and the neighbour it last stepped through (`-1` until
-/// it steps).
+/// neighbour to try, and the neighbour it last stepped through (meaningful
+/// once it has stepped).
 #[derive(Clone, Copy)]
 struct Frame {
     vertex: usize,
     next: usize,
-    via: i64,
+    via: usize,
 }
 
 impl Frame {
     fn new(vertex: usize) -> Self {
-        Self { vertex, next: 0, via: -1 }
+        Self { vertex, next: 0, via: usize::MAX }
     }
 }
 
@@ -362,47 +375,52 @@ thread_local! {
     static SCRATCH: RefCell<PathScratch> = RefCell::new(PathScratch::default());
 }
 
-/// Path slots of at least `len` words from `slot`, replacing it with a
-/// `len`-word buffer when it is too small.  No reset: see [`write_slot`].
-fn path_slots(slot: &mut Option<DeviceBuffer<i64>>, len: usize) -> &DeviceBuffer<i64> {
-    if slot.as_ref().is_none_or(|paths| paths.len() < len) {
-        *slot = Some(DeviceBuffer::new(len, -1));
-    }
-    slot.as_ref().expect("slot populated above")
+/// The paths one path kernel found, in the order their threads appended
+/// them (see the module docs).
+#[derive(Debug, Default)]
+struct FoundPaths {
+    /// Each path's thread id and the range of its pairs in `pairs`.
+    paths: Vec<(usize, Range<usize>)>,
+    /// The `(row, column)` pairs of every path, path after path.
+    pairs: Vec<(usize, usize)>,
 }
 
-/// Writes one thread's slot at `base`: `pair(frame)` for each frame as a
-/// `(row, col)` word pair, then the `-1` word the host decode stops at.
-fn write_slot(
-    paths: &DeviceBuffer<i64>,
-    base: usize,
-    frames: &[Frame],
-    pair: impl Fn(&Frame) -> (i64, i64),
-) {
-    for (j, frame) in frames.iter().enumerate() {
-        let (u, c) = pair(frame);
-        paths.set(base + 2 * j, u);
-        paths.set(base + 2 * j + 1, c);
+impl FoundPaths {
+    /// The list emptied for a new kernel, keeping its allocations.
+    fn cleared(found: &mut Mutex<FoundPaths>) -> &Mutex<FoundPaths> {
+        let list = found.get_mut().unwrap_or_else(PoisonError::into_inner);
+        list.paths.clear();
+        list.pairs.clear();
+        found
     }
-    paths.set(base + 2 * frames.len(), -1);
+
+    /// Appends thread `thread`'s path, taking the list's lock.
+    fn append(
+        found: &Mutex<FoundPaths>,
+        thread: usize,
+        path: impl Iterator<Item = (usize, usize)>,
+    ) {
+        let mut list = found.lock().unwrap_or_else(PoisonError::into_inner);
+        let start = list.pairs.len();
+        list.pairs.extend(path);
+        let end = list.pairs.len();
+        list.paths.push((thread, start..end));
+    }
 }
 
 /// Runs the DFS kernel: one thread per free column in `roots` builds a
-/// tentative level-respecting augmenting path into its slot of the returned
-/// path buffer, whose slots are the returned stride apart.
-#[allow(clippy::too_many_arguments)]
-fn build_paths_kernel<'a>(
+/// tentative level-respecting augmenting path and appends it to `found`
+/// when it finds one.
+fn build_paths_kernel(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
     state: &DeviceState,
     dist_col: &DeviceBuffer<u32>,
     dead: &DeviceBuffer<bool>,
     roots: &[usize],
-    max_path: usize,
-    path_slot: &'a mut Option<DeviceBuffer<i64>>,
-) -> (&'a DeviceBuffer<i64>, usize) {
-    let stride = 2 * max_path + 2;
-    let paths = path_slots(path_slot, roots.len() * stride);
+    found: &mut Mutex<FoundPaths>,
+) {
+    let found = FoundPaths::cleared(found);
     // `dead` is the dead-end marker shared by all threads.  Whether a column
     // can reach a free row through level-increasing edges depends only on
     // (ψ levels, µ), which are constant during this kernel, so the flag is
@@ -416,7 +434,6 @@ fn build_paths_kernel<'a>(
             // strictly increase along the stack, so no cycle check is needed.
             frames.clear();
             frames.push(Frame::new(roots[i]));
-            let mut found = false;
             'search: while let Some(top) = frames.len().checked_sub(1) {
                 let Frame { vertex: c, next, .. } = frames[top];
                 let child_level = dist_col.get(c).saturating_add(1);
@@ -427,10 +444,10 @@ fn build_paths_kernel<'a>(
                     let w = mate as usize;
                     if free || (!dead.get(w) && dist_col.get(w) == child_level) {
                         frames[top].next = j + 1;
-                        frames[top].via = u as i64;
+                        frames[top].via = u as usize;
                         if free {
-                            found = true;
-                            break 'search;
+                            FoundPaths::append(found, i, frames.iter().map(|f| (f.via, f.vertex)));
+                            return;
                         }
                         frames.push(Frame::new(w));
                         continue 'search;
@@ -439,62 +456,45 @@ fn build_paths_kernel<'a>(
                 dead.set(c, true);
                 frames.pop();
             }
-            let path = if found { &frames[..] } else { &[] };
-            write_slot(paths, i * stride, path, |f| (f.via, f.vertex as i64));
         });
     });
-    (paths, stride)
 }
 
 /// Host state of the commit pass: the rows and columns matched so far in
-/// this commit, and the path being decoded.
+/// this commit.
 #[derive(Debug, Default)]
 struct Commit {
     rows: EpochMarks,
     cols: EpochMarks,
-    path: Vec<(usize, usize)>,
 }
 
 impl Commit {
-    /// Applies the non-conflicting tentative paths in the first `threads`
-    /// slots of `paths` (`stride` words apart) to the device matching, in
-    /// thread order.  Returns (paths applied, paths discarded, total
-    /// committed pairs).
+    /// Applies the non-conflicting paths of `found` to the device matching,
+    /// in increasing thread id.  Returns (paths applied, paths discarded,
+    /// total committed pairs).
     ///
     /// The tentative paths were built against the matching as it stood when
     /// their kernel ran; the only writers since then are earlier iterations
     /// of this very loop, so tracking the rows/columns they touched is
     /// sufficient to detect every conflict.
-    fn apply(
-        &mut self,
-        state: &DeviceState,
-        paths: &DeviceBuffer<i64>,
-        threads: usize,
-        stride: usize,
-    ) -> (usize, usize, u64) {
-        let Commit { rows, cols, path } = self;
+    fn apply(&mut self, state: &DeviceState, found: &mut Mutex<FoundPaths>) -> (usize, usize, u64) {
+        let Commit { rows, cols } = self;
         rows.begin(state.num_rows());
         cols.begin(state.num_cols());
+        let FoundPaths { paths, pairs } = found.get_mut().unwrap_or_else(PoisonError::into_inner);
+        paths.sort_unstable_by_key(|&(thread, _)| thread);
+        #[cfg(test)]
+        tests::record_commit(paths, pairs);
         let mut applied = 0usize;
         let mut conflicts = 0usize;
         let mut committed_pairs = 0u64;
-        for i in 0..threads {
-            let base = i * stride;
-            path.clear();
-            path.extend((0..).map_while(|j| {
-                let u = paths.get(base + 2 * j);
-                (u >= 0).then(|| (u as usize, paths.get(base + 2 * j + 1) as usize))
-            }));
-            #[cfg(test)]
-            tests::record_tentative(path);
-            if path.is_empty() {
-                continue;
-            }
+        for (_, range) in paths.iter() {
+            let path = &pairs[range.clone()];
             if path.iter().any(|&(u, c)| rows.contains(u) || cols.contains(c)) {
                 conflicts += 1;
                 continue;
             }
-            for &(u, c) in path.iter() {
+            for &(u, c) in path {
                 state.mu_row.set(u, c as i64);
                 state.mu_col.set(c, u as i64);
                 rows.insert(u);
@@ -516,7 +516,7 @@ fn dw_sweep(
     graph: &BipartiteCsr,
     state: &DeviceState,
     roots: &mut Vec<usize>,
-    path_slot: &mut Option<DeviceBuffer<i64>>,
+    found: &mut Mutex<FoundPaths>,
     commit: &mut Commit,
 ) -> u64 {
     let num_cols = graph.num_cols();
@@ -528,8 +528,7 @@ fn dw_sweep(
     // Tentative paths are depth-bounded to keep the sweep cheap — longer
     // paths are left for the next BFS phase.
     const MAX_DEPTH: usize = 64;
-    let stride = 2 * MAX_DEPTH + 2;
-    let paths = path_slots(path_slot, roots.len() * stride);
+    let list = FoundPaths::cleared(found);
     let roots = &roots[..];
 
     gpu.launch("G-HKDW-DW-KRNL", roots.len(), |ctx| {
@@ -540,7 +539,6 @@ fn dw_sweep(
             visited.begin(num_cols);
             frames.clear();
             frames.push(Frame::new(roots[i]));
-            let mut found = false;
             'search: while frames.len() <= MAX_DEPTH {
                 let Some(top) = frames.len().checked_sub(1) else { break };
                 let Frame { vertex: r, next, .. } = frames[top];
@@ -554,10 +552,10 @@ fn dw_sweep(
                     let free = mate == MU_UNMATCHED;
                     if free || (mate >= 0 && state.mu_row.get(mate as usize) == c as i64) {
                         frames[top].next = j + 1;
-                        frames[top].via = c as i64;
+                        frames[top].via = c;
                         if free {
-                            found = true;
-                            break 'search;
+                            FoundPaths::append(list, i, frames.iter().map(|f| (f.vertex, f.via)));
+                            return;
                         }
                         frames.push(Frame::new(mate as usize));
                         continue 'search;
@@ -565,12 +563,10 @@ fn dw_sweep(
                 }
                 frames.pop();
             }
-            let path = if found { &frames[..] } else { &[] };
-            write_slot(paths, i * stride, path, |f| (f.vertex as i64, f.via));
         });
     });
 
-    commit.apply(state, paths, roots.len(), stride).0 as u64
+    commit.apply(state, found).0 as u64
 }
 
 /// Host-side single augmentation fallback used only if every tentative path
@@ -631,17 +627,20 @@ mod tests {
     use proptest::prelude::*;
 
     type Path = Vec<(usize, usize)>;
+    /// One commit's tentative paths with their thread ids, in the order the
+    /// commit applies them.
+    type CommitLog = Vec<(usize, Path)>;
 
     thread_local! {
-        /// Every tentative path the commits on this thread decode while a
-        /// [`recording`] is open, empty ones included.
-        static TENTATIVE: RefCell<Option<Vec<Path>>> = const { RefCell::new(None) };
+        /// Every commit run on this thread while a [`recording`] is open.
+        static TENTATIVE: RefCell<Option<Vec<CommitLog>>> = const { RefCell::new(None) };
     }
 
-    pub(super) fn record_tentative(path: &[(usize, usize)]) {
+    pub(super) fn record_commit(paths: &[(usize, Range<usize>)], pairs: &[(usize, usize)]) {
         TENTATIVE.with_borrow_mut(|log| {
             if let Some(log) = log {
-                log.push(path.to_vec());
+                let commit = paths.iter().map(|(t, range)| (*t, pairs[range.clone()].to_vec()));
+                log.push(commit.collect());
             }
         });
     }
@@ -651,8 +650,8 @@ mod tests {
         run(gpu, g, init, config, &mut GhkWorkspace::new(), &StopCheck::never())
     }
 
-    /// Runs `f`, returning its result and the tentative paths it committed.
-    fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Path>) {
+    /// Runs `f`, returning its result and the commits it ran.
+    fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<CommitLog>) {
         TENTATIVE.with_borrow_mut(|log| *log = Some(Vec::new()));
         let result = f();
         (result, TENTATIVE.with_borrow_mut(Option::take).expect("recording open"))
@@ -710,8 +709,8 @@ mod tests {
                     for exec in ExecMode::all() {
                         let tag = format!("{} {exec} {:?}", variant.label(), gpu.config().backend);
                         let config = GhkConfig::new(variant).with_exec(exec);
-                        let (r, paths) = recording(|| cold(gpu, &g, &init, config));
-                        for path in &paths {
+                        let (r, commits) = recording(|| cold(gpu, &g, &init, config));
+                        for (_, path) in commits.iter().flatten() {
                             let mut rows: Vec<usize> = path.iter().map(|&(u, _)| u).collect();
                             let mut cols: Vec<usize> = path.iter().map(|&(_, c)| c).collect();
                             rows.sort_unstable();
@@ -756,6 +755,32 @@ mod tests {
                 assert_eq!(outcome(&reused), outcome(&fresh), "{tag}");
                 assert_eq!(reused_paths, fresh_paths, "{tag}");
             }
+        }
+    }
+
+    #[test]
+    fn pooled_commits_apply_paths_in_increasing_thread_id() {
+        // Threshold 1 sends every launch to the 3-worker pool, and small
+        // chunks interleave its threads, which append their paths in
+        // whatever order they finish.
+        let pooled = VirtualGpu::new(
+            GpuConfig::tesla_c2050(Backend::Parallel { workers: 3 }).with_executor(
+                ExecutorConfig::default().with_parallel_threshold(1).with_chunk_size(4),
+            ),
+        );
+        let g = gen::uniform_random(400, 400, 1_600, 17).unwrap();
+        let init = Matching::empty_for(&g);
+        let opt = maximum_matching_cardinality(&g);
+        for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
+            let label = variant.label();
+            let (r, commits) = recording(|| cold(&pooled, &g, &init, GhkConfig::new(variant)));
+            assert!(commits.iter().any(|commit| commit.len() > 100), "{label}");
+            for commit in &commits {
+                let threads: Vec<usize> = commit.iter().map(|&(thread, _)| thread).collect();
+                assert!(threads.windows(2).all(|w| w[0] < w[1]), "{label}: {threads:?}");
+            }
+            assert_eq!(r.matching.cardinality(), opt, "{label}");
+            assert!(is_maximum(&g, &r.matching), "{label}");
         }
     }
 

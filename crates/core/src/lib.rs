@@ -15,8 +15,9 @@
 //!   compares against.
 //! * [`solver`] — the session-style front-end: [`solver::Solver`] built via
 //!   `Solver::builder()`, with one way into a solve, [`Solver::run`] of a
-//!   [`SolveRequest`].  The session keeps one warm engine per algorithm, so
-//!   repeated solves skip the setup cost.
+//!   [`SolveRequest`].  The session keeps one warm workspace per engine
+//!   family, shared by every label of the family, so repeated solves skip
+//!   the setup cost and its warm memory is bounded by its largest graph.
 //! * [`resolve`] — warm starts: re-solving a patched graph from its
 //!   parent's matching ([`Start::Warm`]).
 //!
@@ -27,7 +28,8 @@
 //! use gpm_graph::gen;
 //!
 //! // One session, many solves: the solver owns the virtual device and a
-//! // warm workspace per algorithm, so repeated solves skip the setup cost.
+//! // warm workspace per engine family, so repeated solves skip the setup
+//! // cost.
 //! // `build()` validates the configuration, hence the `Result`.
 //! let mut solver = Solver::builder().build().unwrap();
 //!

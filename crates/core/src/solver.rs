@@ -2,9 +2,12 @@
 //!
 //! The center of the API is [`Solver`], built via [`Solver::builder`]: a
 //! reusable session that owns the device policy (which [`VirtualGpu`] GPU
-//! algorithms run on) and one warm engine per algorithm it has executed —
-//! so repeated solves on same-shaped graphs reuse the warm working buffers,
-//! the setup cost the paper excludes from its reported runtimes.
+//! algorithms run on) and one warm workspace per engine family it has run —
+//! G-PR's, G-HK/G-HKDW's and sequential PR's, each shared by every label of
+//! its family — so repeated solves on same-shaped graphs reuse the warm
+//! working buffers, the setup cost the paper excludes from its reported
+//! runtimes, and the session's warm memory is bounded by its largest graph
+//! however many labels it runs.
 //!
 //! Every solve goes through [`Solver::run`] with a [`SolveRequest`]: the
 //! algorithm, where the solve [`Start`]s (an init heuristic, a given
@@ -31,7 +34,7 @@
 //! ```
 
 use crate::cancel::SolveCtx;
-use crate::engine::Engine;
+use crate::engine::Workspaces;
 use crate::error::{ParseAlgorithmError, ParseInitHeuristicError, SolveError};
 use crate::ghk::GhkVariant;
 use crate::gpr::GprVariant;
@@ -44,18 +47,23 @@ use gpm_graph::heuristics::{cheap_matching, karp_sipser};
 use gpm_graph::{BipartiteCsr, GraphDelta, Matching};
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
+/// The most threads a P-DBFS label may ask for (`P-DBFS@256`):
+/// [`Algorithm::validate`] rejects more.  P-DBFS runs one OS thread per
+/// chunk of free columns in every phase, so without a bound one label could
+/// ask a service worker for millions of threads.  The paper uses 8, as does
+/// every P-DBFS run of the benchmarks.
+pub const MAX_PDBFS_THREADS: usize = 256;
+
 /// Every matching algorithm available in the workspace.
 ///
-/// `Algorithm` is a small value type: `Copy`, hashable (it keys the solver's
-/// warm-engine map), and round-trippable through [`fmt::Display`] /
-/// [`FromStr`] with labels like `G-PR-Shr@adaptive:0.7` or
-/// `G-PR-Shr@adaptive:0.7+queue` (see the `FromStr` impl for the grammar).
+/// `Algorithm` is a small value type: `Copy`, hashable, and round-trippable
+/// through [`fmt::Display`] / [`FromStr`] with labels like
+/// `G-PR-Shr@adaptive:0.7` or `G-PR-Shr@adaptive:0.7+queue` (see the
+/// `FromStr` impl for the grammar).
 /// The GPU algorithms carry a [`WorklistMode`] selecting how their active
 /// set / BFS frontier is represented on the device, and an [`ExecMode`]
 /// selecting launch-per-round or persistent (megakernel) execution; the
@@ -172,7 +180,8 @@ impl Algorithm {
 
     /// Checks the algorithm's parameters, returning
     /// [`SolveError::InvalidConfig`] for values the solvers cannot run with
-    /// (NaN/negative global-relabel factors, zero P-DBFS threads).
+    /// (NaN/negative global-relabel factors, and P-DBFS thread counts of
+    /// zero or above [`MAX_PDBFS_THREADS`]).
     pub fn validate(&self) -> Result<(), SolveError> {
         let invalid =
             |reason: String| SolveError::InvalidConfig { algorithm: self.label(), reason };
@@ -184,6 +193,9 @@ impl Algorithm {
                 Err(invalid(format!("global-relabel factor k must be non-negative, got {k}")))
             }
             Algorithm::Pdbfs(0) => Err(invalid("thread count must be at least 1".to_string())),
+            Algorithm::Pdbfs(t) if t > MAX_PDBFS_THREADS => {
+                Err(invalid(format!("thread count must be at most {MAX_PDBFS_THREADS}, got {t}")))
+            }
             Algorithm::GpuPushRelabel(_, GrStrategy::Adaptive(k), ..)
                 if !k.is_finite() || k <= 0.0 =>
             {
@@ -194,10 +206,10 @@ impl Algorithm {
     }
 
     /// A collision-free key: variant discriminants plus the bit patterns of
-    /// numeric parameters.  Backs `Eq`/`Hash` so algorithms can key the
-    /// solver's engine map (NaN parameters never get that far — they are
-    /// rejected by [`Algorithm::validate`]).  The last byte packs the
-    /// worklist mode in its low nibble and the exec mode in its high nibble.
+    /// numeric parameters.  Backs `Eq`/`Hash` so algorithms can key maps
+    /// (NaN parameters compare by their bits; [`Algorithm::validate`]
+    /// rejects them).  The last byte packs the worklist mode in its low
+    /// nibble and the exec mode in its high nibble.
     fn key(&self) -> (u8, u8, u64, u8) {
         let pack = |w: WorklistMode, e: ExecMode| (w as u8) | ((e as u8) << 4);
         match *self {
@@ -634,8 +646,8 @@ impl SolverBuilder {
     /// Builds the solver session, validating the configuration first: a
     /// zero executor chunk size is a structured
     /// [`SolveError::InvalidConfig`] here instead of a surprise inside the
-    /// device loop.  No device or engine is allocated until the first solve
-    /// that needs it.
+    /// device loop.  No device or workspace is allocated until the first
+    /// solve that needs it.
     pub fn build(self) -> Result<Solver, SolveError> {
         if let Err(reason) = self.executor.validate() {
             return Err(SolveError::InvalidConfig { algorithm: "device executor".into(), reason });
@@ -644,18 +656,20 @@ impl SolverBuilder {
             policy: self.policy,
             executor: self.executor,
             device: None,
-            engines: HashMap::new(),
+            workspaces: Workspaces::default(),
         })
     }
 }
 
-/// A reusable solve session: owns the device and one warm engine (with its
-/// buffer workspace) per algorithm it has run.
+/// A reusable solve session: owns the device and one warm workspace per
+/// engine family it has run (G-PR, G-HK/G-HKDW, sequential PR), shared by
+/// every label of the family.  PF+, HK, HKDW and P-DBFS keep no state
+/// between solves.
 pub struct Solver {
     policy: DevicePolicy,
     executor: ExecutorConfig,
     device: Option<VirtualGpu>,
-    engines: HashMap<Algorithm, Engine>,
+    workspaces: Workspaces,
 }
 
 impl Solver {
@@ -686,20 +700,22 @@ impl Solver {
         self.device.as_ref()
     }
 
-    /// Number of warm engines the session holds (one per algorithm run).
-    pub fn warm_engine_count(&self) -> usize {
-        self.engines.len()
+    /// Number of warm workspaces the session holds: one per engine family
+    /// that keeps state and has run, so at most 3 whatever the labels.
+    pub fn warm_workspace_count(&self) -> usize {
+        self.workspaces.len()
     }
 
-    /// Drops all warm engines and the device, returning the session to its
-    /// just-built state.
+    /// Drops all warm workspaces and the device, returning the session to
+    /// its just-built state.
     pub fn clear(&mut self) {
-        self.engines.clear();
+        self.workspaces = Workspaces::default();
         self.device = None;
     }
 
     /// Solves `graph` as `request` asks: builds the starting matching,
-    /// runs the algorithm's warm engine from it, and reports the result.
+    /// runs the algorithm's engine from it on its family's warm workspace,
+    /// and reports the result.
     pub fn run(
         &mut self,
         graph: &BipartiteCsr,
@@ -725,11 +741,7 @@ impl Solver {
         if algorithm.is_gpu() && self.device.is_none() {
             self.device = self.policy.create_device(self.executor);
         }
-        let engine = match self.engines.entry(algorithm) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(Engine::new(algorithm)?),
-        };
-        let out = engine.solve(graph, &initial, self.device.as_ref(), &ctx)?;
+        let out = self.workspaces.solve(algorithm, graph, &initial, self.device.as_ref(), &ctx)?;
         Ok(SolveReport {
             algorithm: algorithm.label(),
             cardinality: out.matching.cardinality(),
@@ -771,7 +783,7 @@ impl fmt::Debug for Solver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Solver")
             .field("policy", &self.policy)
-            .field("warm_engines", &self.engines.len())
+            .field("warm_workspaces", &self.workspaces.len())
             .finish()
     }
 }
@@ -904,6 +916,8 @@ mod tests {
         assert!(Algorithm::SequentialPushRelabel(0.5).validate().is_ok());
         assert!(Algorithm::Pdbfs(0).validate().is_err());
         assert!(Algorithm::Pdbfs(1).validate().is_ok());
+        assert!(Algorithm::Pdbfs(MAX_PDBFS_THREADS).validate().is_ok());
+        assert!(Algorithm::Pdbfs(MAX_PDBFS_THREADS + 1).validate().is_err());
         assert!(Algorithm::gpr(GprVariant::Shrink, GrStrategy::Adaptive(f64::NAN))
             .validate()
             .is_err());
@@ -919,16 +933,22 @@ mod tests {
             .expect("valid solver config");
         let g = gen::uniform_random(80, 80, 420, 5).unwrap();
         let opt = maximum_matching_cardinality(&g);
-        assert_eq!(solver.warm_engine_count(), 0);
+        assert_eq!(solver.warm_workspace_count(), 0);
         for _ in 0..3 {
             let report = solver.run(&g, SolveRequest::new(Algorithm::gpr_default())).unwrap();
             assert_eq!(report.cardinality, opt);
         }
-        assert_eq!(solver.warm_engine_count(), 1);
+        assert_eq!(solver.warm_workspace_count(), 1);
+        // HK keeps no state; another G-PR label shares G-PR's workspace.
         solver.run(&g, SolveRequest::new(Algorithm::HopcroftKarp)).unwrap();
-        assert_eq!(solver.warm_engine_count(), 2);
+        let fixed = Algorithm::gpr(GprVariant::ActiveList, GrStrategy::Fixed(10));
+        solver.run(&g, SolveRequest::new(fixed)).unwrap();
+        assert_eq!(solver.warm_workspace_count(), 1);
+        solver.run(&g, SolveRequest::new(Algorithm::ghk(GhkVariant::Hk))).unwrap();
+        solver.run(&g, SolveRequest::new(Algorithm::SequentialPushRelabel(0.5))).unwrap();
+        assert_eq!(solver.warm_workspace_count(), 3);
         solver.clear();
-        assert_eq!(solver.warm_engine_count(), 0);
+        assert_eq!(solver.warm_workspace_count(), 0);
         assert!(solver.device().is_none());
     }
 

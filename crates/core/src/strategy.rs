@@ -31,9 +31,9 @@ pub enum GrStrategy {
 }
 
 // Equality and hashing go through the bit pattern of the adaptive factor so
-// the strategy can key solver-session engine maps.  The solver rejects NaN
-// factors before a strategy is ever stored, so bit equality and semantic
-// equality coincide in practice.
+// the strategy (and the `Algorithm` carrying it) can key maps.  The solver
+// rejects NaN factors before a strategy ever runs, so bit equality and
+// semantic equality coincide in practice.
 impl PartialEq for GrStrategy {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {

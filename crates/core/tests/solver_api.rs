@@ -4,7 +4,8 @@
 //! paths.
 
 use gpm_core::solver::{
-    paper_comparison_set, Algorithm, DevicePolicy, InitHeuristic, SolveRequest, Solver, Start,
+    paper_comparison_set, Algorithm, DevicePolicy, InitHeuristic, SolveReport, SolveRequest,
+    Solver, Start,
 };
 use gpm_core::{
     CancelToken, ExecMode, ExecutorConfig, GhkVariant, GprVariant, GrStrategy, SolveCtx, SolveError,
@@ -15,7 +16,9 @@ use gpm_graph::gen;
 use gpm_graph::instances::{by_name, mini_suite, Scale};
 use gpm_graph::verify::maximum_matching_cardinality;
 use gpm_graph::{BipartiteCsr, Matching};
+use gpm_testutil::arb_bipartite_with;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Arbitrary valid algorithm covering all seven families with varied
 /// parameters, including every worklist representation and both execution
@@ -119,8 +122,104 @@ fn warm_solver_matches_cold_solves_across_all_algorithms() {
             assert_eq!(warm_report.initial_cardinality, cold_report.initial_cardinality, "{alg}");
         }
     }
-    // The session kept exactly one warm engine per distinct algorithm.
-    assert_eq!(warm.warm_engine_count(), every_algorithm().len());
+    // The session kept one warm workspace per family that keeps state
+    // (G-PR, G-HK/G-HKDW, PR), however many labels of each it ran.
+    assert_eq!(warm.warm_workspace_count(), 3);
+}
+
+#[test]
+fn one_session_keeps_one_workspace_per_family_across_labels() {
+    // Every label of a family shares the family's workspace, so cycling
+    // labels (adaptive factors, worklists, exec modes, PR factors) cannot
+    // grow a session's warm memory past one workspace per family.
+    let mut solver = Solver::builder()
+        .device_policy(DevicePolicy::Sequential)
+        .build()
+        .expect("valid solver config");
+    let g = gen::uniform_random(80, 80, 400, 6).unwrap();
+    let opt = maximum_matching_cardinality(&g);
+    let mut labels: Vec<Algorithm> = (1..=9)
+        .map(|tenths| GrStrategy::Adaptive(f64::from(tenths) / 10.0))
+        .map(|strategy| Algorithm::gpr(GprVariant::Shrink, strategy))
+        .collect();
+    for mode in WorklistMode::all() {
+        for exec in ExecMode::all() {
+            labels.push(Algorithm::gpr_default().with_worklist(mode).with_exec(exec));
+            for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
+                labels.push(Algorithm::ghk(variant).with_worklist(mode).with_exec(exec));
+            }
+        }
+    }
+    labels.extend([0.25, 0.5, 1.0, 2.0].map(Algorithm::SequentialPushRelabel));
+    labels.extend([Algorithm::PothenFan, Algorithm::HopcroftKarp, Algorithm::Hkdw]);
+    labels.extend([Algorithm::Pdbfs(1), Algorithm::Pdbfs(2)]);
+    let distinct: HashSet<Algorithm> = labels.iter().copied().collect();
+    assert!(distinct.len() >= 20, "{} labels", distinct.len());
+    for alg in labels {
+        assert_eq!(solver.run(&g, SolveRequest::new(alg)).unwrap().cardinality, opt, "{alg}");
+        assert!(solver.warm_workspace_count() <= 3, "{alg}");
+    }
+    assert_eq!(solver.warm_workspace_count(), 3);
+}
+
+/// [`arb_algorithm`] with P-DBFS on one thread: several racing threads
+/// need not build the same matching twice.
+fn arb_deterministic_algorithm() -> impl Strategy<Value = Algorithm> {
+    arb_algorithm().prop_map(|alg| match alg {
+        Algorithm::Pdbfs(_) => Algorithm::Pdbfs(1),
+        alg => alg,
+    })
+}
+
+/// What a solve on the sequential device reproduces exactly: the matching,
+/// the modelled seconds' bits, and each kernel's device counters and
+/// modelled time (host wall times excluded).
+fn exact_outcome(report: &SolveReport) -> impl PartialEq + std::fmt::Debug {
+    let kernels: Vec<_> = report
+        .device_stats
+        .iter()
+        .flat_map(|stats| &stats.kernels)
+        .map(|(name, k)| {
+            let counts = [
+                k.launches,
+                k.fused_tails,
+                k.resident_rounds,
+                k.total_threads,
+                k.total_work,
+                k.total_atomics,
+                k.hot_word_atomics,
+                k.max_grid,
+            ];
+            (name.clone(), counts, k.modelled_time_ns.to_bits())
+        })
+        .collect();
+    let modelled = report.modelled_device_seconds.map(f64::to_bits);
+    (report.matching.clone(), report.initial_cardinality, modelled, kernels)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_shared_session_solves_like_a_fresh_session_per_solve(
+        graphs in proptest::collection::vec(arb_bipartite_with(30, 30, 150), 1..4),
+        jobs in proptest::collection::vec(
+            (arb_deterministic_algorithm(), 0usize..3, 0usize..3), 1..12),
+    ) {
+        let sequential = || {
+            Solver::builder().device_policy(DevicePolicy::Sequential).build().unwrap()
+        };
+        let mut shared = sequential();
+        for (alg, graph, init) in jobs {
+            let g = &graphs[graph % graphs.len()];
+            let init = [InitHeuristic::Empty, InitHeuristic::Cheap, InitHeuristic::KarpSipser][init];
+            let request = SolveRequest { start: Start::Heuristic(init), ..SolveRequest::new(alg) };
+            let warm = shared.run(g, request.clone()).unwrap();
+            let fresh = sequential().run(g, request).unwrap();
+            prop_assert_eq!(exact_outcome(&warm), exact_outcome(&fresh), "{}", alg);
+        }
+        prop_assert!(shared.warm_workspace_count() <= 3);
+    }
 }
 
 #[test]
@@ -180,6 +279,32 @@ fn zero_thread_pdbfs_is_a_structured_error() {
     }
     // A failed job does not poison the session.
     assert!(solver.run(&g, SolveRequest::new(Algorithm::Pdbfs(1))).is_ok());
+}
+
+#[test]
+fn pdbfs_thread_counts_above_the_bound_are_structured_errors() {
+    use gpm_core::solver::MAX_PDBFS_THREADS;
+    for label in ["P-DBFS@257", "P-DBFS@18446744073709551615"] {
+        let algorithm: Algorithm = label.parse().unwrap();
+        match algorithm.validate().unwrap_err() {
+            SolveError::InvalidConfig { algorithm, reason } => {
+                assert_eq!(algorithm, "P-DBFS");
+                assert!(reason.contains(&MAX_PDBFS_THREADS.to_string()), "{reason}");
+            }
+            other => panic!("{label}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+    // Solved on a graph with 4 free columns: even an unchecked run would
+    // spawn at most 4 threads a phase.
+    let g = BipartiteCsr::empty(4, 4);
+    let mut solver = Solver::builder()
+        .device_policy(DevicePolicy::CpuOnly)
+        .build()
+        .expect("valid solver config");
+    let request = SolveRequest::new(Algorithm::Pdbfs(MAX_PDBFS_THREADS + 1));
+    assert!(matches!(solver.run(&g, request), Err(SolveError::InvalidConfig { .. })));
+    let request = SolveRequest::new(Algorithm::Pdbfs(MAX_PDBFS_THREADS));
+    assert_eq!(solver.run(&g, request).unwrap().cardinality, 0);
 }
 
 #[test]

@@ -267,12 +267,18 @@ fn hostile_dimensions_get_errors_and_the_server_keeps_serving() {
     // A side of 10^14 vertices once aborted the server allocating for it,
     // and one of 9·10^18 panicked its connection thread on a capacity
     // overflow; the patch twins grow a graph to the same sizes, the last
-    // past usize::MAX.
+    // past usize::MAX.  The P-DBFS labels ask a worker for more threads than
+    // `MAX_PDBFS_THREADS`; the graph has no free column, so even an
+    // unchecked solve would spawn none.
     let hostile = [
         r#"{"op":"put_graph","rows":100000000000000,"cols":1,"edges":[]}"#.to_string(),
         r#"{"op":"put_graph","rows":9000000000000000000,"cols":1,"edges":[]}"#.to_string(),
         format!(r#"{{"op":"patch_graph","parent":"{parent}","add_rows":100000000000000}}"#),
         format!(r#"{{"op":"patch_graph","parent":"{parent}","add_rows":18446744073709551615}}"#),
+        format!(r#"{{"op":"solve","algorithm":"P-DBFS@257","fingerprint":"{parent}"}}"#),
+        format!(
+            r#"{{"op":"solve","algorithm":"P-DBFS@18446744073709551615","fingerprint":"{parent}"}}"#
+        ),
     ];
     for line in &hostile {
         let response = ask(line);
