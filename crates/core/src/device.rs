@@ -37,51 +37,47 @@ impl DeviceState {
     /// Uploads the initial matching to the device and initializes labels to
     /// the paper's starting values (`ψ(u) = 0`, `ψ(v) = 1`).
     pub fn upload(graph: &BipartiteCsr, initial: &Matching) -> Self {
-        let m = graph.num_rows();
-        let n = graph.num_cols();
-        assert_eq!(initial.num_rows(), m, "initial matching shape mismatch");
-        assert_eq!(initial.num_cols(), n, "initial matching shape mismatch");
-        Self {
-            psi_row: DeviceBuffer::new(m, 0),
-            psi_col: DeviceBuffer::new(n, 1),
-            mu_row: DeviceBuffer::from_slice(initial.row_mates()),
-            mu_col: DeviceBuffer::from_slice(initial.col_mates()),
-            unreachable: (m + n) as u32,
-        }
+        let mut state = Self {
+            psi_row: DeviceBuffer::new(0, 0),
+            psi_col: DeviceBuffer::new(0, 0),
+            mu_row: DeviceBuffer::new(0, 0),
+            mu_col: DeviceBuffer::new(0, 0),
+            unreachable: 0,
+        };
+        state.reset(graph, initial);
+        state
     }
 
-    /// Re-uploads a matching into an existing state of the same shape,
-    /// reusing all four device buffers (the warm-session equivalent of
-    /// [`DeviceState::upload`]).
+    /// Re-uploads a matching into an existing state, reshaping its four
+    /// device buffers to the graph in their own allocations (the
+    /// warm-session equivalent of [`DeviceState::upload`]): a smaller graph
+    /// truncates them, a larger one grows them to exactly its size.
     ///
     /// # Panics
-    /// Panics if the graph or matching shape differs from this state's.
+    /// Panics if the matching's shape differs from the graph's.
     pub fn reset(&mut self, graph: &BipartiteCsr, initial: &Matching) {
-        assert_eq!(self.num_rows(), graph.num_rows(), "device state shape mismatch");
-        assert_eq!(self.num_cols(), graph.num_cols(), "device state shape mismatch");
-        assert_eq!(initial.num_rows(), graph.num_rows(), "initial matching shape mismatch");
-        assert_eq!(initial.num_cols(), graph.num_cols(), "initial matching shape mismatch");
-        self.psi_row.fill(0);
-        self.psi_col.fill(1);
-        self.mu_row.copy_from_slice(initial.row_mates());
-        self.mu_col.copy_from_slice(initial.col_mates());
+        let (m, n) = (graph.num_rows(), graph.num_cols());
+        assert_eq!(initial.num_rows(), m, "initial matching shape mismatch");
+        assert_eq!(initial.num_cols(), n, "initial matching shape mismatch");
+        self.psi_row.reshape(m, 0);
+        self.psi_col.reshape(n, 1);
+        self.mu_row.reshape_from_slice(initial.row_mates());
+        self.mu_col.reshape_from_slice(initial.col_mates());
+        self.unreachable = (m + n) as u32;
     }
 
     /// Workspace hook: populates `slot` with an uploaded state, reusing the
-    /// previous allocation when the graph shape matches (warm solve) and
-    /// re-allocating otherwise (cold solve or shape change).
+    /// previous state's buffers whatever the graph's shape (see
+    /// [`DeviceState::reset`]), so a warm slot holds as much as its largest
+    /// graph needs.
     pub fn upload_into<'a>(
         slot: &'a mut Option<DeviceState>,
         graph: &BipartiteCsr,
         initial: &Matching,
     ) -> &'a DeviceState {
         match slot {
-            Some(state)
-                if state.num_rows() == graph.num_rows() && state.num_cols() == graph.num_cols() =>
-            {
-                state.reset(graph, initial)
-            }
-            _ => *slot = Some(DeviceState::upload(graph, initial)),
+            Some(state) => state.reset(graph, initial),
+            None => *slot = Some(DeviceState::upload(graph, initial)),
         }
         slot.as_ref().expect("slot populated above")
     }
@@ -198,11 +194,39 @@ mod tests {
         let st = DeviceState::upload_into(&mut slot, &g, &im);
         assert_eq!(st.psi_col.get(0), 1);
         assert_eq!(st.mu_col.to_vec(), im.col_mates());
-        // Different shape: the state is re-allocated.
+        // Different shape: the same buffers are reshaped to it.
         let g2 = gen::uniform_random(5, 5, 12, 3).unwrap();
         let st = DeviceState::upload_into(&mut slot, &g2, &Matching::empty_for(&g2));
         assert_eq!(st.num_rows(), 5);
         assert_eq!(st.num_cols(), 5);
+        assert_eq!(st.mu_row.capacity(), 8);
+    }
+
+    #[test]
+    fn reshaped_states_equal_fresh_uploads() {
+        // Large → small → large: every word of a reshaped state is the
+        // fresh upload's, none left over from an earlier graph.
+        let graphs = [
+            gen::uniform_random(40, 30, 200, 4).unwrap(),
+            gen::uniform_random(12, 25, 60, 5).unwrap(),
+            gen::uniform_random(35, 45, 220, 6).unwrap(),
+        ];
+        let mut slot: Option<DeviceState> = None;
+        for g in graphs.iter().chain(&graphs) {
+            let im = cheap_matching(g);
+            let st = DeviceState::upload_into(&mut slot, g, &im);
+            let fresh = DeviceState::upload(g, &im);
+            assert_eq!(st.psi_row.to_vec(), fresh.psi_row.to_vec());
+            assert_eq!(st.psi_col.to_vec(), fresh.psi_col.to_vec());
+            assert_eq!(st.mu_row.to_vec(), fresh.mu_row.to_vec());
+            assert_eq!(st.mu_col.to_vec(), fresh.mu_col.to_vec());
+            assert_eq!(st.unreachable, fresh.unreachable);
+            // Dirty every word so the next upload must overwrite them.
+            st.psi_row.fill(9);
+            st.psi_col.fill(9);
+            st.mu_row.fill(7);
+            st.mu_col.fill(7);
+        }
     }
 
     #[test]

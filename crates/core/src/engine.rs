@@ -10,9 +10,12 @@
 //! configuration from its [`Algorithm`] (variant, strategy, worklist, exec
 //! mode, `PR@k` factor), and every engine re-initializes its workspace from
 //! the solve's graph and starting matching, so sharing changes no result.
-//! A session's warm memory is therefore bounded by its largest graph, not
-//! by the labels it has run.  PF+, HK, HKDW and P-DBFS keep no state.
-//! Repeated solves on same-shaped graphs skip the setup cost the paper
+//! A workspace reshapes its buffers to each graph in their own allocations,
+//! and the device's scratch arena ([`gpm_gpu::scratch`]) hands out the
+//! frontier and shrink buffers best-fit, so a session's warm memory —
+//! workspaces and device scratch alike — is bounded by its largest graph,
+//! not by the labels or the graph shapes it has run.  PF+, HK, HKDW and
+//! P-DBFS keep no state.  Repeated solves skip the setup cost the paper
 //! excludes from its reported runtimes.
 
 use crate::cancel::SolveCtx;

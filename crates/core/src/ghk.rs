@@ -172,7 +172,10 @@ impl GhkWorkspace {
         Self::default()
     }
 
-    /// `true` when the workspace holds buffers for a graph of this shape.
+    /// `true` when the workspace's buffers are shaped for this graph (its
+    /// last solve had this shape).  A solve of any other shape reuses the
+    /// same buffers too, reshaped, and allocates only to grow past the
+    /// largest graph they have held.
     pub fn is_warm_for(&self, graph: &BipartiteCsr) -> bool {
         self.state
             .as_ref()
@@ -218,8 +221,8 @@ impl GhkConfig {
 }
 
 /// Runs G-HK or G-HKDW on the virtual GPU, starting from `initial`, reusing
-/// `workspace` buffers from previous solves wherever the graph shape
-/// allows (pass a fresh [`GhkWorkspace`] for a cold run).
+/// `workspace` buffers from previous solves whatever the graph's shape
+/// (pass a fresh [`GhkWorkspace`] for a cold run).
 ///
 /// `stop` is polled at every phase and between BFS levels.  G-HK keeps µ
 /// consistent at all times, so a stopped run simply downloads the matching

@@ -224,7 +224,8 @@ pub struct GprResult {
 
 /// Reusable G-PR working memory: the device-resident matching/label state.
 /// A warm [`crate::solver::Solver`] session keeps one workspace per engine
-/// so repeated solves on same-shaped graphs reuse these allocations.  The
+/// family, so repeated solves reuse these allocations, reshaped to each
+/// graph (they grow only when a graph is larger than any before it).  The
 /// active-list arrays, `iA` stamps, and staging that used to live here are
 /// now owned by the per-solve [`Worklist`], which draws every buffer from
 /// the device's scratch arena — warm solves reuse those allocations through
@@ -240,8 +241,10 @@ impl GprWorkspace {
         Self::default()
     }
 
-    /// `true` when the workspace holds buffers for a graph of this shape, so
-    /// the next solve will reuse them instead of allocating.
+    /// `true` when the workspace's buffers are shaped for this graph (its
+    /// last solve had this shape).  A solve of any other shape reuses the
+    /// same buffers too, reshaped, and allocates only to grow past the
+    /// largest graph they have held.
     pub fn is_warm_for(&self, graph: &BipartiteCsr) -> bool {
         self.state
             .as_ref()
@@ -251,7 +254,7 @@ impl GprWorkspace {
 
 /// Runs G-PR on the given virtual GPU, starting from `initial` (normally the
 /// cheap greedy matching, as in the paper), reusing `workspace` buffers from
-/// previous solves wherever the graph shape allows (pass a fresh
+/// previous solves whatever the graph's shape (pass a fresh
 /// [`GprWorkspace`] for a cold run).
 ///
 /// `stop` is polled at every main-loop round (and between global-relabeling
@@ -916,7 +919,7 @@ mod tests {
                 cold(&gpu, &g2, &init2, config).matching.cardinality()
             );
         }
-        // Shape change: the workspace transparently re-allocates.
+        // Shape change: the workspace transparently reshapes its buffers.
         let g3 = gen::uniform_random(30, 45, 200, 3).unwrap();
         assert!(!ws.is_warm_for(&g3));
         let r3 = run(

@@ -16,8 +16,10 @@
 //! * [`solver`] — the session-style front-end: [`solver::Solver`] built via
 //!   `Solver::builder()`, with one way into a solve, [`Solver::run`] of a
 //!   [`SolveRequest`].  The session keeps one warm workspace per engine
-//!   family, shared by every label of the family, so repeated solves skip
-//!   the setup cost and its warm memory is bounded by its largest graph.
+//!   family, shared by every label of the family and reshaped to each
+//!   graph, so repeated solves skip the setup cost; with the device's
+//!   best-fit scratch arena, its warm memory is bounded by its largest
+//!   graph, not by the labels or graph shapes it has run.
 //! * [`resolve`] — warm starts: re-solving a patched graph from its
 //!   parent's matching ([`Start::Warm`]).
 //!

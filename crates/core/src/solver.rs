@@ -4,10 +4,11 @@
 //! reusable session that owns the device policy (which [`VirtualGpu`] GPU
 //! algorithms run on) and one warm workspace per engine family it has run —
 //! G-PR's, G-HK/G-HKDW's and sequential PR's, each shared by every label of
-//! its family — so repeated solves on same-shaped graphs reuse the warm
-//! working buffers, the setup cost the paper excludes from its reported
-//! runtimes, and the session's warm memory is bounded by its largest graph
-//! however many labels it runs.
+//! its family — so repeated solves reuse the warm working buffers, the setup
+//! cost the paper excludes from its reported runtimes.  Workspace buffers
+//! are reshaped to each graph and the device's scratch buffers are reused
+//! best-fit, so the session's warm memory is bounded by its largest graph
+//! however many labels and graph shapes it runs.
 //!
 //! Every solve goes through [`Solver::run`] with a [`SolveRequest`]: the
 //! algorithm, where the solve [`Start`]s (an init heuristic, a given
@@ -173,6 +174,51 @@ impl Algorithm {
         }
     }
 
+    /// The round-trippable label without the numbers in it: the G-PR
+    /// strategy keeps only its kind, `PR` and `P-DBFS` lose their
+    /// parameter, and the worklist and exec suffixes stay
+    /// (`G-PR-Shr@adaptive`, `G-PR-NoShr@fix+blocked@resident`,
+    /// `G-HKDW+queue`, `PR`, `P-DBFS`).  Labels that differ only in a
+    /// number share it, so it takes at most 69 distinct values: a
+    /// bounded key for per-algorithm accounting.
+    pub fn label_without_parameters(&self) -> String {
+        let mut label = String::new();
+        self.write_label(&mut label, false).expect("writing to a String cannot fail");
+        label
+    }
+
+    /// Writes the [`fmt::Display`] label, or with `parameters` false
+    /// [`Algorithm::label_without_parameters`].
+    fn write_label(&self, out: &mut dyn fmt::Write, parameters: bool) -> fmt::Result {
+        let gpu_suffixes = |out: &mut dyn fmt::Write, worklist, default, exec| {
+            if worklist != default {
+                write!(out, "+{worklist}")?;
+            }
+            match exec {
+                ExecMode::Persistent => write!(out, "@{exec}"),
+                ExecMode::LaunchPerRound => Ok(()),
+            }
+        };
+        match *self {
+            Algorithm::GpuPushRelabel(variant, strategy, worklist, exec) => {
+                write!(out, "{}@", variant.label())?;
+                match strategy {
+                    _ if parameters => write!(out, "{strategy}")?,
+                    GrStrategy::Fixed(_) => out.write_str("fix")?,
+                    GrStrategy::Adaptive(_) => out.write_str("adaptive")?,
+                }
+                gpu_suffixes(out, worklist, variant.default_worklist(), exec)
+            }
+            Algorithm::GpuHopcroftKarp(variant, worklist, exec) => {
+                out.write_str(variant.label())?;
+                gpu_suffixes(out, worklist, variant.default_worklist(), exec)
+            }
+            Algorithm::SequentialPushRelabel(k) if parameters => write!(out, "PR@{k}"),
+            Algorithm::Pdbfs(threads) if parameters => write!(out, "P-DBFS@{threads}"),
+            _ => out.write_str(&self.label()),
+        }
+    }
+
     /// `true` for the algorithms that run on the virtual GPU.
     pub fn is_gpu(&self) -> bool {
         matches!(self, Algorithm::GpuPushRelabel(..) | Algorithm::GpuHopcroftKarp(..))
@@ -251,34 +297,7 @@ impl Hash for Algorithm {
 /// execution mode is selected (e.g. `G-PR-Shr@adaptive:0.7+blocked@resident`).
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let exec_suffix = |f: &mut fmt::Formatter<'_>, exec: &ExecMode| {
-            if *exec == ExecMode::Persistent {
-                write!(f, "@{}", exec.label())
-            } else {
-                Ok(())
-            }
-        };
-        match self {
-            Algorithm::GpuPushRelabel(variant, strategy, worklist, exec) => {
-                write!(f, "{}@{strategy}", variant.label())?;
-                if *worklist != variant.default_worklist() {
-                    write!(f, "+{worklist}")?;
-                }
-                exec_suffix(f, exec)
-            }
-            Algorithm::GpuHopcroftKarp(variant, worklist, exec) => {
-                f.write_str(variant.label())?;
-                if *worklist != variant.default_worklist() {
-                    write!(f, "+{worklist}")?;
-                }
-                exec_suffix(f, exec)
-            }
-            Algorithm::SequentialPushRelabel(k) => write!(f, "PR@{k}"),
-            Algorithm::PothenFan => f.write_str("PFP"),
-            Algorithm::HopcroftKarp => f.write_str("HK"),
-            Algorithm::Hkdw => f.write_str("HKDW"),
-            Algorithm::Pdbfs(threads) => write!(f, "P-DBFS@{threads}"),
-        }
+        self.write_label(f, true)
     }
 }
 
@@ -805,6 +824,48 @@ mod tests {
     use gpm_graph::gen;
     use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
     use serde_json::to_string;
+    use std::collections::HashSet;
+
+    #[test]
+    fn labels_without_parameters_drop_only_the_numbers() {
+        let label = |s: &str| s.parse::<Algorithm>().unwrap().label_without_parameters();
+        assert_eq!(label("G-PR-Shr@adaptive:0.7"), "G-PR-Shr@adaptive");
+        assert_eq!(
+            label("G-PR-Shr@adaptive:0.35+blocked@resident"),
+            "G-PR-Shr@adaptive+blocked@resident"
+        );
+        assert_eq!(label("G-PR-NoShr@fix:10+queue"), "G-PR-NoShr@fix+queue");
+        assert_eq!(label("G-HKDW+compacted"), "G-HKDW+compacted");
+        assert_eq!(label("PR@0.25"), "PR");
+        assert_eq!(label("P-DBFS@4"), "P-DBFS");
+        assert_eq!(label("HKDW"), "HKDW");
+        // Every combination of variant, strategy kind, worklist and exec
+        // mode, plus the five CPU families: 69 keys, however many
+        // parameters each takes.
+        let mut keys = HashSet::new();
+        for exec in ExecMode::all() {
+            for worklist in WorklistMode::all() {
+                for variant in [GprVariant::First, GprVariant::ActiveList, GprVariant::Shrink] {
+                    for strategy in [1, 2]
+                        .map(GrStrategy::Fixed)
+                        .into_iter()
+                        .chain([0.5, 0.7].map(GrStrategy::Adaptive))
+                    {
+                        keys.insert(Algorithm::GpuPushRelabel(variant, strategy, worklist, exec));
+                    }
+                }
+                for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
+                    keys.insert(Algorithm::GpuHopcroftKarp(variant, worklist, exec));
+                }
+            }
+        }
+        keys.extend([0.5, 1.0].map(Algorithm::SequentialPushRelabel));
+        keys.extend([1, 8].map(Algorithm::Pdbfs));
+        keys.extend([Algorithm::PothenFan, Algorithm::HopcroftKarp, Algorithm::Hkdw]);
+        let labels: HashSet<String> =
+            keys.iter().map(Algorithm::label_without_parameters).collect();
+        assert_eq!((keys.len(), labels.len()), (119, 69));
+    }
 
     /// One solve on a throwaway session.
     fn solve(graph: &BipartiteCsr, algorithm: Algorithm) -> Result<SolveReport, SolveError> {

@@ -851,3 +851,63 @@ fn a_reused_device_reports_each_solves_own_max_grid() {
         assert_eq!(max_grids(&mut reused, alg), max_grids(&mut sequential(), alg), "{label}");
     }
 }
+
+#[test]
+fn one_session_keeps_one_graphs_worth_of_scratch_across_shapes() {
+    // Forty graphs of distinct shapes in mixed order, large → small → large
+    // included, each under its own label: every GPU variant, worklist mode
+    // and exec mode appears.  The device's scratch arena must keep about
+    // what a fresh session keeps for the largest graph alone, and every
+    // solve on the reshaped buffers must equal a fresh session's.
+    const SHAPES: usize = 40;
+    let graph = |k: usize| {
+        let rows = 200 + 20 * k;
+        gen::uniform_random(rows, 180 + 25 * k, 3 * rows, k as u64).unwrap()
+    };
+    let graphs: Vec<BipartiteCsr> = (0..SHAPES).map(|i| graph(i * 17 % SHAPES)).collect();
+    let largest = graph(SHAPES - 1);
+    let variants = [
+        Algorithm::gpr(GprVariant::First, GrStrategy::paper_default()),
+        Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default()),
+        Algorithm::gpr_default(),
+        Algorithm::ghk(GhkVariant::Hk),
+        Algorithm::ghk(GhkVariant::Hkdw),
+    ];
+    let labels: Vec<Algorithm> = (0..SHAPES)
+        .map(|i| {
+            let worklist = WorklistMode::all()[i % 4];
+            variants[i % 5].with_worklist(worklist).with_exec(ExecMode::all()[i / 20 % 2])
+        })
+        .collect();
+    let exec = ExecutorConfig { parallel_threshold: 1, ..Default::default() };
+    for policy in [DevicePolicy::Sequential, DevicePolicy::Parallel(2)] {
+        let session =
+            || Solver::builder().device_policy(policy).executor_config(exec).build().unwrap();
+        let scratch_words =
+            |solver: &Solver| solver.device().unwrap().scratch().stats().retained_words;
+        let mut fresh = session();
+        let mut one_graph = 0;
+        for &alg in &labels {
+            fresh.run(&largest, SolveRequest::new(alg)).unwrap();
+            one_graph = one_graph.max(scratch_words(&fresh));
+        }
+        let mut mixed = session();
+        let mut peak = 0;
+        for (g, &alg) in graphs.iter().zip(&labels) {
+            let report = mixed.run(g, SolveRequest::new(alg)).unwrap();
+            peak = peak.max(scratch_words(&mixed));
+            if policy == DevicePolicy::Sequential {
+                let alone = session().run(g, SolveRequest::new(alg)).unwrap();
+                assert_eq!(exact_outcome(&report), exact_outcome(&alone), "{alg}");
+            } else {
+                assert_eq!(report.cardinality, maximum_matching_cardinality(g), "{alg}");
+            }
+        }
+        let ratio = peak as f64 / one_graph as f64;
+        assert!(
+            ratio <= 1.25,
+            "{policy:?}: {peak} scratch words over {SHAPES} shapes, {one_graph} for the largest \
+             alone ({ratio:.2}×)"
+        );
+    }
+}

@@ -36,10 +36,13 @@ pub struct EpochMarks {
 }
 
 impl EpochMarks {
-    /// Starts an empty set over at least `len` items.
+    /// Starts an empty set over at least `len` items.  The stamps grow to
+    /// exactly the largest `len` asked for, so marks kept across solves
+    /// hold what the largest graph needs, not a doubling past it.
     #[inline]
     pub fn begin(&mut self, len: usize) {
         if self.stamps.len() < len {
+            self.stamps.reserve_exact(len - self.stamps.len());
             self.stamps.resize(len, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);

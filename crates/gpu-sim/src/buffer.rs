@@ -149,17 +149,45 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         }
     }
 
+    /// Words the buffer's allocation holds, which may exceed its length
+    /// after [`DeviceBuffer::reshape`] shortened it.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.cells.capacity()
+    }
+
+    /// Makes the buffer `len` words long, each set to `init`, in its own
+    /// allocation: a shorter length truncates it and keeps the capacity, a
+    /// longer one grows the capacity to exactly `len` words.
+    pub fn reshape(&mut self, len: usize, init: T) {
+        self.cells.truncate(len);
+        self.fill(init);
+        let grow = len - self.cells.len();
+        self.cells.reserve_exact(grow);
+        self.cells.extend(std::iter::repeat_with(|| T::new_cell(init)).take(grow));
+    }
+
+    /// Makes the buffer a copy of `host` (host → device transfer) in its own
+    /// allocation, truncating or growing it as [`DeviceBuffer::reshape`]
+    /// does.
+    pub fn reshape_from_slice(&mut self, host: &[T]) {
+        self.cells.truncate(host.len());
+        let (kept, grow) = host.split_at(self.cells.len());
+        self.copy_from_slice(kept);
+        self.cells.reserve_exact(grow.len());
+        self.cells.extend(grow.iter().map(|&v| T::new_cell(v)));
+    }
+
     /// Workspace hook: returns a buffer of exactly `len` words, all set to
-    /// `init`, reusing the allocation in `slot` when its length already
-    /// matches.  Warm solver sessions keep their device buffers in `Option`
-    /// slots and recycle them across solves on same-shaped graphs instead of
-    /// re-allocating ("copying to the device") every call.
+    /// `init`, reshaping the buffer already in `slot` when there is one.
+    /// Warm solver sessions keep their device buffers in `Option` slots and
+    /// recycle them across solves of any shape instead of re-allocating
+    /// ("copying to the device") every call, so a slot's allocation is as
+    /// large as the largest length it has been asked for.
     pub fn recycle(slot: &mut Option<Self>, len: usize, init: T) -> &Self {
-        match slot {
-            Some(buf) if buf.len() == len => buf.fill(init),
-            _ => *slot = Some(Self::new(len, init)),
-        }
-        slot.as_ref().expect("slot populated above")
+        let buf = slot.get_or_insert_with(|| Self::new(0, init));
+        buf.reshape(len, init);
+        buf
     }
 }
 
@@ -307,9 +335,53 @@ mod tests {
         let b = DeviceBuffer::recycle(&mut slot, 4, 5);
         assert_eq!(b.to_vec(), vec![5; 4]);
         assert_eq!(slot.as_ref().unwrap() as *const _, ptr_before);
-        // Different length: a fresh buffer replaces the old one.
+        // Different length: the buffer in the slot is reshaped.
         let b = DeviceBuffer::recycle(&mut slot, 2, 0);
         assert_eq!(b.to_vec(), vec![0; 2]);
+    }
+
+    /// The address of word 0: where the buffer's allocation lives.
+    fn words_at(b: &DeviceBuffer<i64>) -> *const AtomicI64 {
+        b.cells.as_ptr()
+    }
+
+    #[test]
+    fn recycle_reshapes_on_shrink_grow_and_equal_length() {
+        let mut slot: Option<DeviceBuffer<i64>> = None;
+        DeviceBuffer::recycle(&mut slot, 8, 3).set(7, 99);
+        let words = words_at(slot.as_ref().unwrap());
+        // Shrink: the allocation stays, every kept word is re-initialized.
+        let b = DeviceBuffer::recycle(&mut slot, 5, -1);
+        assert_eq!(b.to_vec(), vec![-1; 5]);
+        assert_eq!((b.capacity(), words_at(b)), (8, words));
+        // Grow within the capacity: no allocation, and the word that was
+        // cut off comes back as `init`, not as its stale value.
+        let b = DeviceBuffer::recycle(&mut slot, 8, 0);
+        assert_eq!(b.to_vec(), vec![0; 8]);
+        assert_eq!((b.capacity(), words_at(b)), (8, words));
+        // Equal length: re-initialized in place.
+        let b = DeviceBuffer::recycle(&mut slot, 8, 4);
+        assert_eq!(b.to_vec(), vec![4; 8]);
+        assert_eq!(words_at(b), words);
+        // Grow past the capacity: exactly the new length, not a doubling.
+        let b = DeviceBuffer::recycle(&mut slot, 13, 6);
+        assert_eq!(b.to_vec(), vec![6; 13]);
+        assert_eq!(b.capacity(), 13);
+    }
+
+    #[test]
+    fn reshape_from_slice_copies_in_place_or_grows_exactly() {
+        let mut b = DeviceBuffer::from_slice(&[1i64, 2, 3, 4, 5, 6]);
+        let words = words_at(&b);
+        b.reshape_from_slice(&[7, 8]);
+        assert_eq!(b.to_vec(), vec![7, 8]);
+        assert_eq!((b.capacity(), words_at(&b)), (6, words));
+        b.reshape_from_slice(&[9, 10, 11, 12, 13, 14]);
+        assert_eq!(b.to_vec(), vec![9, 10, 11, 12, 13, 14]);
+        assert_eq!(words_at(&b), words);
+        b.reshape_from_slice(&[0; 9]);
+        assert_eq!(b.to_vec(), vec![0; 9]);
+        assert_eq!(b.capacity(), 9);
     }
 
     #[test]

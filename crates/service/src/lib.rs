@@ -7,8 +7,8 @@
 //!
 //! * Shard-per-device execution — the service runs M independent
 //!   **device shards** ([`ServiceBuilder::shards`], default 1).  Each shard
-//!   owns its own worker pool (each worker a warm `Solver`: device +
-//!   per-algorithm workspaces, kernel pool threads tagged with the shard
+//!   owns its own worker pool (each worker a warm `Solver`: device + one
+//!   workspace per engine family, kernel pool threads tagged with the shard
 //!   id), its own bounded priority queue (highest [`JobSpec::priority`]
 //!   first, FIFO within a priority), its own private
 //!   [`cache::GraphCache`], and its own lock-free statistics.  There is no

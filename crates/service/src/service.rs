@@ -420,7 +420,7 @@ mod tests {
     use crate::error::ServiceError;
     use crate::job::{GraphSource, JobOutcome};
     use crate::shard::panic_message;
-    use gpm_core::{Algorithm, InitHeuristic, SolveError};
+    use gpm_core::{Algorithm, GprVariant, GrStrategy, InitHeuristic, SolveError};
     use gpm_graph::gen;
     use gpm_graph::verify::maximum_matching_cardinality;
     use std::time::{Duration, Instant};
@@ -442,6 +442,27 @@ mod tests {
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.per_algorithm["HK"].completed, 1);
+    }
+
+    #[test]
+    fn per_algorithm_stats_are_keyed_by_labels_without_parameters() {
+        // A thousand adaptive factors are a thousand labels but one stats
+        // entry, so clients cycling parameters cannot grow the server's
+        // stats or its `stats` responses.
+        let service = Service::builder().workers(1).device_policy(DevicePolicy::Sequential).build();
+        let fingerprint = service.put_graph(gen::planted_perfect(8, 8, 4).unwrap());
+        for i in 1..=1000 {
+            let strategy = GrStrategy::Adaptive(f64::from(i) / 100.0);
+            let algorithm = Algorithm::gpr(GprVariant::Shrink, strategy);
+            service
+                .submit(JobSpec::new(GraphSource::Cached(fingerprint), algorithm))
+                .wait()
+                .unwrap();
+        }
+        let stats = service.stats();
+        let keys: Vec<&String> = stats.per_algorithm.keys().collect();
+        assert_eq!(keys, ["G-PR-Shr@adaptive"]);
+        assert_eq!(stats.per_algorithm["G-PR-Shr@adaptive"].completed, 1000);
     }
 
     #[test]

@@ -466,11 +466,12 @@ fn record(
 ) {
     let c = &shard.counters;
     c.queue_wait.record(queue_seconds);
+    let key = spec.algorithm.label_without_parameters();
     match result {
         Ok(outcome) => {
             c.completed.fetch_add(1, AtomicOrdering::Relaxed);
             let mut per_algorithm = shard.per_algorithm.lock();
-            let per_alg = per_algorithm.entry(spec.algorithm.to_string()).or_default();
+            let per_alg = per_algorithm.entry(key).or_default();
             per_alg.completed += 1;
             per_alg.solve.record(outcome.report.wall_seconds);
         }
@@ -485,7 +486,7 @@ fn record(
                 }
                 _ => {}
             }
-            shard.per_algorithm.lock().entry(spec.algorithm.to_string()).or_default().failed += 1;
+            shard.per_algorithm.lock().entry(key).or_default().failed += 1;
         }
     }
 }

@@ -143,7 +143,10 @@ pub struct ServiceStats {
     pub queue_wait: LatencyAgg,
     /// Graph-cache counters.
     pub cache: CacheStats,
-    /// Accounting keyed by the algorithm's round-trippable label.
+    /// Accounting keyed by the algorithm's label without its numeric
+    /// parameters ([`gpm_core::Algorithm::label_without_parameters`]:
+    /// `G-PR-Shr@adaptive`, `G-HKDW+blocked`, `PR`, `P-DBFS`), so clients
+    /// cycling parameters cannot grow it past 69 keys.
     pub per_algorithm: BTreeMap<String, AlgorithmStats>,
 }
 

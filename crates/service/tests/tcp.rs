@@ -81,7 +81,7 @@ fn full_protocol_round_trip_over_localhost() {
     assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(2));
     let per_alg = stats.get("per_algorithm").unwrap();
     assert!(per_alg.get("HK").is_some());
-    assert!(per_alg.get("G-PR-Shr@adaptive:0.7").is_some());
+    assert!(per_alg.get("G-PR-Shr@adaptive").is_some());
 
     // Scheduling fields ride along and the response correlates by job_id;
     // cancelling an already-finished job is a counted no-op.
