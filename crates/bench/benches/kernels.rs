@@ -1,9 +1,9 @@
 //! Criterion microbenches of the virtual-GPU building blocks: kernel launch
 //! overhead, device prefix sum, the global-relabeling BFS kernels, two
-//! whole G-HKDW solves (on kron its Duff–Wiberg path kernel dominates the
-//! host time, on hugetrace its dense BFS levels do), and a whole dense-list
-//! G-PR solve on a pooled device, whose slot rounds sweep a long list of
-//! mostly empty slots.
+//! whole G-HKDW solves (on kron its level-restricted DFS kernel takes about
+//! half the host time, on hugetrace its dense BFS levels dominate), and a
+//! whole dense-list G-PR solve on a pooled device, whose slot rounds sweep a
+//! long list of mostly empty slots.
 //!
 //! Run with `cargo bench -p gpm-bench --bench kernels`.
 

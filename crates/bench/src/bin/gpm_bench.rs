@@ -13,7 +13,9 @@
 //!
 //! The dump's GPU cells carry modelled device seconds (deterministic, so
 //! `pinned: true`); `--diff` fails (exit 1) when any pinned cell present
-//! in both dumps is slower by more than the allowed fraction.  A pinned
+//! in both dumps is slower by more than the allowed fraction.  It prints a
+//! summary line, then a `REGRESSION` line per slower cell and a `FASTER`
+//! line per faster one.  A pinned
 //! cell of the old dump *missing* from the new one is a warning by
 //! default (renamed sweeps shouldn't brick a local run) and a failure
 //! under `--require-pinned`, which is what CI passes.
@@ -159,28 +161,7 @@ fn main() {
         eprintln!("cannot diff {old_path} vs {new_path}: {e}");
         std::process::exit(2);
     });
-    println!(
-        "{} pinned cells compared ({} faster, allowed regression {:.0}%)",
-        report.compared,
-        report.improvements.len(),
-        cli.max_regression * 100.0
-    );
-    for (key, old, new) in &report.regressions {
-        println!("REGRESSION {key}: {old:.6}s -> {new:.6}s ({:+.1}%)", (new / old - 1.0) * 100.0);
-    }
-    for key in &report.missing {
-        if report.require_pinned {
-            println!("MISSING {key}: pinned cell disappeared from {new_path}");
-        } else {
-            println!(
-                "warning: pinned cell {key} disappeared from {new_path} \
-                 (failing only under --require-pinned)"
-            );
-        }
-    }
-    for key in &report.new_cells {
-        println!("new (unpinned against {old_path}): {key}");
-    }
+    print!("{}", report.render(&old_path, &new_path));
     if !report.passed() {
         eprintln!(
             "{}: {} regression(s), {} missing pinned cell(s)",

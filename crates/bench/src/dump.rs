@@ -557,6 +557,8 @@ pub struct DiffReport {
     /// `true` when missing pinned cells fail the gate (CI's
     /// `--require-pinned`); `false` degrades them to warnings.
     pub require_pinned: bool,
+    /// The allowed slowdown of a pinned cell, as a fraction.
+    pub max_regression: f64,
     /// `(cell key, old seconds, new seconds)` for cells that got faster.
     pub improvements: Vec<(String, f64, f64)>,
     /// Cells that exist only in the newer dump.  Informational — a new cell
@@ -572,6 +574,40 @@ impl DiffReport {
     /// new one.
     pub fn passed(&self) -> bool {
         self.regressions.is_empty() && (!self.require_pinned || self.missing.is_empty())
+    }
+
+    /// The gate's report on diffing `old_path` against `new_path`: a
+    /// summary line, then one line per slower, faster, missing and new
+    /// cell.
+    pub fn render(&self, old_path: &str, new_path: &str) -> String {
+        let mut out = format!(
+            "{} pinned cells compared ({} faster, allowed regression {:.0}%)\n",
+            self.compared,
+            self.improvements.len(),
+            self.max_regression * 100.0
+        );
+        let change = |old: f64, new: f64| {
+            format!("{old:.6}s -> {new:.6}s ({:+.1}%)", (new / old - 1.0) * 100.0)
+        };
+        for (key, old, new) in &self.regressions {
+            out.push_str(&format!("REGRESSION {key}: {}\n", change(*old, *new)));
+        }
+        for (key, old, new) in &self.improvements {
+            out.push_str(&format!("FASTER {key}: {}\n", change(*old, *new)));
+        }
+        for key in &self.missing {
+            out.push_str(&match self.require_pinned {
+                true => format!("MISSING {key}: pinned cell disappeared from {new_path}\n"),
+                false => format!(
+                    "warning: pinned cell {key} disappeared from {new_path} \
+                     (failing only under --require-pinned)\n"
+                ),
+            });
+        }
+        for key in &self.new_cells {
+            out.push_str(&format!("new (unpinned against {old_path}): {key}\n"));
+        }
+        out
     }
 }
 
@@ -615,7 +651,7 @@ pub fn diff(
     let old_cells = pinned_cells(old)?;
     let new_cells: std::collections::BTreeMap<String, f64> =
         pinned_cells(new)?.into_iter().collect();
-    let mut report = DiffReport { require_pinned, ..DiffReport::default() };
+    let mut report = DiffReport { require_pinned, max_regression, ..DiffReport::default() };
     let old_keys: std::collections::BTreeSet<String> =
         old_cells.iter().map(|(key, _)| key.clone()).collect();
     report.new_cells = new_cells.keys().filter(|key| !old_keys.contains(*key)).cloned().collect();
@@ -690,6 +726,36 @@ mod tests {
         // Unpinned cells are never part of the gate.
         assert!(ok.missing.is_empty());
         assert!(ok.new_cells.is_empty());
+    }
+
+    #[test]
+    fn rendered_diff_names_every_slower_faster_missing_and_new_cell() {
+        let old = dump_with(&[("a", 1.0, true), ("b", 2.0, true), ("c", 0.5, true)]);
+        let new = dump_with(&[("a", 1.5, true), ("b", 1.5, true), ("d", 1.0, true)]);
+        let lines: Vec<String> = diff(&old, &new, 0.15, true)
+            .unwrap()
+            .render("old.json", "new.json")
+            .lines()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "2 pinned cells compared (1 faster, allowed regression 15%)",
+                "REGRESSION a / G-PR-Shr + dense: 1.000000s -> 1.500000s (+50.0%)",
+                "FASTER b / G-PR-Shr + dense: 2.000000s -> 1.500000s (-25.0%)",
+                "MISSING c / G-PR-Shr + dense: pinned cell disappeared from new.json",
+                "new (unpinned against old.json): d / G-PR-Shr + dense",
+            ]
+        );
+        let lenient = diff(&old, &new, 0.15, false).unwrap().render("old.json", "new.json");
+        assert!(lenient.contains(
+            "warning: pinned cell c / G-PR-Shr + dense disappeared from new.json \
+             (failing only under --require-pinned)\n"
+        ));
+        // A diff of a dump against itself reads "(0 faster," and nothing more.
+        let same = diff(&old, &old, 0.0, true).unwrap().render("old.json", "old.json");
+        assert_eq!(same, "3 pinned cells compared (0 faster, allowed regression 0%)\n");
     }
 
     #[test]

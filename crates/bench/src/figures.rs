@@ -111,7 +111,7 @@ impl Figure1Result {
             })
             .collect();
         let mut out = String::from(
-            "Figure 1 — geometric-mean runtime (seconds) of the G-PR variants under\n\
+            "Figure 1 — geometric-mean runtime (modelled seconds) of the G-PR variants under\n\
              different global-relabeling strategies\n\n",
         );
         out.push_str(&report::render_table(&headers, &rows));
@@ -182,7 +182,8 @@ pub fn figure2(measurements: &[Measurement]) -> (String, BTreeMap<String, Vec<Pr
     let mut curves = BTreeMap::new();
     let mut out = String::from(
         "Figure 2 — speedup profiles w.r.t. sequential PR\n\
-         (a point (x, y): with probability y the algorithm is at least x times faster than PR)\n\n",
+         (a point (x, y): with probability y the algorithm is at least x times faster than PR;\n\
+         a speedup is PR's host wall seconds over the algorithm's own clock)\n\n",
     );
     if pr.is_empty() {
         out.push_str("no PR baseline measured; rerun with PR in --algorithms\n");
@@ -201,16 +202,18 @@ pub fn figure2(measurements: &[Measurement]) -> (String, BTreeMap<String, Vec<Pr
     for alg in &labels {
         let secs = report::seconds_of(measurements, alg);
         out.push_str(&format!(
-            "P(speedup >= 5) for {:>8}: {:.2}   (paper: G-PR 0.39, G-HKDW 0.21, P-DBFS 0.14)\n",
+            "P(speedup >= 5) for {:>8}: {:.2} {}   (paper: G-PR 0.39, G-HKDW 0.21, P-DBFS 0.14)\n",
             alg,
-            profiles::fraction_at_least(&pr, &secs, 5.0)
+            profiles::fraction_at_least(&pr, &secs, 5.0),
+            report::ratio_clocks(measurements, "PR", alg)
         ));
     }
     let gpr = report::seconds_of(measurements, "G-PR-Shr");
     if !gpr.is_empty() {
         out.push_str(&format!(
-            "fraction of graphs where G-PR beats PR: {:.2}   (paper: 0.82)\n",
-            profiles::fraction_at_least(&pr, &gpr, 1.0)
+            "fraction of graphs where G-PR beats PR: {:.2} {}   (paper: 0.82)\n",
+            profiles::fraction_at_least(&pr, &gpr, 1.0),
+            report::ratio_clocks(measurements, "PR", "G-PR-Shr")
         ));
     }
     (out, curves)
@@ -229,6 +232,11 @@ pub fn figure3(measurements: &[Measurement]) -> (String, BTreeMap<String, Vec<Pr
             all.insert(alg, secs);
         }
     }
+    // Each algorithm's seconds over the best of all of them, on any clock.
+    let mut clocks: Vec<&str> = all.keys().map(|alg| report::clock_of(measurements, alg)).collect();
+    clocks.sort_unstable();
+    clocks.dedup();
+    let best_clocks = clocks.join(" and ");
     let curves = profiles::performance_profiles(&all, &profiles::figure3_thresholds());
     let mut out = String::from(
         "Figure 3 — performance profiles of the parallel algorithms\n\
@@ -242,14 +250,19 @@ pub fn figure3(measurements: &[Measurement]) -> (String, BTreeMap<String, Vec<Pr
     for (alg, curve) in &curves {
         if let Some(p) = curve.iter().find(|p| (p.x - 1.5).abs() < 1e-9) {
             out.push_str(&format!(
-                "P(within 1.5x of best) for {:>8}: {:.2}   (paper: G-PR 0.75, G-HKDW 0.46, P-DBFS 0.14)\n",
-                alg, p.y
+                "P(within 1.5x of best) for {:>8}: {:.2} [{} / best of {best_clocks}]   \
+                 (paper: G-PR 0.75, G-HKDW 0.46, P-DBFS 0.14)\n",
+                alg,
+                p.y,
+                report::clock_of(measurements, alg)
             ));
         }
     }
     if let Some(best_fraction) = fraction_best(&all, "G-PR-Shr") {
         out.push_str(&format!(
-            "fraction of graphs where G-PR is the fastest: {best_fraction:.2}   (paper: 0.61)\n"
+            "fraction of graphs where G-PR is the fastest: {best_fraction:.2} \
+             [{} / best of {best_clocks}]   (paper: 0.61)\n",
+            report::clock_of(measurements, "G-PR-Shr")
         ));
     }
     (out, curves)
@@ -307,9 +320,10 @@ pub fn figure4(measurements: &[Measurement]) -> (String, BTreeMap<u32, f64>) {
     if !speedups.is_empty() {
         let values: Vec<f64> = speedups.values().copied().collect();
         let above_one = values.iter().filter(|&&s| s >= 1.0).count();
+        let clocks = report::ratio_clocks(measurements, "PR", "G-PR-Shr");
         out.push_str(&format!(
-            "\nspeedup > 1 on {}/{} graphs (paper: 23/28); min {:.2}, max {:.2}, geomean {:.2} \
-             (paper: min 0.31, max 12.60, avg 3.05)\n",
+            "\nspeedup {clocks} > 1 on {}/{} graphs (paper: 23/28); min {:.2}, max {:.2}, \
+             geomean {:.2} (paper: min 0.31, max 12.60, avg 3.05)\n",
             above_one,
             values.len(),
             values.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -326,7 +340,15 @@ pub fn table1(measurements: &[Measurement], opts: &Options) -> String {
     // One runtime column per measured algorithm, in measurement order —
     // the paper's four by default, or whatever --algorithms selected.
     let algorithms = report::algorithm_labels(measurements);
-    let mut out = String::from("Table I — per-instance runtimes (comparable seconds)\n\n");
+    let mut out = String::from("Table I — per-instance runtimes (seconds)\n");
+    let clocks: Vec<String> = algorithms
+        .iter()
+        .map(|alg| format!("{alg} {}", report::clock_of(measurements, alg)))
+        .collect();
+    out.push_str(&format!(
+        "clocks: {} (modelled: the C2050 cost model; host wall: this host)\n\n",
+        clocks.join(", ")
+    ));
     let mut rows: Vec<Vec<String>> = Vec::new();
     for spec in &opts.suite {
         let per_alg: BTreeMap<&str, f64> = algorithms
@@ -364,19 +386,26 @@ pub fn table1(measurements: &[Measurement], opts: &Options) -> String {
     headers.extend(algorithms.iter().map(|a| a.as_str()));
     out.push_str(&report::render_table(&headers, &rows));
     // Headline ratios quoted in the paper: G-PR is 1.30x faster than G-HKDW
-    // and 2.82x faster than P-DBFS in geometric mean.
+    // and 2.82x faster than P-DBFS in geometric mean.  Only a ratio of one
+    // clock to itself can be read against the paper's.
     if let (Some(gpr), Some(ghkdw), Some(pdbfs), Some(pr)) = (
         geomeans.get("G-PR-Shr"),
         geomeans.get("G-HKDW"),
         geomeans.get("P-DBFS"),
         geomeans.get("PR"),
     ) {
+        let clocks = |alg: &str| report::ratio_clocks(measurements, alg, "G-PR-Shr");
         out.push_str(&format!(
-            "\ngeomean ratios: G-HKDW/G-PR = {:.2} (paper 1.30), P-DBFS/G-PR = {:.2} (paper 2.82), PR/G-PR = {:.2} (paper 3.07)\n",
+            "\ngeomean ratios: G-HKDW/G-PR = {:.2} {} (paper 1.30), \
+             P-DBFS/G-PR = {:.2} {} (paper 2.82), PR/G-PR = {:.2} {} (paper 3.07)\n",
             ghkdw / gpr,
+            clocks("G-HKDW"),
             pdbfs / gpr,
-            pr / gpr
+            clocks("P-DBFS"),
+            pr / gpr,
+            clocks("PR"),
         ));
+        out.push_str("(a ratio compares with the paper's only when both sides read one clock)\n");
     }
     out
 }
@@ -406,15 +435,46 @@ mod tests {
         }
         let t = table1(&ms, &opts);
         assert!(t.contains("GEOMEAN"));
+        // Every line quoting a paper number names the clock of each side.
+        assert!(
+            t.contains(
+                "clocks: G-PR-Shr modelled, G-HKDW modelled, P-DBFS host wall, PR host wall"
+            ),
+            "{t}"
+        );
+        for ratio in ["G-HKDW/G-PR", "P-DBFS/G-PR", "PR/G-PR"] {
+            assert!(t.contains(&format!("{ratio} = ")), "{t}");
+        }
+        let ratios = t.lines().find(|l| l.starts_with("geomean ratios")).expect("ratio line");
+        let clocks: Vec<&str> =
+            ratios.split('[').skip(1).map(|part| &part[..part.find(']').unwrap()]).collect();
+        assert_eq!(clocks, ["modelled / modelled", "host wall / modelled", "host wall / modelled"]);
         let (f2, curves2) = figure2(&ms);
         assert!(f2.contains("G-PR-Shr"));
         assert_eq!(curves2.len(), 3);
+        let paper_lines = |text: &str| -> Vec<String> {
+            text.lines().filter(|l| l.contains("paper")).map(str::to_string).collect()
+        };
+        assert_eq!(paper_lines(&f2).len(), 4);
+        for line in paper_lines(&f2) {
+            let clocks = match line.contains("P-DBFS:") {
+                true => "[host wall / host wall]",
+                false => "[host wall / modelled]",
+            };
+            assert!(line.contains(clocks), "{line}");
+        }
         let (f3, curves3) = figure3(&ms);
         assert!(f3.contains("performance profiles"));
         assert_eq!(curves3.len(), 3);
+        assert_eq!(paper_lines(&f3).len(), 4);
+        for line in paper_lines(&f3) {
+            assert!(line.contains(" / best of host wall and modelled]"), "{line}");
+        }
         let (f4, speedups) = figure4(&ms);
         assert!(f4.contains("speedup"));
         assert_eq!(speedups.len(), opts.suite.len());
+        let [summary] = &paper_lines(&f4)[..] else { panic!("{f4}") };
+        assert!(summary.contains("speedup [host wall / modelled] > 1 on"), "{summary}");
     }
 
     #[test]

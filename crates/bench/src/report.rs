@@ -32,6 +32,17 @@ pub fn algorithm_labels(measurements: &[Measurement]) -> Vec<String> {
     labels
 }
 
+/// The clock of `algorithm`'s seconds (see [`Measurement::clock`]).
+pub fn clock_of(measurements: &[Measurement], algorithm: &str) -> &'static str {
+    measurements.iter().find(|m| m.algorithm == algorithm).map_or("unmeasured", Measurement::clock)
+}
+
+/// The clocks of a ratio `numerator / denominator` of two algorithms'
+/// seconds, as `[host wall / modelled]`.
+pub fn ratio_clocks(measurements: &[Measurement], numerator: &str, denominator: &str) -> String {
+    format!("[{} / {}]", clock_of(measurements, numerator), clock_of(measurements, denominator))
+}
+
 /// Seconds per instance id for one algorithm.
 pub fn seconds_of(measurements: &[Measurement], algorithm: &str) -> BTreeMap<u32, f64> {
     measurements

@@ -69,6 +69,17 @@ pub struct Measurement {
     pub initial_cardinality: usize,
 }
 
+impl Measurement {
+    /// The clock [`Measurement::seconds`] is read from: `"modelled"` (the
+    /// C2050 cost model) for GPU algorithms, `"host wall"` for CPU ones.
+    pub fn clock(&self) -> &'static str {
+        match self.algorithm_spec.parse::<Algorithm>().is_ok_and(|a| a.is_gpu()) {
+            true => "modelled",
+            false => "host wall",
+        }
+    }
+}
+
 /// Solves `instance` with `algorithm` on the given warm [`Solver`] session,
 /// verifies the result against the reference maximum, and returns the
 /// measurement.  Reusing one session across a suite makes the per-call setup

@@ -24,11 +24,40 @@
 //! * G-HKDW adds an extra sweep (`G-HKDW-DW-KRNL`) that builds unrestricted
 //!   augmenting paths from the remaining unmatched *rows* before the next
 //!   BFS, mirroring HKDW's extra DFS set.  Its paths go through the same
-//!   commit, uncharged, as in the original codes.
+//!   commit, uncharged, as in the original codes.  It runs only while it
+//!   pays (see below).
 //!
 //! The deviation (host-side commit) is documented in DESIGN.md; the paper's
 //! own G-HK/G-HKDW resolve conflicts with re-traversals whose cost is of the
 //! same order.
+//!
+//! # When G-HKDW sweeps
+//!
+//! G-HKDW follows an HK phase with a Duff–Wiberg sweep only while the
+//! previous sweep of the same solve committed at least one path: the first
+//! sweep that commits none ends the sweeps for the rest of the solve.  The
+//! HK phases alone end at a maximum matching, so the rule changes only how
+//! many sweeps a solve pays for.  It holds for every worklist, execution
+//! mode and backend; the committed count is deterministic on pooled devices
+//! too (the commit applies paths in thread order), so every backend makes
+//! the same choice.
+//!
+//! The sweep gives each free row its own depth-first search, which gives up
+//! at 64 frames, and on skewed graphs the threads that give up carry nearly
+//! all of its work.  With a sweep after every phase, on the Small stand-ins
+//! of the mini suite on a sequential device:
+//!
+//! * kron_g500-logn20's sweeps committed no path in any of its 24 phases
+//!   (the CPU reference HKDW's sweep finds 94) yet cost 13.5 of the solve's
+//!   65.3 modelled ms and about two thirds of its host time;
+//! * amazon0505's 18 sweeps committed 7 paths, all in the first two;
+//! * on 7 of the 8 families, every sweep after the first empty one was
+//!   empty too.
+//!
+//! The early sweeps that do pay are kept: hugetrace-00000's first four
+//! sweeps commit 192 paths and its last twelve none.  Under the rule the
+//! suite's sweeps fall from 107 to 22.  The CPU reference HKDW
+//! (`gpm_cpu::hkdw`) still sweeps after every phase.
 //!
 //! # Per-thread scratch
 //!
@@ -257,6 +286,10 @@ pub fn run(
     // the layer array itself stays algorithm state, feeding the DFS.
     let mut frontier = Worklist::new(gpu, mode, n, GHK_WORKLIST_KERNELS);
 
+    // G-HKDW sweeps until its first sweep that commits no path (see
+    // `dw_sweep`); G-HK never does.
+    let mut sweeping = variant == GhkVariant::Hkdw;
+
     let resident = resident_scope(exec, "G-HK-RESIDENT", n.max(m));
     stats.stopped = drive_rounds(gpu, resident, stop, || {
         // ---- BFS phase (level-synchronous kernels over columns) ----
@@ -309,6 +342,8 @@ pub fn run(
 
         // ---- Commit pass ----
         let (applied, conflicts, committed_work) = commit.apply(state, found);
+        #[cfg(test)]
+        tests::record_commit("G-HK-DFS-KRNL", found, applied);
         gpu.launch("G-HK-COMMIT", applied.max(1), |ctx| {
             // The commit's cost is proportional to the total committed path
             // length; charge it to the thread representing each applied path.
@@ -319,10 +354,11 @@ pub fn run(
         stats.augmentations += applied as u64;
         stats.conflicts += conflicts as u64;
 
-        // ---- Optional Duff–Wiberg extra sweep from unmatched rows ----
+        // ---- Duff–Wiberg extra sweep from unmatched rows, while it pays ----
         let mut progress = applied as u64;
-        if variant == GhkVariant::Hkdw {
+        if sweeping {
             let extra = dw_sweep(gpu, graph, state, roots, found, commit);
+            sweeping = extra > 0;
             stats.augmentations += extra;
             progress += extra;
         }
@@ -486,8 +522,6 @@ impl Commit {
         cols.begin(state.num_cols());
         let FoundPaths { paths, pairs } = found.get_mut().unwrap_or_else(PoisonError::into_inner);
         paths.sort_unstable_by_key(|&(thread, _)| thread);
-        #[cfg(test)]
-        tests::record_commit(paths, pairs);
         let mut applied = 0usize;
         let mut conflicts = 0usize;
         let mut committed_pairs = 0u64;
@@ -514,6 +548,9 @@ impl Commit {
 /// unrestricted alternating path toward a free column; paths are committed
 /// like the HK phase's, but uncharged and with conflicts uncounted.
 /// Returns the number of augmentations.
+///
+/// [`run`] calls it after every HK phase until a sweep returns 0, and never
+/// again in that solve (see "When G-HKDW sweeps" in the module docs).
 fn dw_sweep(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
@@ -569,7 +606,10 @@ fn dw_sweep(
         });
     });
 
-    commit.apply(state, found).0 as u64
+    let applied = commit.apply(state, found).0;
+    #[cfg(test)]
+    tests::record_commit("G-HKDW-DW-KRNL", found, applied);
+    applied as u64
 }
 
 /// Host-side single augmentation fallback used only if every tentative path
@@ -626,26 +666,53 @@ mod tests {
     use gpm_graph::heuristics::cheap_matching;
     use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
     use gpm_graph::{gen, Matching};
-    use gpm_testutil::arb_bipartite_with;
+    use gpm_testutil::{arb_bipartite_with, augmenting_chain};
     use proptest::prelude::*;
 
     type Path = Vec<(usize, usize)>;
-    /// One commit's tentative paths with their thread ids, in the order the
-    /// commit applies them.
-    type CommitLog = Vec<(usize, Path)>;
+
+    /// The kernel whose paths a Duff–Wiberg commit applies.
+    const SWEEP: &str = "G-HKDW-DW-KRNL";
+
+    /// One commit: the kernel whose paths it took, its tentative paths with
+    /// their thread ids in the order it tried them, and how many it applied.
+    #[derive(Debug, PartialEq)]
+    struct CommitLog {
+        kernel: &'static str,
+        paths: Vec<(usize, Path)>,
+        applied: usize,
+    }
 
     thread_local! {
         /// Every commit run on this thread while a [`recording`] is open.
         static TENTATIVE: RefCell<Option<Vec<CommitLog>>> = const { RefCell::new(None) };
     }
 
-    pub(super) fn record_commit(paths: &[(usize, Range<usize>)], pairs: &[(usize, usize)]) {
+    pub(super) fn record_commit(
+        kernel: &'static str,
+        found: &mut Mutex<FoundPaths>,
+        applied: usize,
+    ) {
+        let FoundPaths { paths, pairs } = found.get_mut().unwrap_or_else(PoisonError::into_inner);
         TENTATIVE.with_borrow_mut(|log| {
             if let Some(log) = log {
-                let commit = paths.iter().map(|(t, range)| (*t, pairs[range.clone()].to_vec()));
-                log.push(commit.collect());
+                let paths = paths.iter().map(|(t, range)| (*t, pairs[range.clone()].to_vec()));
+                log.push(CommitLog { kernel, paths: paths.collect(), applied });
             }
         });
+    }
+
+    /// How many paths each Duff–Wiberg sweep of `commits` applied, in order.
+    fn sweeps(commits: &[CommitLog]) -> Vec<usize> {
+        commits.iter().filter(|c| c.kernel == SWEEP).map(|c| c.applied).collect()
+    }
+
+    /// A 3-worker pooled device; threshold 1 sends every launch to the pool
+    /// and small chunks interleave its threads.
+    fn pooled(chunk_size: usize) -> VirtualGpu {
+        VirtualGpu::new(GpuConfig::tesla_c2050(Backend::Parallel { workers: 3 }).with_executor(
+            ExecutorConfig::default().with_parallel_threshold(1).with_chunk_size(chunk_size),
+        ))
     }
 
     /// A run that never stops, on a cold workspace.
@@ -701,19 +768,13 @@ mod tests {
         ) {
             let init = arb_matching(&g, &picks);
             let opt = maximum_matching_cardinality(&g);
-            // Threshold 1 sends every launch to the 3-worker pool.
-            let pooled = VirtualGpu::new(
-                GpuConfig::tesla_c2050(Backend::Parallel { workers: 3 }).with_executor(
-                    ExecutorConfig::default().with_parallel_threshold(1).with_chunk_size(2),
-                ),
-            );
-            for gpu in [&VirtualGpu::sequential(), &pooled] {
+            for gpu in [&VirtualGpu::sequential(), &pooled(2)] {
                 for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
                     for exec in ExecMode::all() {
                         let tag = format!("{} {exec} {:?}", variant.label(), gpu.config().backend);
                         let config = GhkConfig::new(variant).with_exec(exec);
                         let (r, commits) = recording(|| cold(gpu, &g, &init, config));
-                        for (_, path) in commits.iter().flatten() {
+                        for (_, path) in commits.iter().flat_map(|c| &c.paths) {
                             let mut rows: Vec<usize> = path.iter().map(|&(u, _)| u).collect();
                             let mut cols: Vec<usize> = path.iter().map(|&(_, c)| c).collect();
                             rows.sort_unstable();
@@ -733,6 +794,84 @@ mod tests {
                     }
                 }
             }
+        }
+
+        #[test]
+        fn sweeps_end_at_the_first_sweep_that_applies_no_path(
+            g in arb_bipartite_with(30, 30, 150),
+            picks in proptest::collection::vec(0usize..1000, 0..40),
+        ) {
+            let (g, init) = beside_long_chains(&g, &arb_matching(&g, &picks));
+            let opt = maximum_matching_cardinality(&g);
+            for gpu in [&VirtualGpu::sequential(), &pooled(2)] {
+                for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
+                    for exec in ExecMode::all() {
+                        let tag = format!("{} {exec} {:?}", variant.label(), gpu.config().backend);
+                        let config = GhkConfig::new(variant).with_exec(exec);
+                        let (r, commits) = recording(|| cold(gpu, &g, &init, config));
+                        let sweeps = sweeps(&commits);
+                        let device = &r.stats.device;
+                        let launched = device.launches_of(SWEEP) + device.resident_rounds_of(SWEEP);
+                        prop_assert_eq!(launched, sweeps.len() as u64, "{}", tag);
+                        if variant == GhkVariant::Hk {
+                            prop_assert!(sweeps.is_empty(), "{tag}: {sweeps:?}");
+                        }
+                        // Only the last sweep may apply nothing.
+                        if let Some((_, paying)) = sweeps.split_last() {
+                            prop_assert!(paying.iter().all(|&n| n > 0), "{tag}: {sweeps:?}");
+                        }
+                        prop_assert_eq!(r.matching.cardinality(), opt, "{}", tag);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `g` matched as `init`, beside augmenting chains of 65, 67 and 69
+    /// rows (see [`gpm_testutil::augmenting_chain`]) matched as the cheap
+    /// matching would.  A sweep is a complete search on `g`, which is
+    /// smaller than its 64 frames, so it applies nothing only once `g`'s
+    /// matching is maximum; the chains' paths are too long for it, and the
+    /// HK phases then augment them one per phase.
+    fn beside_long_chains(g: &BipartiteCsr, init: &Matching) -> (BipartiteCsr, Matching) {
+        let mut edges: Vec<_> = g.edges().collect();
+        let mut pairs: Vec<_> =
+            (0..g.num_rows() as u32).filter_map(|r| Some((r, init.row_mate(r)?))).collect();
+        let (mut rows, mut cols) = (g.num_rows() as u32, g.num_cols() as u32);
+        for k in [64, 66, 68] {
+            let chain = augmenting_chain(k);
+            edges.extend(chain.edges().map(|(r, c)| (rows + r, cols + c)));
+            pairs.extend((0..k as u32).map(|i| (rows + i, cols + i)));
+            rows += chain.num_rows() as u32;
+            cols += chain.num_cols() as u32;
+        }
+        let joined = BipartiteCsr::from_edges(rows as usize, cols as usize, &edges).unwrap();
+        let mut matching = Matching::empty_for(&joined);
+        for (r, c) in pairs {
+            matching.match_pair(r, c);
+        }
+        (joined, matching)
+    }
+
+    #[test]
+    fn skewed_graph_stops_sweeping_before_its_phases_end() {
+        // On this R-MAT graph from the cheap start, a sweep after each of
+        // its 15 phases commits 1, 1, then 13 times nothing.
+        let g = gen::rmat(gen::RmatParams::graph500(10, 32), 2).unwrap();
+        let init = cheap_matching(&g);
+        let opt = maximum_matching_cardinality(&g);
+        for exec in ExecMode::all() {
+            let config = GhkConfig::new(GhkVariant::Hkdw).with_exec(exec);
+            let gpu = VirtualGpu::sequential();
+            let (r, commits) = recording(|| cold(&gpu, &g, &init, config));
+            let sweeps = sweeps(&commits);
+            let device = &r.stats.device;
+            let launched = device.launches_of(SWEEP) + device.resident_rounds_of(SWEEP);
+            assert_eq!(launched, sweeps.len() as u64, "{exec}");
+            assert!(launched < r.stats.phases, "{exec}: {sweeps:?} over {} phases", r.stats.phases);
+            assert_eq!(sweeps.last(), Some(&0), "{exec}: {sweeps:?}");
+            assert!(sweeps[0] > 0, "{exec}: {sweeps:?}");
+            assert_eq!(r.matching.cardinality(), opt, "{exec}");
         }
     }
 
@@ -763,23 +902,18 @@ mod tests {
 
     #[test]
     fn pooled_commits_apply_paths_in_increasing_thread_id() {
-        // Threshold 1 sends every launch to the 3-worker pool, and small
-        // chunks interleave its threads, which append their paths in
-        // whatever order they finish.
-        let pooled = VirtualGpu::new(
-            GpuConfig::tesla_c2050(Backend::Parallel { workers: 3 }).with_executor(
-                ExecutorConfig::default().with_parallel_threshold(1).with_chunk_size(4),
-            ),
-        );
+        // The pool's threads append their paths in whatever order they
+        // finish.
+        let pooled = pooled(4);
         let g = gen::uniform_random(400, 400, 1_600, 17).unwrap();
         let init = Matching::empty_for(&g);
         let opt = maximum_matching_cardinality(&g);
         for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
             let label = variant.label();
             let (r, commits) = recording(|| cold(&pooled, &g, &init, GhkConfig::new(variant)));
-            assert!(commits.iter().any(|commit| commit.len() > 100), "{label}");
+            assert!(commits.iter().any(|commit| commit.paths.len() > 100), "{label}");
             for commit in &commits {
-                let threads: Vec<usize> = commit.iter().map(|&(thread, _)| thread).collect();
+                let threads: Vec<usize> = commit.paths.iter().map(|&(thread, _)| thread).collect();
                 assert!(threads.windows(2).all(|w| w[0] < w[1]), "{label}: {threads:?}");
             }
             assert_eq!(r.matching.cardinality(), opt, "{label}");
@@ -816,7 +950,7 @@ mod tests {
         let (plain, plain_paths, _) = solve(None);
         let (wrapped, wrapped_paths, end_epoch) = solve(Some(u32::MAX - 2));
         assert!(end_epoch < u32::MAX - 2, "the epoch must wrap during the solve");
-        assert!(plain_paths.iter().any(|p| !p.is_empty()));
+        assert!(plain_paths.iter().any(|c| c.kernel == SWEEP && c.applied > 0));
         assert_eq!(wrapped_paths, plain_paths);
         assert_eq!(wrapped, plain);
     }

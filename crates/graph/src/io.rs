@@ -111,12 +111,19 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<BipartiteCsr> {
     let num_rows = parse_dim(dims[0])?;
     let num_cols = parse_dim(dims[1])?;
     let declared_entries = parse_dim(dims[2])?;
+    // The graph holds a pointer per vertex, so refuse a side no vertex id
+    // can name before anything is allocated for it.
+    BipartiteCsr::check_shape(num_rows, num_cols).map_err(|_| {
+        GraphError::MatrixMarket(format!(
+            "line {size_line_no}: size line '{}' declares a side above the vertex-id limit {}",
+            size_line.trim(),
+            VertexId::MAX
+        ))
+    })?;
 
-    let mut builder = GraphBuilder::with_capacity(
-        num_rows,
-        num_cols,
-        if symmetry == Symmetry::General { declared_entries } else { 2 * declared_entries },
-    );
+    // The declared entry count is only a claim: the edge list grows with
+    // the entries actually read, and one entry past the claim is an error.
+    let mut builder = GraphBuilder::new(num_rows, num_cols);
     let mut seen = 0usize;
     for line in lines {
         line_no += 1;
@@ -124,6 +131,12 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<BipartiteCsr> {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('%') {
             continue;
+        }
+        if seen == declared_entries {
+            return Err(GraphError::MatrixMarket(format!(
+                "line {line_no}: entry '{trimmed}' is past the {declared_entries} entries \
+                 the size line (line {size_line_no}) declares"
+            )));
         }
         let mut it = trimmed.split_whitespace();
         let parse_index = |token: Option<&str>, which: &str| -> Result<usize> {
@@ -174,7 +187,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<BipartiteCsr> {
     }
     if seen != declared_entries {
         return Err(GraphError::MatrixMarket(format!(
-            "declared {declared_entries} entries but found {seen}"
+            "line {size_line_no}: size line declares {declared_entries} entries but found {seen}"
         )));
     }
     Ok(builder.build())
@@ -200,6 +213,8 @@ pub fn write_matrix_market_file<P: AsRef<Path>>(graph: &BipartiteCsr, path: P) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::io::Cursor;
 
     const SMALL_PATTERN: &str = "%%MatrixMarket matrix coordinate pattern general\n\
@@ -365,6 +380,171 @@ mod tests {
     fn missing_file_reports_io_error() {
         let err = read_matrix_market_file("/nonexistent/definitely/not/here.mtx").unwrap_err();
         assert!(matches!(err, GraphError::Io(_)));
+    }
+
+    #[test]
+    fn size_lines_are_checked_before_anything_is_allocated() {
+        // 10^14 declared entries used to be reserved up front (800 TB), and
+        // a symmetric file's doubled 2^63 overflowed.
+        let data = "%%MatrixMarket matrix coordinate pattern general\n1 1 100000000000000\n1 1\n";
+        let msg = parse_error(data);
+        assert!(msg.contains("line 2: size line declares 100000000000000 entries"), "{msg}");
+        let data =
+            "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 9223372036854775808\n2 1\n";
+        let msg = parse_error(data);
+        assert!(msg.contains("line 2: size line declares 9223372036854775808 entries"), "{msg}");
+
+        let limit = VertexId::MAX as u64;
+        for size in [format!("{} 1 0", limit + 1), format!("1 {} 0", u64::MAX)] {
+            let msg = parse_error(&format!(
+                "%%MatrixMarket matrix coordinate pattern general\n% c\n{size}\n"
+            ));
+            assert!(msg.contains(&format!("line 3: size line '{size}'")), "{msg}");
+            assert!(msg.contains("vertex-id limit"), "{msg}");
+        }
+
+        // An entry past the declared count is refused where it stands.
+        let data = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n2 2\n";
+        let msg = parse_error(data);
+        assert!(msg.contains("line 4: entry '2 2' is past the 1 entries"), "{msg}");
+        assert!(msg.contains("size line (line 2)"), "{msg}");
+    }
+
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    /// A valid file: any field and symmetry, up to 8×8, up to 11 entries.
+    fn valid_file(rng: &mut StdRng) -> String {
+        let field = pick(rng, &["pattern", "real", "integer", "complex"]);
+        let symmetry = pick(rng, &["general", "symmetric", "skew-symmetric", "hermitian"]);
+        let rows = rng.gen_range(1..9);
+        let cols = if symmetry == "general" { rng.gen_range(1..9) } else { rows };
+        let value = match field {
+            "pattern" => "",
+            "real" => " -1.5e3",
+            "integer" => " 7",
+            _ => " 0.5 -2",
+        };
+        let entries: Vec<String> = (0..rng.gen_range(0..12))
+            .map(|_| {
+                let r = rng.gen_range(1..rows + 1);
+                let c = rng.gen_range(1..if symmetry == "general" { cols + 1 } else { r + 1 });
+                format!("{r} {c}{value}")
+            })
+            .collect();
+        let mut file = format!(
+            "%%MatrixMarket matrix coordinate {field} {symmetry}\n% comment\n{rows} {cols} {}\n",
+            entries.len()
+        );
+        for entry in entries {
+            file.push_str(&entry);
+            file.push('\n');
+        }
+        file
+    }
+
+    /// `file` with up to three line-level mutations (a header token, a
+    /// size-line number, an entry token, an inserted comment or blank line,
+    /// a deleted or repeated line), joined with LF or CRLF, then up to two
+    /// byte-level ones (a non-digit byte inserted, replaced or deleted; the
+    /// file truncated).
+    fn mutate(rng: &mut StdRng, file: &str) -> Vec<u8> {
+        const HEADER_TOKENS: &str = "%%MatrixMarket %%matrixmarket matrix tensor coordinate array \
+            pattern real integer complex funky general symmetric skew-symmetric hermitian weird";
+        const NUMBERS: &str = "0 1 2 3 5 9 40 1000000 4294967296 100000000000000 \
+            9223372036854775808 18446744073709551615 18446744073709551616 -1 +2 007 1e3 x";
+        const BYTES: &[u8] = b" \t\r\n%-+.xe\0\xff";
+        let mut lines: Vec<String> = file.lines().map(str::to_string).collect();
+        let size_line = 2;
+        for _ in 0..rng.gen_range(0..4) {
+            let line = rng.gen_range(0..lines.len().max(1));
+            let target = match rng.gen_range(0..7) {
+                0 => Some((0, HEADER_TOKENS)),
+                1 => Some((size_line, NUMBERS)),
+                2 => Some((size_line + 1 + line, NUMBERS)),
+                3 => {
+                    let extra = pick(rng, &["% inserted", "", "   ", "%"]);
+                    lines.insert(line, extra.to_string());
+                    None
+                }
+                4 if !lines.is_empty() => {
+                    lines.remove(line);
+                    None
+                }
+                5 if !lines.is_empty() => {
+                    lines.insert(line, lines[line].clone());
+                    None
+                }
+                _ => None,
+            };
+            if let Some((at, choices)) = target.filter(|&(at, _)| at < lines.len()) {
+                let mut tokens: Vec<&str> = lines[at].split_whitespace().collect();
+                let i = rng.gen_range(0..tokens.len() + 1);
+                let choices: Vec<&str> = choices.split_whitespace().chain([""]).collect();
+                let token = pick(rng, &choices);
+                match i < tokens.len() {
+                    true => tokens[i] = token,
+                    false => tokens.push(token),
+                }
+                lines[at] = tokens.join(" ");
+            }
+        }
+        let mut bytes = lines.join(pick(rng, &["\n", "\r\n"])).into_bytes();
+        if rng.gen_range(0..2) == 0 {
+            bytes.push(b'\n');
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let at = rng.gen_range(0..bytes.len() + 1);
+            match rng.gen_range(0..4) {
+                0 => bytes.insert(at, BYTES[rng.gen_range(0..BYTES.len())]),
+                1 if at < bytes.len() => bytes[at] = BYTES[rng.gen_range(0..BYTES.len())],
+                2 if at < bytes.len() => drop(bytes.remove(at)),
+                3 => bytes.truncate(at),
+                _ => {}
+            }
+        }
+        bytes
+    }
+
+    /// `true` when any token of `bytes` reads as a number between 10^6 and
+    /// `VertexId::MAX`: a size line may declare such a side, and the graph
+    /// then rightly allocates a pointer per vertex, up to 32 GiB.  Only a
+    /// configurable vertex limit (the `Limits` on the roadmap) can refuse
+    /// those files, so the fuzz leaves them out.
+    fn may_declare_a_large_side(bytes: &[u8]) -> bool {
+        let limit = VertexId::MAX as usize;
+        String::from_utf8_lossy(bytes)
+            .split_whitespace()
+            .any(|t| t.parse::<usize>().is_ok_and(|n| n > 1_000_000 && n <= limit))
+    }
+
+    #[test]
+    fn fuzzed_files_never_panic_and_accepted_graphs_round_trip() {
+        let outcomes = std::cell::Cell::new([0usize; 3]); // accepted, rejected, left out
+        let count = |i: usize| {
+            let mut counts = outcomes.get();
+            counts[i] += 1;
+            outcomes.set(counts);
+        };
+        let config = proptest::ProptestConfig::with_cases(2_000);
+        let name = "fuzzed_files_never_panic_and_accepted_graphs_round_trip";
+        proptest::test_runner::run(&config, name, proptest::any::<u64>(), |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let file = valid_file(&mut rng);
+            let bytes = mutate(&mut rng, &file);
+            if may_declare_a_large_side(&bytes) {
+                return count(2);
+            }
+            let Ok(g) = read_matrix_market(Cursor::new(&bytes)) else { return count(1) };
+            g.validate().unwrap();
+            let mut written = Vec::new();
+            write_matrix_market(&g, &mut written).unwrap();
+            assert_eq!(read_matrix_market(Cursor::new(written)).unwrap(), g);
+            count(0);
+        });
+        let [accepted, rejected, left_out] = outcomes.get();
+        assert!(accepted >= 300 && rejected >= 1_000 && left_out <= 20, "{:?}", outcomes.get());
     }
 
     #[test]
