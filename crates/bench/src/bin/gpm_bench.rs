@@ -14,8 +14,9 @@
 //! The dump's GPU cells carry modelled device seconds (deterministic, so
 //! `pinned: true`); `--diff` fails (exit 1) when any pinned cell present
 //! in both dumps is slower by more than the allowed fraction.  It prints a
-//! summary line, then a `REGRESSION` line per slower cell and a `FASTER`
-//! line per faster one.  A pinned
+//! summary line counting the faster and slower cells, then a `REGRESSION`
+//! line per cell slower beyond the allowed fraction, a `SLOWER` line per
+//! cell slower within it and a `FASTER` line per faster one.  A pinned
 //! cell of the old dump *missing* from the new one is a warning by
 //! default (renamed sweeps shouldn't brick a local run) and a failure
 //! under `--require-pinned`, which is what CI passes.

@@ -551,6 +551,9 @@ pub struct DiffReport {
     /// `(cell key, old seconds, new seconds)` for cells slower by more
     /// than the allowed factor.
     pub regressions: Vec<(String, f64, f64)>,
+    /// `(cell key, old seconds, new seconds)` for cells that got slower
+    /// within the allowed factor: they pass the gate, but are named.
+    pub slower: Vec<(String, f64, f64)>,
     /// Pinned cells of the old dump missing from the new one.  Whether
     /// these fail the gate is decided by `require_pinned`.
     pub missing: Vec<String>,
@@ -578,12 +581,15 @@ impl DiffReport {
 
     /// The gate's report on diffing `old_path` against `new_path`: a
     /// summary line, then one line per slower, faster, missing and new
-    /// cell.
+    /// cell.  The summary's slower count takes in every slower cell, the
+    /// `REGRESSION`s beyond the allowed factor and the `SLOWER` ones within
+    /// it.
     pub fn render(&self, old_path: &str, new_path: &str) -> String {
         let mut out = format!(
-            "{} pinned cells compared ({} faster, allowed regression {:.0}%)\n",
+            "{} pinned cells compared ({} faster, {} slower, allowed regression {:.0}%)\n",
             self.compared,
             self.improvements.len(),
+            self.regressions.len() + self.slower.len(),
             self.max_regression * 100.0
         );
         let change = |old: f64, new: f64| {
@@ -591,6 +597,9 @@ impl DiffReport {
         };
         for (key, old, new) in &self.regressions {
             out.push_str(&format!("REGRESSION {key}: {}\n", change(*old, *new)));
+        }
+        for (key, old, new) in &self.slower {
+            out.push_str(&format!("SLOWER {key}: {}\n", change(*old, *new)));
         }
         for (key, old, new) in &self.improvements {
             out.push_str(&format!("FASTER {key}: {}\n", change(*old, *new)));
@@ -669,6 +678,8 @@ pub fn diff(
         };
         if regressed {
             report.regressions.push((key, old_seconds, new_seconds));
+        } else if new_seconds > old_seconds {
+            report.slower.push((key, old_seconds, new_seconds));
         } else if new_seconds < old_seconds {
             report.improvements.push((key, old_seconds, new_seconds));
         }
@@ -741,7 +752,7 @@ mod tests {
         assert_eq!(
             lines,
             [
-                "2 pinned cells compared (1 faster, allowed regression 15%)",
+                "2 pinned cells compared (1 faster, 1 slower, allowed regression 15%)",
                 "REGRESSION a / G-PR-Shr + dense: 1.000000s -> 1.500000s (+50.0%)",
                 "FASTER b / G-PR-Shr + dense: 2.000000s -> 1.500000s (-25.0%)",
                 "MISSING c / G-PR-Shr + dense: pinned cell disappeared from new.json",
@@ -755,7 +766,31 @@ mod tests {
         ));
         // A diff of a dump against itself reads "(0 faster," and nothing more.
         let same = diff(&old, &old, 0.0, true).unwrap().render("old.json", "old.json");
-        assert_eq!(same, "3 pinned cells compared (0 faster, allowed regression 0%)\n");
+        assert_eq!(same, "3 pinned cells compared (0 faster, 0 slower, allowed regression 0%)\n");
+    }
+
+    #[test]
+    fn a_cell_slower_within_the_bound_passes_but_is_named() {
+        let old = dump_with(&[("a", 1.0, true), ("b", 2.0, true), ("c", 4.0, true)]);
+        let new = dump_with(&[("a", 1.14, true), ("b", 2.0, true), ("c", 3.0, true)]);
+        let report = diff(&old, &new, 0.15, true).unwrap();
+        assert!(report.passed(), "14% is within the 15% bound");
+        assert!(report.regressions.is_empty());
+        assert_eq!(report.slower.len(), 1);
+        let lines: Vec<String> =
+            report.render("old.json", "new.json").lines().map(str::to_string).collect();
+        assert_eq!(
+            lines,
+            [
+                "3 pinned cells compared (1 faster, 1 slower, allowed regression 15%)",
+                "SLOWER a / G-PR-Shr + dense: 1.000000s -> 1.140000s (+14.0%)",
+                "FASTER c / G-PR-Shr + dense: 4.000000s -> 3.000000s (-25.0%)",
+            ]
+        );
+        // With no allowed slowdown the same cell is a regression.
+        let strict = diff(&old, &new, 0.0, true).unwrap();
+        assert!(!strict.passed());
+        assert_eq!((strict.regressions.len(), strict.slower.len()), (1, 0));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! * `G-HK-BFS-KRNL` — one launch per BFS level, one thread per column,
 //!   labelling columns with their layer (like `G-GR-KRNL` but rooted at the
-//!   unmatched *columns*);
+//!   unmatched *columns*); a frontier column whose adjacency list is longer
+//!   than a warp has it gathered by its whole warp (see below);
 //! * `G-HK-DFS-KRNL` — one thread per unmatched column builds a tentative
 //!   level-respecting augmenting path; a thread that finds one appends it,
 //!   tagged with its thread id, to the kernel's found-path list;
@@ -27,9 +28,28 @@
 //!   commit, uncharged, as in the original codes.  It runs only while it
 //!   pays (see below).
 //!
-//! The deviation (host-side commit) is documented in DESIGN.md; the paper's
-//! own G-HK/G-HKDW resolve conflicts with re-traversals whose cost is of the
-//! same order.
+//! # Deviations from the original codes
+//!
+//! * *The host-side commit.*  The original G-HK/G-HKDW resolve conflicting
+//!   tentative paths on the device with re-traversals whose cost is of the
+//!   same order as the committed path length that `G-HK-COMMIT` charges.
+//! * *The warp gather in `G-HK-BFS-KRNL`.*  The original BFS kernel walks a
+//!   column's whole list in its one thread, so on a skewed graph one hub
+//!   column per level sets the level's critical path while most threads
+//!   read a stamp and exit (kron_g500-logn20's column lists reach 1,492
+//!   entries at Small scale, coPapersDBLP's 1,840).  Here a list longer
+//!   than a warp is gathered by the column's whole warp, the lanes striding
+//!   through it together, as Fermi-era GPU BFS does (Merrill, Garland &
+//!   Grimshaw, "Scalable GPU Graph Traversal", PPoPP 2012; Hong et al.,
+//!   "Accelerating CUDA Graph Algorithms at Maximum Warp", PPoPP 2011): the
+//!   kernel reports it through [`gpm_gpu::ThreadCtx::add_gather`], which
+//!   prices it as ⌈Σ gathered units of the warp / 32⌉ steps of the warp's
+//!   critical path instead of the full list on one thread.  Only the price
+//!   changes: the host still walks the list in the column's thread, so the
+//!   pushes, their order, the layers and every matching are those of the
+//!   per-thread walk, and the level's work is the same.  On the Small
+//!   mini suite this cut G-HKDW's modelled time on kron_g500-logn20 from
+//!   53.3 to 24.8 ms and on coPapersDBLP from 17.3 to 3.9 ms.
 //!
 //! # When G-HKDW sweeps
 //!
@@ -308,8 +328,11 @@ pub fn run(
         // launch, the ambient resident scope — hence no scope of its own).
         let bfs_stopped = drive_rounds(gpu, None, stop, || {
             frontier.for_each_frontier("G-HK-BFS-KRNL", |ctx, v, frontier| {
-                for &u in graph.col_neighbors(v as u32) {
-                    ctx.add_work(1);
+                // A list longer than a warp is the warp's to gather (see the
+                // module docs); the host still walks it here, in order.
+                let neighbors = graph.col_neighbors(v as u32);
+                ctx.add_gather(neighbors.len() as u64);
+                for &u in neighbors {
                     let mate = state.mu_row.get(u as usize);
                     if mate == MU_UNMATCHED {
                         found_free_row.set(0, true);
@@ -1188,6 +1211,40 @@ mod tests {
         assert!(r.stats.stopped);
         assert_eq!(r.stats.phases, 0);
         assert_eq!(r.matching.cardinality(), init.cardinality());
+    }
+
+    #[test]
+    fn a_hub_columns_level_is_priced_as_its_warps_gather() {
+        // A sparse random graph (column lists of at most 11 entries) plus
+        // one column adjacent to every row.
+        let sparse = gen::uniform_random(1000, 1000, 3000, 19).unwrap();
+        let rows = sparse.num_rows();
+        let edges: Vec<_> = sparse.edges().chain((0..rows as u32).map(|r| (r, 0))).collect();
+        let g = BipartiteCsr::from_edges(rows, sparse.num_cols(), &edges).unwrap();
+        let deg = g.col_degree(0) as u64;
+        assert_eq!(deg, 1000);
+        let init = cheap_matching(&g);
+        // Matching, phases and the BFS kernel's work as when every thread
+        // walked its own list (pinned from that pricing).
+        let pinned = [
+            (GhkVariant::Hk, WorklistMode::DenseStamp, 14, 142_016),
+            (GhkVariant::Hk, WorklistMode::Compacted, 14, 21_240),
+            (GhkVariant::Hkdw, WorklistMode::DenseStamp, 11, 91_496),
+            (GhkVariant::Hkdw, WorklistMode::Compacted, 11, 13_583),
+        ];
+        for (variant, mode, phases, work) in pinned {
+            let tag = format!("{} + {mode}", variant.label());
+            let config = GhkConfig::new(variant).with_worklist(mode);
+            let r = cold(&VirtualGpu::sequential(), &g, &init, config);
+            let bfs = &r.stats.device.kernels["G-HK-BFS-KRNL"];
+            assert_eq!((r.matching.cardinality(), r.stats.phases), (920, phases), "{tag}");
+            assert_eq!(bfs.total_work, work, "{tag}");
+            // At most a thread's stamp read and a list of one warp, plus the
+            // hub warp's share; at least that share, so the hub's level ran.
+            let share = deg.div_ceil(32);
+            assert!(bfs.max_thread_work <= 33 + share, "{tag}: {}", bfs.max_thread_work);
+            assert!(bfs.max_thread_work > share, "{tag}: {}", bfs.max_thread_work);
+        }
     }
 
     #[test]

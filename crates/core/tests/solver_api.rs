@@ -189,6 +189,7 @@ fn exact_outcome(report: &SolveReport) -> impl PartialEq + std::fmt::Debug {
                 k.total_atomics,
                 k.hot_word_atomics,
                 k.max_grid,
+                k.max_thread_work,
             ];
             (name.clone(), counts, k.modelled_time_ns.to_bits())
         })
@@ -828,9 +829,10 @@ fn executor_config_reaches_the_session_device() {
 #[test]
 fn a_reused_device_reports_each_solves_own_max_grid() {
     // A solve's device statistics cover only its own launches, the largest
-    // grid per kernel included, however large the earlier solves on the
-    // same device were.
-    let big = by_name("hugetrace-00000").unwrap().generate(Scale::Small).unwrap();
+    // grid and the largest per-thread work per kernel included, however
+    // large the earlier solves on the same device were: kron_g500-logn20
+    // has larger grids and far longer adjacency lists.
+    let big = by_name("kron_g500-logn20").unwrap().generate(Scale::Small).unwrap();
     let small = by_name("amazon0505").unwrap().generate(Scale::Tiny).unwrap();
     assert_eq!((small.num_rows(), small.num_cols()), (256, 256));
     let sequential = || {
@@ -839,16 +841,22 @@ fn a_reused_device_reports_each_solves_own_max_grid() {
             .build()
             .expect("valid solver config")
     };
-    let max_grids = |solver: &mut Solver, alg: Algorithm| -> Vec<(String, u64)> {
-        let report = solver.run(&small, SolveRequest::new(alg)).unwrap();
+    let maxima = |solver: &mut Solver, g: &BipartiteCsr, alg| -> Vec<(String, u64, u64)> {
+        let report = solver.run(g, SolveRequest::new(alg)).unwrap();
         let stats = report.device_stats.expect("a GPU solve reports device stats");
-        stats.kernels.into_iter().map(|(name, k)| (name, k.max_grid)).collect()
+        stats.kernels.into_iter().map(|(name, k)| (name, k.max_grid, k.max_thread_work)).collect()
     };
     for label in ["G-PR-Shr@adaptive:0.7+dense@resident", "G-HKDW"] {
         let alg: Algorithm = label.parse().unwrap();
         let mut reused = sequential();
-        reused.run(&big, SolveRequest::new(alg)).unwrap();
-        assert_eq!(max_grids(&mut reused, alg), max_grids(&mut sequential(), alg), "{label}");
+        let earlier = maxima(&mut reused, &big, alg);
+        let own = maxima(&mut reused, &small, alg);
+        assert_eq!(own, maxima(&mut sequential(), &small, alg), "{label}");
+        // The earlier solve had larger maxima to leak.
+        let larger = |pick: fn(&(String, u64, u64)) -> u64| {
+            own.iter().any(|k| earlier.iter().any(|e| e.0 == k.0 && pick(e) > pick(k)))
+        };
+        assert!(larger(|k| k.1) && larger(|k| k.2), "{label}: {earlier:?} then {own:?}");
     }
 }
 

@@ -235,7 +235,11 @@ pub struct ThreadCtx {
     pub global_id: usize,
     /// Total number of logical threads in the launch.
     pub grid_size: usize,
+    /// The device's SIMT width ([`PerfModel::warp_size`], at least 1).
+    warp_size: usize,
     work: Cell<u64>,
+    /// Units of lists longer than a warp, gathered by this thread's warp.
+    gathered: Cell<u64>,
     atomics: Cell<u64>,
     /// Per-word RMW counts, `(word_id, count)`.  A kernel thread touches at
     /// most a couple of contended words (a queue tail, an overflow flag), so
@@ -248,11 +252,13 @@ impl ThreadCtx {
     /// Distinct contended words tracked per thread.
     const ATOMIC_WORD_SLOTS: usize = 4;
 
-    fn new(global_id: usize, grid_size: usize) -> Self {
+    fn new(global_id: usize, grid_size: usize, warp_size: usize) -> Self {
         Self {
             global_id,
             grid_size,
+            warp_size: warp_size.max(1),
             work: Cell::new(0),
+            gathered: Cell::new(0),
             atomics: Cell::new(0),
             atomic_words: Cell::new([(0, 0); Self::ATOMIC_WORD_SLOTS]),
         }
@@ -266,7 +272,27 @@ impl ThreadCtx {
         self.work.set(self.work.get() + units);
     }
 
-    /// Work reported so far by this thread.
+    /// Reports a list of `len` entries read on this thread's behalf, one
+    /// unit per entry.  A list longer than the device's warp is gathered by
+    /// the whole warp, the lanes striding through it together, so its units
+    /// belong to the warp (`global_id / warp_size`) instead of this thread:
+    /// the launch prices the warp's gathered units as
+    /// ⌈Σ units of its lanes / warp_size⌉ steps of its critical path (see
+    /// [`LaunchRecord::max_thread_work`]).  A shorter list counts exactly
+    /// like [`ThreadCtx::add_work`].  Either way the units add to the
+    /// launch's total work; like `add_work`, purely observational.
+    #[inline]
+    pub fn add_gather(&self, len: u64) {
+        if len > self.warp_size as u64 {
+            self.gathered.set(self.gathered.get() + len);
+        } else {
+            self.add_work(len);
+        }
+    }
+
+    /// Work reported so far by this thread through [`ThreadCtx::add_work`]
+    /// (lists it reported through [`ThreadCtx::add_gather`] count only when
+    /// no longer than a warp).
     #[inline]
     pub fn work(&self) -> u64 {
         self.work.get()
@@ -320,7 +346,12 @@ pub struct LaunchRecord {
     pub threads: usize,
     /// Total work units reported by all threads.
     pub work: u64,
-    /// Maximum work reported by a single thread (divergence indicator).
+    /// Longest critical path of a thread (divergence indicator): the
+    /// largest work any thread reported as its own, plus the largest share
+    /// of a warp's gathered lists, ⌈Σ gathered units of its lanes /
+    /// warp_size⌉ ([`ThreadCtx::add_gather`]).  An upper bound of every
+    /// warp's critical path; a launch whose threads gather nothing records
+    /// the largest own work alone.
     pub max_thread_work: u64,
     /// Total atomic RMW operations, kernel-reported plus the executor's
     /// modelled chunk-cursor claims.
@@ -338,10 +369,16 @@ pub struct LaunchRecord {
 /// the only cross-thread traffic on the hot path is the final merge.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct LaunchTotals {
-    /// Sum of per-thread work units.
+    /// Sum of per-thread work units, gathered units included.
     pub(crate) work: u64,
-    /// Maximum single-thread work.
+    /// Maximum single-thread own work (gathered units excluded).
     pub(crate) max_thread_work: u64,
+    /// Gathered units per warp, `(warp, units)`, for the warps of which a
+    /// lane gathered a list.  A chunk runs its threads in increasing id, so
+    /// its entries are sorted and one per warp; merged chunks may split a
+    /// warp over several entries, which [`LaunchTotals::max_warp_share`]
+    /// folds.
+    pub(crate) warp_gathers: Vec<(u64, u64)>,
     /// Total RMW operations reported by kernel threads.
     pub(crate) atomics: u64,
     /// Per-word RMW counts, `(word_id, count)`.  A launch touches at most a
@@ -351,12 +388,29 @@ pub(crate) struct LaunchTotals {
 
 impl LaunchTotals {
     /// Folds one finished thread's counters in and zeroes them for the next
-    /// logical thread of the chunk.  Most threads report no atomics, and
-    /// theirs is the hot path: it skips the word slots.
+    /// logical thread of the chunk.  Most threads gather no list and report
+    /// no atomics, and theirs is the hot path: one branch skips the warp
+    /// entries and the word slots.
     pub(crate) fn absorb_thread(&mut self, ctx: &ThreadCtx) {
         let work = ctx.work.take();
         self.work += work;
         self.max_thread_work = self.max_thread_work.max(work);
+        if ctx.gathered.get() | ctx.atomics.get() != 0 {
+            self.absorb_gathers_and_atomics(ctx);
+        }
+    }
+
+    /// The rest of [`LaunchTotals::absorb_thread`] for a thread that gathered
+    /// a list or reported an atomic.  Kept out of line: inlined, it slowed
+    /// every thread of a trivial kernel by about half.
+    #[cold]
+    #[inline(never)]
+    fn absorb_gathers_and_atomics(&mut self, ctx: &ThreadCtx) {
+        let gathered = ctx.gathered.take();
+        if gathered > 0 {
+            self.work += gathered;
+            self.add_gather((ctx.global_id / ctx.warp_size) as u64, gathered);
+        }
         let atomics = ctx.atomics.take();
         if atomics == 0 {
             return;
@@ -373,10 +427,39 @@ impl LaunchTotals {
     pub(crate) fn merge(&mut self, other: &LaunchTotals) {
         self.work += other.work;
         self.max_thread_work = self.max_thread_work.max(other.max_thread_work);
+        for &(warp, units) in &other.warp_gathers {
+            self.add_gather(warp, units);
+        }
         self.atomics += other.atomics;
         for &(word, count) in &other.atomic_words {
             self.add_word(word, count);
         }
+    }
+
+    /// Adds `units` gathered by a lane of `warp`, folding them into the last
+    /// entry when it is the same warp's.
+    fn add_gather(&mut self, warp: u64, units: u64) {
+        match self.warp_gathers.last_mut() {
+            Some((last, total)) if *last == warp => *total += units,
+            _ => self.warp_gathers.push((warp, units)),
+        }
+    }
+
+    /// The largest warp share of the launch, ⌈Σ gathered units of a warp's
+    /// lanes / `warp_size`⌉ over its warps; 0 when no thread gathered.
+    /// Pool chunks may split a warp, so its entries are summed by warp id
+    /// first, and every chunk size gives the same share.
+    pub(crate) fn max_warp_share(&mut self, warp_size: usize) -> u64 {
+        if self.warp_gathers.is_empty() {
+            return 0;
+        }
+        self.warp_gathers.sort_unstable_by_key(|&(warp, _)| warp);
+        let warp_size = warp_size.max(1) as u64;
+        self.warp_gathers
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|lanes| lanes.iter().map(|&(_, units)| units).sum::<u64>().div_ceil(warp_size))
+            .max()
+            .unwrap_or(0)
     }
 
     fn add_word(&mut self, word: u64, count: u64) {
@@ -408,10 +491,18 @@ struct LaunchEvent {
 #[derive(Default)]
 struct StatsAccum {
     merged: DeviceStats,
-    /// Each kernel's largest grid since the last [`VirtualGpu::stats_mark`]:
-    /// a maximum cannot be subtracted from a snapshot.
-    max_grid_since_mark: BTreeMap<&'static str, u64>,
+    /// Each kernel's largest grid and largest per-thread work since the last
+    /// [`VirtualGpu::stats_mark`]: a maximum cannot be subtracted from a
+    /// snapshot.
+    maxima_since_mark: BTreeMap<&'static str, Maxima>,
     pending: Vec<LaunchEvent>,
+}
+
+/// A kernel's largest grid and largest per-thread work over some launches.
+#[derive(Clone, Copy, Default)]
+struct Maxima {
+    grid: u64,
+    thread_work: u64,
 }
 
 impl StatsAccum {
@@ -429,8 +520,9 @@ impl StatsAccum {
     fn flush(&mut self) {
         for event in self.pending.drain(..) {
             self.merged.record(event.name, event.kind, &event.record);
-            let max_grid = self.max_grid_since_mark.entry(event.name).or_default();
-            *max_grid = (*max_grid).max(event.record.threads as u64);
+            let maxima = self.maxima_since_mark.entry(event.name).or_default();
+            maxima.grid = maxima.grid.max(event.record.threads as u64);
+            maxima.thread_work = maxima.thread_work.max(event.record.max_thread_work);
         }
     }
 
@@ -442,7 +534,7 @@ impl StatsAccum {
     fn reset(&mut self) {
         self.pending.clear();
         self.merged = DeviceStats::default();
-        self.max_grid_since_mark.clear();
+        self.maxima_since_mark.clear();
     }
 }
 
@@ -579,7 +671,15 @@ impl VirtualGpu {
     where
         F: Fn(&ThreadCtx) + Sync,
     {
-        self.launch_inner(name, grid, grid, grid, &|ids| run_threads(ids, grid, &kernel), false)
+        let warp = self.config.perf.warp_size;
+        self.launch_inner(
+            name,
+            grid,
+            grid,
+            grid,
+            &|ids| run_threads(ids, grid, warp, &kernel),
+            false,
+        )
     }
 
     /// Launches a kernel as the **fused tail** of the immediately preceding
@@ -597,7 +697,15 @@ impl VirtualGpu {
     where
         F: Fn(&ThreadCtx) + Sync,
     {
-        self.launch_inner(name, grid, grid, grid, &|ids| run_threads(ids, grid, &kernel), true)
+        let warp = self.config.perf.warp_size;
+        self.launch_inner(
+            name,
+            grid,
+            grid,
+            grid,
+            &|ids| run_threads(ids, grid, warp, &kernel),
+            true,
+        )
     }
 
     /// Launches `kernel` as a launch of `grid` threads of which only the
@@ -627,6 +735,7 @@ impl VirtualGpu {
         F: Fn(&ThreadCtx) + Sync,
     {
         // The pool splits the bitmap's words; each word runs its set bits.
+        let warp = self.config.perf.warp_size;
         let chunks = |words: Range<usize>| {
             let ids = words.flat_map(|word| {
                 let mut bits = members.get(word);
@@ -639,7 +748,7 @@ impl VirtualGpu {
                     Some(word * 64 + bit)
                 })
             });
-            run_threads(ids, grid, &kernel)
+            run_threads(ids, grid, warp, &kernel)
         };
         self.launch_inner(name, grid, grid.div_ceil(64), count, &chunks, false)
     }
@@ -735,6 +844,8 @@ impl VirtualGpu {
             totals.work += idle;
             totals.max_thread_work = totals.max_thread_work.max(1);
         }
+        let perf = &self.config.perf;
+        let max_thread_work = totals.max_thread_work + totals.max_warp_share(perf.warp_size);
         // The executor's chunk cursor is itself a contended RMW word: every
         // pooled chunk claim is one fetch_add.  Charge it through the same
         // model, deterministically (the claim count is a function of the
@@ -752,11 +863,10 @@ impl VirtualGpu {
         // so it competes for "hottest word" only with its own claim count.
         let hot_word_atomics = totals.hot_word_atomics().max(cursor_claims);
         let wall_time_ns = start.elapsed().as_nanos() as f64;
-        let perf = &self.config.perf;
         let mut modelled_time_ns = perf.launch_cost_with_atomics_ns(
             grid,
             totals.work,
-            totals.max_thread_work,
+            max_thread_work,
             atomics,
             hot_word_atomics,
         );
@@ -778,7 +888,7 @@ impl VirtualGpu {
         let record = LaunchRecord {
             threads: grid,
             work: totals.work,
-            max_thread_work: totals.max_thread_work,
+            max_thread_work,
             atomics,
             hot_word_atomics,
             modelled_time_ns,
@@ -800,18 +910,21 @@ impl VirtualGpu {
 
     /// Marks the start of a measured window, such as one solve, for
     /// [`VirtualGpu::stats_since`].  A device keeps one window: a later mark
-    /// restarts the largest-grid record of an earlier one.
+    /// restarts the largest-grid and largest-thread-work records of an
+    /// earlier one.
     pub fn stats_mark(&self) -> StatsMark {
         let mut accum = self.stats.lock();
         let base = accum.snapshot();
-        accum.max_grid_since_mark.clear();
+        accum.maxima_since_mark.clear();
         StatsMark { base }
     }
 
     /// The statistics of the launches recorded since `mark`: every counter
     /// is its growth since the mark, and each kernel's
-    /// [`max_grid`](crate::KernelStats::max_grid) is the largest grid it
-    /// launched since.  Kernels that recorded nothing since are left out.
+    /// [`max_grid`](crate::KernelStats::max_grid) and
+    /// [`max_thread_work`](crate::KernelStats::max_thread_work) are the
+    /// largest grid and per-thread work of its launches since.  Kernels that
+    /// recorded nothing since are left out.
     pub fn stats_since(&self, mark: &StatsMark) -> DeviceStats {
         let mut accum = self.stats.lock();
         let mut stats = accum.snapshot();
@@ -827,7 +940,9 @@ impl VirtualGpu {
                 k.modelled_time_ns -= b.modelled_time_ns;
                 k.wall_time_ns -= b.wall_time_ns;
             }
-            k.max_grid = accum.max_grid_since_mark.get(name.as_str()).copied().unwrap_or(0);
+            let maxima = accum.maxima_since_mark.get(name.as_str()).copied().unwrap_or_default();
+            k.max_grid = maxima.grid;
+            k.max_thread_work = maxima.thread_work;
         }
         stats.kernels.retain(|_, k| k.launches > 0 || k.fused_tails > 0 || k.resident_rounds > 0);
         stats
@@ -840,20 +955,21 @@ impl VirtualGpu {
 }
 
 /// The one thread loop of every launch, inline or one pooled chunk at a
-/// time: runs logical threads `ids` of a `grid`-sized launch and returns
-/// their aggregated [`LaunchTotals`].  The chunk's threads share one
+/// time: runs logical threads `ids` of a `grid`-sized launch on a device of
+/// `warp_size` lanes per warp and returns their aggregated [`LaunchTotals`].  The chunk's threads share one
 /// context, zeroed between them; a kernel cannot keep the reference, so
 /// each thread still sees a fresh one.
 pub(crate) fn run_threads<F>(
     ids: impl Iterator<Item = usize>,
     grid: usize,
+    warp_size: usize,
     kernel: &F,
 ) -> LaunchTotals
 where
     F: Fn(&ThreadCtx) + ?Sized,
 {
     let mut totals = LaunchTotals::default();
-    let mut ctx = ThreadCtx::new(0, grid);
+    let mut ctx = ThreadCtx::new(0, grid, warp_size);
     for id in ids {
         ctx.global_id = id;
         kernel(&ctx);
@@ -936,6 +1052,111 @@ mod tests {
             assert_eq!(rec.work, records[0].work);
             assert_eq!(rec.max_thread_work, records[0].max_thread_work);
         }
+    }
+
+    #[test]
+    fn a_gathered_list_charges_its_warp_a_share_not_its_thread_the_list() {
+        let gpu = VirtualGpu::sequential();
+        let own = |ctx: &ThreadCtx| ctx.add_work(1 + ctx.global_id as u64 % 4);
+        let per_entry = gpu.launch("entries", 64, |ctx| {
+            own(ctx);
+            if ctx.global_id == 5 {
+                (0..1000).for_each(|_| ctx.add_work(1));
+            }
+        });
+        let gathered = gpu.launch("gather", 64, |ctx| {
+            own(ctx);
+            if ctx.global_id == 5 {
+                ctx.add_gather(1000);
+            }
+        });
+        assert_eq!(gathered.work, per_entry.work);
+        assert_eq!(per_entry.max_thread_work, 1002);
+        // The largest own work (4) plus the warp's share, ⌈1000 / 32⌉.
+        assert_eq!(gathered.max_thread_work, 4 + 1000u64.div_ceil(32));
+        assert!(gathered.modelled_time_ns < per_entry.modelled_time_ns);
+        let perf = gpu.config().perf;
+        assert_eq!(gathered.modelled_time_ns, perf.launch_cost_ns(64, gathered.work, 36));
+        assert_eq!(gpu.stats().kernels["gather"].max_thread_work, 36);
+    }
+
+    #[test]
+    fn lanes_of_one_warp_add_their_shares_and_lanes_of_two_do_not() {
+        let gpu = VirtualGpu::sequential();
+        let lanes = |a: usize, b: usize| {
+            move |ctx: &ThreadCtx| {
+                if ctx.global_id == a || ctx.global_id == b {
+                    ctx.add_gather(100);
+                }
+            }
+        };
+        // Lanes 3 and 17 of warp 0: one share of ⌈200 / 32⌉.
+        let same = gpu.launch("same", 64, lanes(3, 17));
+        assert_eq!((same.work, same.max_thread_work), (200, 7));
+        // Lanes 3 and 35 sit in warps 0 and 1: a share of ⌈100 / 32⌉ each.
+        let apart = gpu.launch("apart", 64, lanes(3, 35));
+        assert_eq!((apart.work, apart.max_thread_work), (200, 4));
+    }
+
+    #[test]
+    fn a_list_no_longer_than_a_warp_prices_like_add_work() {
+        let gpu = VirtualGpu::sequential();
+        for len in [0, 1, 31, 32] {
+            let gather =
+                gpu.launch("gather", 100, |ctx| ctx.add_gather(len * (ctx.global_id as u64 % 2)));
+            let work =
+                gpu.launch("work", 100, |ctx| ctx.add_work(len * (ctx.global_id as u64 % 2)));
+            assert_eq!(
+                (gather.work, gather.max_thread_work),
+                (work.work, work.max_thread_work),
+                "{len}"
+            );
+            assert_eq!(gather.modelled_time_ns.to_bits(), work.modelled_time_ns.to_bits(), "{len}");
+        }
+        let longer =
+            gpu.launch("gather", 100, |ctx| ctx.add_gather(33 * (ctx.global_id as u64 % 2)));
+        // 33 entries are a warp's gather: each warp's 16 odd lanes share
+        // ⌈16 × 33 / 32⌉ steps.
+        assert_eq!((longer.work, longer.max_thread_work), (50 * 33, 17));
+    }
+
+    #[test]
+    fn warp_shares_agree_across_sequential_and_pooled_chunks_that_split_warps() {
+        let grid = 1000;
+        let kernel = |ctx: &ThreadCtx| {
+            let id = ctx.global_id as u64;
+            ctx.add_work(1);
+            ctx.add_gather(if id.is_multiple_of(7) { 33 + id % 300 } else { id % 33 });
+        };
+        let seq = VirtualGpu::sequential().launch("mix", grid, kernel);
+        assert!(seq.max_thread_work > 33, "some warp gathered: {}", seq.max_thread_work);
+        for chunk in [8, 24] {
+            let workers = 3;
+            let gpu = pooled(workers, 1, chunk);
+            let rec = gpu.launch("mix", grid, kernel);
+            assert_eq!(
+                (rec.threads, rec.work, rec.max_thread_work),
+                (seq.threads, seq.work, seq.max_thread_work),
+                "chunk {chunk}"
+            );
+            let claims = grid.div_ceil(crate::exec::effective_chunk(chunk, grid, workers)) as u64;
+            assert_eq!((rec.atomics, rec.hot_word_atomics), (claims, claims), "chunk {chunk}");
+            let perf = gpu.config().perf;
+            let cursor_ns = claims as f64 * (perf.atomic_cost_ns + perf.hot_word_serialization_ns);
+            let gap = rec.modelled_time_ns - seq.modelled_time_ns - cursor_ns;
+            assert!(gap.abs() < 1e-6, "chunk {chunk}: {gap}");
+        }
+    }
+
+    #[test]
+    fn merged_totals_sum_a_split_warp_before_sharing() {
+        // Two workers' totals, each holding a part of warp 2, merged in the
+        // order the workers finished.
+        let mut a = LaunchTotals { warp_gathers: vec![(2, 40), (5, 10)], ..Default::default() };
+        let b = LaunchTotals { warp_gathers: vec![(0, 10), (2, 30)], ..Default::default() };
+        a.merge(&b);
+        assert_eq!(a.max_warp_share(32), 70u64.div_ceil(32));
+        assert_eq!(LaunchTotals::default().max_warp_share(32), 0);
     }
 
     #[test]

@@ -363,12 +363,13 @@ mod tests {
     use crate::engine::{run_threads, ThreadCtx};
 
     /// The chunk closure a plain launch of `grid` threads hands the pool:
-    /// `kernel` once per item, folded by the engine's thread loop.
+    /// `kernel` once per item, folded by the engine's thread loop (32 lanes
+    /// per warp).
     fn per_thread<'a>(
         grid: usize,
         kernel: &'a (dyn Fn(&ThreadCtx) + Sync),
     ) -> impl Fn(Range<usize>) -> LaunchTotals + Sync + 'a {
-        move |items| run_threads(items, grid, kernel)
+        move |items| run_threads(items, grid, 32, kernel)
     }
 
     #[test]

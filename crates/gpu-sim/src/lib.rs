@@ -32,12 +32,18 @@
 //!    *benign races* without undefined behaviour.  No read-modify-write
 //!    operation is ever used by the matching kernels.)
 //! 3. **A calibrated cost model.** Each launch is charged launch overhead,
-//!    warp issue cost, per-work-item memory cost, and — for the kernels
-//!    that do use read-modify-writes, like the queue append — a per-atomic
-//!    throughput cost plus a serialization surcharge on the launch's most
-//!    contended word ([`perfmodel::PerfModel`]), so that *modelled device
-//!    time* can be compared across algorithms the same way the paper
-//!    compares wall-clock seconds on the C2050.  Wall-clock host time is recorded as well, and
+//!    warp issue cost, per-work-item memory cost scaled by a divergence
+//!    penalty on its longest thread, and — for the kernels that do use
+//!    read-modify-writes, like the queue append — a per-atomic throughput
+//!    cost plus a serialization surcharge on the launch's most contended
+//!    word ([`perfmodel::PerfModel`]), so that *modelled device time* can be
+//!    compared across algorithms the same way the paper compares
+//!    wall-clock seconds on the C2050.  A thread reports a list longer than
+//!    a warp through [`ThreadCtx::add_gather`]: its warp reads it together,
+//!    so the launch's longest thread is its largest own work plus the
+//!    largest warp share, ⌈Σ gathered units of a warp's lanes / warp
+//!    size⌉, while the units still count in full toward its work.
+//!    Wall-clock host time is recorded as well, and
 //!    per-kernel statistics are queued off the launch hot path and merged
 //!    only when [`VirtualGpu::stats`] snapshots them.
 //!

@@ -20,7 +20,18 @@
 //!   [`crate::ThreadCtx::add_work`] — the matching kernels report one unit
 //!   per adjacency-list entry they touch, i.e. per memory transaction;
 //! * `divergence_penalty` grows with the imbalance between the average and
-//!   maximum per-thread work of the launch, modelling SIMT divergence;
+//!   maximum per-thread work of the launch, modelling SIMT divergence:
+//!   `1 + divergence_weight × (max_thread_work / avg_work − 1)`, so on the
+//!   default model a launch pays about 0.5 ns × `max_thread_work` per thread
+//!   of its grid on top of its work.  `max_thread_work` is the largest work
+//!   a thread reported as its own plus the largest *warp share*: a list
+//!   longer than a warp that a thread reports through
+//!   [`crate::ThreadCtx::add_gather`] is read by its whole warp, so its
+//!   units count toward `work_items` but toward the critical path only as
+//!   ⌈Σ gathered units of the warp's lanes / `warp_size`⌉ steps (the
+//!   warp-cooperative gather of Merrill et al.'s and Hong et al.'s GPU
+//!   BFS).  A list of at most `warp_size` entries counts as the thread's
+//!   own, and a launch that gathers nothing is priced as before;
 //! * `atomics` is the total number of read-modify-write operations the
 //!   launch reported through [`crate::ThreadCtx::add_atomic`] — a
 //!   throughput term: every atomic occupies an L2 slot whether or not it
@@ -153,7 +164,8 @@ impl PerfModel {
     ///
     /// * `threads`: grid size;
     /// * `work_items`: total work units reported by the kernel's threads;
-    /// * `max_thread_work`: largest per-thread work observed (0 if unknown).
+    /// * `max_thread_work`: longest per-thread critical path observed, own
+    ///   work plus the largest warp share of gathered lists (0 if unknown).
     pub fn launch_cost_ns(&self, threads: usize, work_items: u64, max_thread_work: u64) -> f64 {
         self.launch_cost_with_atomics_ns(threads, work_items, max_thread_work, 0, 0)
     }

@@ -50,6 +50,10 @@ pub struct KernelStats {
     pub wall_time_ns: f64,
     /// Largest single-launch grid size seen.
     pub max_grid: u64,
+    /// Largest per-thread work of a single launch seen
+    /// ([`LaunchRecord::max_thread_work`]): the divergence that launch was
+    /// priced for.
+    pub max_thread_work: u64,
 }
 
 /// Device-wide statistics: per-kernel breakdown plus totals.
@@ -75,6 +79,7 @@ impl DeviceStats {
         entry.modelled_time_ns += launch.modelled_time_ns;
         entry.wall_time_ns += launch.wall_time_ns;
         entry.max_grid = entry.max_grid.max(launch.threads as u64);
+        entry.max_thread_work = entry.max_thread_work.max(launch.max_thread_work);
     }
 
     /// Total number of kernel launches.
@@ -143,6 +148,7 @@ impl DeviceStats {
             entry.modelled_time_ns += k.modelled_time_ns;
             entry.wall_time_ns += k.wall_time_ns;
             entry.max_grid = entry.max_grid.max(k.max_grid);
+            entry.max_thread_work = entry.max_thread_work.max(k.max_thread_work);
         }
     }
 }
@@ -152,8 +158,8 @@ mod tests {
     use super::*;
     use LaunchKind::{FusedTail, Launch, ResidentRound};
 
-    /// A launch record with the given counters (`max_thread_work` is not
-    /// aggregated, so it stays 0).
+    /// A launch record with the given counters and no per-thread work
+    /// maximum.
     fn rec(
         threads: usize,
         work: u64,
@@ -176,8 +182,13 @@ mod tests {
     #[test]
     fn record_accumulates_per_kernel() {
         let mut s = DeviceStats::default();
-        s.record("push", Launch, &rec(100, 500, 40, 10, 1000.0, 2000.0));
-        s.record("push", Launch, &rec(50, 100, 10, 5, 500.0, 700.0));
+        let widest = LaunchRecord { max_thread_work: 40, ..rec(100, 500, 40, 10, 1000.0, 2000.0) };
+        s.record("push", Launch, &widest);
+        s.record(
+            "push",
+            Launch,
+            &LaunchRecord { max_thread_work: 7, ..rec(50, 100, 10, 5, 500.0, 700.0) },
+        );
         s.record("relabel", Launch, &rec(10, 10, 0, 0, 10.0, 20.0));
         assert_eq!(s.total_launches(), 3);
         assert_eq!(s.launches_of("push"), 2);
@@ -189,6 +200,7 @@ mod tests {
         assert_eq!(push.total_atomics, 50);
         assert_eq!(push.hot_word_atomics, 15);
         assert_eq!(push.max_grid, 100);
+        assert_eq!(push.max_thread_work, 40);
         assert_eq!(push.fused_tails, 0);
         assert!((s.modelled_time_secs() - 1.51e-6).abs() < 1e-12);
         assert!((s.wall_time_secs() - 2.72e-6).abs() < 1e-12);
@@ -222,7 +234,7 @@ mod tests {
         let mut a = DeviceStats::default();
         a.record("k", Launch, &rec(10, 10, 3, 1, 1.0, 1.0));
         let mut b = DeviceStats::default();
-        b.record("k", Launch, &rec(20, 5, 2, 2, 2.0, 2.0));
+        b.record("k", Launch, &LaunchRecord { max_thread_work: 5, ..rec(20, 5, 2, 2, 2.0, 2.0) });
         b.record("j", Launch, &rec(1, 1, 0, 0, 1.0, 1.0));
         b.record("k", FusedTail, &rec(5, 5, 1, 1, 1.0, 1.0));
         b.record("k", ResidentRound, &rec(7, 2, 1, 1, 3.0, 3.0));
@@ -234,6 +246,7 @@ mod tests {
         assert_eq!(a.kernels["k"].fused_tails, 1);
         assert_eq!(a.kernels["k"].resident_rounds, 1);
         assert_eq!(a.kernels["k"].max_grid, 20);
+        assert_eq!(a.kernels["k"].max_thread_work, 5);
         assert_eq!(a.launches_of("j"), 1);
         assert_eq!(a.total_barriers(), 1);
     }
